@@ -31,6 +31,9 @@ pub enum ConfigError {
     Recovery(&'static str),
     /// The device jitter model failed [`kus_device::JitterModel::validate`].
     Jitter(String),
+    /// A serving spec (arrivals, queue, admission, retry, net front end or
+    /// tier chain) failed validation.
+    Serving(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -45,6 +48,7 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "swq_recovery is enabled but `{field}` is zero")
             }
             ConfigError::Jitter(e) => write!(f, "invalid device jitter model: {e}"),
+            ConfigError::Serving(e) => write!(f, "invalid serving spec: {e}"),
         }
     }
 }

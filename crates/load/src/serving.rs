@@ -642,7 +642,7 @@ pub fn load_experiment(
     cfg: PlatformConfig,
     service: ServiceFactory,
 ) -> Result<Experiment, ConfigError> {
-    spec.validate().map_err(ConfigError::Fault)?;
+    spec.validate().map_err(ConfigError::Serving)?;
     Experiment::from_factory(
         label,
         cfg.traced(),
@@ -673,6 +673,25 @@ mod tests {
 
     fn poisson(rate: f64, requests: usize) -> LoadSpec {
         LoadSpec::new(ArrivalProcess::Poisson { rate_rps: rate }).requests(requests)
+    }
+
+    #[test]
+    fn invalid_specs_are_serving_errors() {
+        let err = |spec: LoadSpec| {
+            let factory = service_factory(|| EchoService::new(64));
+            match load_experiment("bad", spec, base_cfg(), factory) {
+                Ok(_) => panic!("spec is invalid"),
+                Err(e) => e.to_string(),
+            }
+        };
+        assert_eq!(
+            err(poisson(1000.0, 10).tiers(crate::TierSpec::fanout(0))),
+            "invalid serving spec: fan-out width must be at least 1"
+        );
+        assert_eq!(
+            err(poisson(1000.0, 10).queue_capacity(0)),
+            "invalid serving spec: queue capacity must be at least 1"
+        );
     }
 
     #[test]
