@@ -42,54 +42,50 @@
 //!   speedscope flamegraph per run to STEM-<name>.speedscope.json.
 //!   Exits non-zero when any run misses its expected verdict.
 //!
-//! `figures load` (a serving sweep: mechanism × offered Poisson rate):
-//!   figures load --service memcached --mech ondemand,prefetch,swq \
-//!           --rates 250k,500k,1m,2m,4m --requests 400 --queue-cap 64 \
-//!           --cores 2 --fibers 8 --jobs 4 --json load.json --csv load.csv
-//!   --service is echo | memcached | bloom (default memcached). --slo-p99 /
-//!   --slo-p999 (ns/us suffixes) add an SLO verdict column. Rates accept
-//!   k/m suffixes. Prints the throughput–latency curve (p50/p99/p999
-//!   columns) and the saturation knee per mechanism; --json/--csv emit the
-//!   full per-cell LoadReports, byte-identical across --jobs values.
+//! The serving presets `figures load|net|blame|overload` share one
+//! base-flag parser: `--service echo|memcached|bloom`, `--requests N`,
+//! `--queue-cap N`, `--cores N`, `--fibers N`, `--slo-p99`/`--slo-p999`
+//! (ns/us suffixes), `--full`, `--faults plan.toml`, the NIC knobs
+//! `--rx-queues --flows --link-gbps --net-jitter`, `--bench PATH` (the
+//! wall-clock/events-per-second record — not deterministic, excluded from
+//! CI byte-diffs) and `--trace PATH` (a Chrome trace of the preset's
+//! representative run, with causal flow arrows). Rates accept k/m
+//! suffixes. Each preset reads its own axis flags; --json/--csv emit the
+//! full per-cell reports, byte-identical across --jobs values.
 //!
-//! `figures net` (the front-end sweep: NIC model × tier topology ×
-//! offered rate, with the dispatcher-only baseline alongside):
+//! `figures load` (mechanism × offered Poisson rate):
+//!   figures load --service memcached --mech ondemand,prefetch,swq \
+//!           --rates 250k,500k,1m,2m,4m --jobs 4 --json load.json --csv load.csv
+//!   Prints the throughput–latency curve (p50/p99/p999 columns, an SLO
+//!   verdict column) and the saturation knee per mechanism.
+//!
+//! `figures net` (NIC model × tier topology × offered rate, with the
+//! dispatcher-only baseline alongside):
 //!   figures net --service echo --nics dma,nanopu --topos rpc,fanout4 \
-//!           --rates 250k,500k,1m,2m,3m --requests 400 --queue-cap 64 \
-//!           --jobs 4 --json net.json --csv net.csv
+//!           --rates 250k,500k,1m,2m,3m --jobs 4 --json net.json --csv net.csv
 //!   --nics is any of dma | nanopu; --topos is rpc | fanoutN (e.g.
 //!   fanout4). Every run also sweeps `nic=off topo=direct` baseline cells
 //!   at the same rates. Prints per-front-end throughput curves with the
 //!   wire/NIC/steer/queue/service decomposition, the knee per front end,
-//!   and the knee shift vs the baseline; --json/--csv emit the full
-//!   per-cell LoadReports + NetReports, byte-identical across --jobs.
+//!   and the knee shift vs the baseline.
 //!
 //! `figures blame` (the causal critical-path sweep: mechanism × tier
 //! topology × offered rate, with the zero-fanout baseline alongside):
-//!   figures blame --service echo --mech ondemand,prefetch,swq \
-//!           --topos fanout4 --rates 250k,1m,2m --requests 400 \
-//!           --jobs 4 --json blame.json --csv blame.csv --trace blame.trace.json
-//!   Every cell runs with the causal event class on; each request's span
-//!   DAG is rebuilt from the trace and walked for its exact critical
-//!   path (fan-in joins resolve to the max child). Prints the critical
+//!   figures blame --service echo --mech ondemand,prefetch,swq --topos fanout4 \
+//!           --rates 250k,1m,2m --jobs 4 --json blame.json --trace blame.trace.json
+//!   Every cell runs with the causal event class on and walks each
+//!   request's span DAG for its exact critical path. Prints the critical
 //!   tier and its share per cell (overall and exact-p99 tail) and the
-//!   critical-tier flips vs the `direct` baseline; --json/--csv emit the
-//!   full per-cell BlameReports, byte-identical across --jobs values.
-//!   --trace writes a Chrome trace of one representative fan-out run
-//!   with causal flow arrows (open in Perfetto to see the waterfall).
+//!   critical-tier flips vs the `direct` baseline; --trace draws one
+//!   fan-out run at the first swept rate (open it in Perfetto).
 //!
-//! `figures overload` (a degradation sweep: admission policy × fault plan
-//! × offered rate, plus the budgeted/unbudgeted retry pair):
-//!   figures overload --service echo --policies static,deadline,adaptive \
-//!           --rates 1m,3m --requests 400 --queue-cap 24 --slo-p99 46us \
-//!           --jobs 4 --json overload.json --csv overload.csv \
-//!           --bench BENCH_overload.json
+//! `figures overload` (admission policy × fault plan × offered rate, plus
+//! the budgeted/unbudgeted retry pair):
+//!   figures overload --policies static,deadline,adaptive --rates 1m,3m \
+//!           --jobs 4 --json overload.json --bench BENCH_overload.json
 //!   --policies is any of static | deadline | adaptive. Prints the
 //!   degradation matrix (goodput/shed/p99 and a graceful/brownout/collapse
-//!   verdict per cell); --json/--csv emit the full per-cell reports and
-//!   recovery analyses, byte-identical across --jobs values. --bench
-//!   writes the wall-clock/events-per-second record (not deterministic —
-//!   excluded from CI byte-diffs).
+//!   verdict per cell).
 //!
 //! `figures simbench` (the simulator-substrate throughput suite: the
 //! timing-wheel event core vs the retained heap reference, measured live):
@@ -107,8 +103,8 @@
 //!   figures scenario scenarios/calm-poisson.toml [--jobs N] \
 //!           [--json out.json] [--csv out.csv] [--bench BENCH.json]
 //!   Compiles the file through kus-scenario and runs it. A scenario
-//!   carrying a `[matrix]` section runs the full overload matrix (policy ×
-//!   plan × rate) and emits exactly the `figures overload` artifacts; a
+//!   carrying a `[matrix]` section runs the `overload` preset over the
+//!   scenario's base and emits exactly the `figures overload` artifacts; a
 //!   plain scenario runs once and prints its LoadReport (--json emits it).
 //!   A scenario carrying an `[expect]` section is an executable claim:
 //!   the run exits non-zero when the observed degradation verdict, SLO
@@ -122,27 +118,38 @@
 //!   every mechanism, and prints the scoreboard. Artifacts are
 //!   byte-identical across --jobs values.
 
-use kus_bench::blame::{run_blame_sweep, BlameSweepSpec};
-use kus_bench::load::{run_load_sweep, LoadSweepSpec, KNEE_GOODPUT_FRACTION};
-use kus_bench::net::{run_net_sweep, NetSweepSpec};
-use kus_bench::overload::{run_overload_sweep, OverloadSweepSpec};
 use kus_bench::profile::run_profile_suite;
 use kus_bench::scenario::{load_scenario_dir, run_scenario_matrix, ScenarioMatrixSpec};
+use kus_bench::serving::{
+    critical_share, keeps_up, scenario_json, Preset, ServingFlags, ServingMatrix,
+};
 use kus_bench::sweep::{run_figures, run_sweep, SweepOptions, SweepSpec};
 use kus_core::prelude::*;
+use kus_load::{AdmissionControl, NetConfig, NicModelKind, TierSpec};
 use kus_scenario::Scenario;
-use kus_load::{
-    service_factory, AdmissionControl, ArrivalProcess, EchoService, LoadSpec, NetConfig,
-    NicModelKind, ServiceFactory, SloSpec, TierSpec,
-};
 use kus_workloads::figures::{self, Quality};
 use kus_workloads::trace_scenarios::{run_trace_scenario, trace_scenarios};
-use kus_workloads::{
-    BloomConfig, BloomService, MemcachedConfig, MemcachedService, Microbench, MicrobenchConfig,
-};
+use kus_workloads::{Microbench, MicrobenchConfig};
+
+/// The value after `flag`, if the flag is given. A flag with nothing after
+/// it — the last argument, or followed by another `--flag` — is an error,
+/// never a silent default.
+fn try_flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{flag}: expected a value")),
+    }
+}
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+    try_flag_value(args, flag).unwrap_or_else(|e| fail(e))
+}
+
+/// Parses `--flag V` with `FromStr`, exiting on bad input.
+fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    flag_value(args, flag)
+        .map(|v| v.parse().unwrap_or_else(|_| fail(format!("{flag}: bad value `{v}`"))))
 }
 
 fn fail(msg: String) -> ! {
@@ -161,17 +168,12 @@ struct Common {
 }
 
 fn common(args: &[String]) -> Common {
-    let jobs = match flag_value(args, "--jobs") {
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| fail(format!("--jobs: expected an unsigned integer, got `{s}`"))),
-        None => 0,
-    };
-    let seed = flag_value(args, "--seed").map(|s| {
-        s.parse()
-            .unwrap_or_else(|_| fail(format!("--seed: expected an unsigned integer, got `{s}`")))
-    });
-    Common { jobs, seed, json: flag_value(args, "--json"), csv: flag_value(args, "--csv") }
+    Common {
+        jobs: parsed(args, "--jobs").unwrap_or(0),
+        seed: parsed(args, "--seed"),
+        json: flag_value(args, "--json"),
+        csv: flag_value(args, "--csv"),
+    }
 }
 
 impl Common {
@@ -299,9 +301,7 @@ fn sweep_mode(args: &[String]) -> i32 {
     if q.faults.is_active() {
         cfg = cfg.faults(q.faults);
     }
-    let work: u32 = flag_value(args, "--work")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--work: bad value `{s}`"))))
-        .unwrap_or(100);
+    let work: u32 = parsed(args, "--work").unwrap_or(100);
     let mc = MicrobenchConfig {
         work_count: work,
         mlp: 1,
@@ -371,16 +371,6 @@ fn profile_mode(args: &[String]) -> i32 {
     i32::from(!suite.satisfied())
 }
 
-/// Resolves a `--service` value to its factory.
-fn service_by_name(name: &str) -> ServiceFactory {
-    match name {
-        "echo" => service_factory(|| EchoService::new(4096)),
-        "memcached" => MemcachedService::factory(MemcachedConfig::default()),
-        "bloom" => BloomService::factory(BloomConfig::default()),
-        other => fail(format!("--service: unknown `{other}` (echo | memcached | bloom)")),
-    }
-}
-
 /// Parses an offered rate like `250000`, `250k`, or `1.5m` (requests/s).
 fn parse_rate(s: &str) -> Option<u64> {
     let s = s.trim();
@@ -391,75 +381,6 @@ fn parse_rate(s: &str) -> Option<u64> {
     } else {
         s.parse().ok()
     }
-}
-
-/// `figures load`: a serving sweep over mechanism × offered Poisson rate.
-fn load_mode(args: &[String]) -> i32 {
-    let com = common(args);
-    let q = quality(args, &com);
-    let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(8);
-    if !q.replay_device {
-        cfg = cfg.without_replay_device();
-    }
-    if q.faults.is_active() {
-        cfg = cfg.faults(q.faults);
-    }
-    if let Some(seed) = q.seed {
-        cfg = cfg.seed(seed);
-    }
-    if let Some(v) = flag_value(args, "--cores") {
-        cfg = cfg.cores(v.parse().unwrap_or_else(|_| fail(format!("--cores: bad value `{v}`"))));
-    }
-    if let Some(v) = flag_value(args, "--fibers") {
-        cfg = cfg
-            .fibers_per_core(v.parse().unwrap_or_else(|_| fail(format!("--fibers: bad `{v}`"))));
-    }
-
-    let requests: usize = flag_value(args, "--requests")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--requests: bad value `{s}`"))))
-        .unwrap_or(400);
-    let queue_cap: usize = flag_value(args, "--queue-cap")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--queue-cap: bad value `{s}`"))))
-        .unwrap_or(64);
-    let mut slo = SloSpec::none();
-    if let Some(s) = flag_value(args, "--slo-p99") {
-        slo = slo.p99(parse_span(&s).unwrap_or_else(|| fail(format!("--slo-p99: bad `{s}`"))));
-    }
-    if let Some(s) = flag_value(args, "--slo-p999") {
-        slo = slo.p999(parse_span(&s).unwrap_or_else(|| fail(format!("--slo-p999: bad `{s}`"))));
-    }
-    // Placeholder arrival; the sweep replaces it per cell with the swept
-    // Poisson rate.
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(requests)
-        .queue_capacity(queue_cap)
-        .slo(slo);
-
-    let service = flag_value(args, "--service").unwrap_or_else(|| "memcached".into());
-    let factory = service_by_name(&service);
-
-    let mut sweep = LoadSweepSpec::new(service, factory, spec, cfg);
-    let mechs = list(args, "--mech", parse_mech);
-    if !mechs.is_empty() {
-        sweep = sweep.mechanisms(&mechs);
-    }
-    let rates = list(args, "--rates", parse_rate);
-    if !rates.is_empty() {
-        sweep = sweep.rates(&rates);
-    }
-
-    let opts = com.opts();
-    eprintln!("# load sweep: {} cells, jobs={}", sweep.cell_count(), opts.jobs);
-    let results = run_load_sweep(&sweep, &opts);
-    eprintln!("# load sweep: done in {:.2}s", results.wall_seconds);
-    print!("{}", results.render_table());
-    if let Some(path) = &com.json {
-        write_artifact("--json", path, &results.to_json(), results.cells.len());
-    }
-    if let Some(path) = &com.csv {
-        write_artifact("--csv", path, &results.to_csv(), results.cells.len());
-    }
-    i32::from(results.errors().count() > 0)
 }
 
 /// Parses a NIC model name: `dma` | `nanopu`.
@@ -479,175 +400,6 @@ fn parse_topo(s: &str) -> Option<TierSpec> {
     }
 }
 
-/// `figures net`: the front-end sweep (NIC model × tier topology × rate,
-/// with dispatcher-only baseline cells at the same rates).
-fn net_mode(args: &[String]) -> i32 {
-    let com = common(args);
-    let q = quality(args, &com);
-    let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(8);
-    if !q.replay_device {
-        cfg = cfg.without_replay_device();
-    }
-    if q.faults.is_active() {
-        cfg = cfg.faults(q.faults);
-    }
-    if let Some(seed) = q.seed {
-        cfg = cfg.seed(seed);
-    }
-    if let Some(v) = flag_value(args, "--cores") {
-        cfg = cfg.cores(v.parse().unwrap_or_else(|_| fail(format!("--cores: bad value `{v}`"))));
-    }
-    if let Some(v) = flag_value(args, "--fibers") {
-        cfg = cfg
-            .fibers_per_core(v.parse().unwrap_or_else(|_| fail(format!("--fibers: bad `{v}`"))));
-    }
-
-    let requests: usize = flag_value(args, "--requests")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--requests: bad value `{s}`"))))
-        .unwrap_or(400);
-    let queue_cap: usize = flag_value(args, "--queue-cap")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--queue-cap: bad value `{s}`"))))
-        .unwrap_or(64);
-    let mut slo = SloSpec::none();
-    if let Some(s) = flag_value(args, "--slo-p99") {
-        slo = slo.p99(parse_span(&s).unwrap_or_else(|| fail(format!("--slo-p99: bad `{s}`"))));
-    }
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(requests)
-        .queue_capacity(queue_cap)
-        .slo(slo);
-
-    // The shared wire/steering knobs; the NIC model axis replaces `nic`.
-    let mut net = NetConfig::on();
-    if let Some(v) = flag_value(args, "--rx-queues") {
-        net = net
-            .rx_queues(v.parse().unwrap_or_else(|_| fail(format!("--rx-queues: bad `{v}`"))));
-    }
-    if let Some(v) = flag_value(args, "--flows") {
-        net = net.flows(v.parse().unwrap_or_else(|_| fail(format!("--flows: bad `{v}`"))));
-    }
-    if let Some(v) = flag_value(args, "--link-gbps") {
-        net = net
-            .link_gbps(v.parse().unwrap_or_else(|_| fail(format!("--link-gbps: bad `{v}`"))));
-    }
-    if let Some(s) = flag_value(args, "--net-jitter") {
-        net = net
-            .jitter(parse_span(&s).unwrap_or_else(|| fail(format!("--net-jitter: bad `{s}`"))));
-    }
-
-    let service = flag_value(args, "--service").unwrap_or_else(|| "echo".into());
-    let factory = service_by_name(&service);
-
-    let mut sweep = NetSweepSpec::new(service, factory, spec, cfg, net);
-    let nics = list(args, "--nics", parse_nic);
-    if !nics.is_empty() {
-        sweep = sweep.nics(&nics);
-    }
-    let topos = list(args, "--topos", parse_topo);
-    if !topos.is_empty() {
-        sweep = sweep.topologies(&topos);
-    }
-    let rates = list(args, "--rates", parse_rate);
-    if !rates.is_empty() {
-        sweep = sweep.rates(&rates);
-    }
-
-    let opts = com.opts();
-    eprintln!("# net sweep: {} cells, jobs={}", sweep.cell_count(), opts.jobs);
-    let results = run_net_sweep(&sweep, &opts);
-    eprintln!("# net sweep: done in {:.2}s", results.wall_seconds);
-    print!("{}", results.render_table());
-    if let Some(path) = &com.json {
-        write_artifact("--json", path, &results.to_json(), results.cells.len());
-    }
-    if let Some(path) = &com.csv {
-        write_artifact("--csv", path, &results.to_csv(), results.cells.len());
-    }
-    i32::from(results.errors().count() > 0)
-}
-
-/// `figures blame`: the causal critical-path sweep (mechanism × tier
-/// topology × rate, with the zero-fanout baseline alongside).
-fn blame_mode(args: &[String]) -> i32 {
-    let com = common(args);
-    let q = quality(args, &com);
-    let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(8);
-    if !q.replay_device {
-        cfg = cfg.without_replay_device();
-    }
-    if q.faults.is_active() {
-        cfg = cfg.faults(q.faults);
-    }
-    if let Some(seed) = q.seed {
-        cfg = cfg.seed(seed);
-    }
-    if let Some(v) = flag_value(args, "--cores") {
-        cfg = cfg.cores(v.parse().unwrap_or_else(|_| fail(format!("--cores: bad value `{v}`"))));
-    }
-    if let Some(v) = flag_value(args, "--fibers") {
-        cfg = cfg
-            .fibers_per_core(v.parse().unwrap_or_else(|_| fail(format!("--fibers: bad `{v}`"))));
-    }
-
-    let requests: usize = flag_value(args, "--requests")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--requests: bad value `{s}`"))))
-        .unwrap_or(400);
-    let queue_cap: usize = flag_value(args, "--queue-cap")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--queue-cap: bad value `{s}`"))))
-        .unwrap_or(64);
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(requests)
-        .queue_capacity(queue_cap);
-
-    let service = flag_value(args, "--service").unwrap_or_else(|| "echo".into());
-    let factory = service_by_name(&service);
-
-    let mut sweep = BlameSweepSpec::new(service, factory.clone(), spec, cfg.clone());
-    let mechs = list(args, "--mech", parse_mech);
-    if !mechs.is_empty() {
-        sweep = sweep.mechanisms(&mechs);
-    }
-    let topos = list(args, "--topos", parse_topo);
-    if !topos.is_empty() {
-        sweep = sweep.topologies(&topos);
-    }
-    let rates = list(args, "--rates", parse_rate);
-    if !rates.is_empty() {
-        sweep = sweep.rates(&rates);
-    }
-
-    let opts = com.opts();
-    eprintln!("# blame sweep: {} cells, jobs={}", sweep.cell_count(), opts.jobs);
-    let results = run_blame_sweep(&sweep, &opts);
-    eprintln!("# blame sweep: done in {:.2}s", results.wall_seconds);
-    print!("{}", results.render_table());
-    if let Some(path) = &com.json {
-        write_artifact("--json", path, &results.to_json(), results.cells.len());
-    }
-    if let Some(path) = &com.csv {
-        write_artifact("--csv", path, &results.to_csv(), results.cells.len());
-    }
-    if let Some(path) = flag_value(args, "--trace") {
-        // One representative causal fan-out run at the first swept rate:
-        // its Chrome trace carries the flow arrows that draw the fan-out
-        // and join edges of the span DAG in Perfetto.
-        let tiers = topos.first().copied().unwrap_or_else(|| TierSpec::fanout(4));
-        let rate = rates.first().copied().unwrap_or(250_000);
-        let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: rate as f64 })
-            .requests(requests)
-            .queue_capacity(queue_cap)
-            .tiers(tiers);
-        let exp = kus_load::load_experiment("blame trace", spec, cfg.causal(), factory)
-            .unwrap_or_else(|e| fail(format!("--trace: {e}")));
-        let run = exp.run();
-        let t = run.trace.as_ref().expect("traced run");
-        let arrows = kus_load::flow_arrows(&t.events);
-        let json = kus_sim::trace::chrome_json_with_flows(&t.events, &arrows);
-        write_artifact("--trace", &path, &json, arrows.len());
-    }
-    i32::from(results.errors().count() > 0)
-}
-
 fn parse_policy(s: &str) -> Option<AdmissionControl> {
     match s {
         "static" => Some(AdmissionControl::Static),
@@ -660,73 +412,70 @@ fn parse_policy(s: &str) -> Option<AdmissionControl> {
     }
 }
 
-/// `figures overload`: the degradation sweep (policy × fault plan × rate).
-fn overload_mode(args: &[String]) -> i32 {
-    let com = common(args);
-    let q = quality(args, &com);
-    // Few fibers so queue waits (the admission signal) actually build under
-    // overload; the SLO bound sits between deadline-aware's worst drain
-    // bucket and static's, which is what the degradation matrix contrasts.
-    let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(4);
-    if !q.replay_device {
-        cfg = cfg.without_replay_device();
+/// The base flags every serving preset shares, parsed in one place.
+fn serving_flags(args: &[String], com: &Common) -> ServingFlags {
+    let q = quality(args, com);
+    let span = |flag: &str| {
+        flag_value(args, flag)
+            .map(|s| parse_span(&s).unwrap_or_else(|| fail(format!("{flag}: bad value `{s}`"))))
+    };
+    // The shared wire/steering knobs; each NIC point sets its own model.
+    let mut net = NetConfig::default();
+    if let Some(v) = parsed(args, "--rx-queues") {
+        net = net.rx_queues(v);
     }
-    if let Some(seed) = q.seed {
-        cfg = cfg.seed(seed);
+    if let Some(v) = parsed(args, "--flows") {
+        net = net.flows(v);
     }
-    if let Some(v) = flag_value(args, "--cores") {
-        cfg = cfg.cores(v.parse().unwrap_or_else(|_| fail(format!("--cores: bad value `{v}`"))));
+    if let Some(v) = parsed(args, "--link-gbps") {
+        net = net.link_gbps(v);
     }
-    if let Some(v) = flag_value(args, "--fibers") {
-        cfg = cfg
-            .fibers_per_core(v.parse().unwrap_or_else(|_| fail(format!("--fibers: bad `{v}`"))));
+    if let Some(v) = span("--net-jitter") {
+        net = net.jitter(v);
     }
-
-    let requests: usize = flag_value(args, "--requests")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--requests: bad value `{s}`"))))
-        .unwrap_or(400);
-    let queue_cap: usize = flag_value(args, "--queue-cap")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--queue-cap: bad value `{s}`"))))
-        .unwrap_or(24);
-    let slo_p99 = flag_value(args, "--slo-p99")
-        .map(|s| parse_span(&s).unwrap_or_else(|| fail(format!("--slo-p99: bad `{s}`"))))
-        .unwrap_or(Span::from_us(46));
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(requests)
-        .queue_capacity(queue_cap)
-        .slo(SloSpec::none().p99(slo_p99));
-
-    let service = flag_value(args, "--service").unwrap_or_else(|| "echo".into());
-    let factory = service_by_name(&service);
-
-    let mut sweep = OverloadSweepSpec::new(service, factory, spec, cfg);
-    let policies = list(args, "--policies", parse_policy);
-    if !policies.is_empty() {
-        sweep = sweep.policies(&policies);
+    ServingFlags {
+        service: flag_value(args, "--service"),
+        requests: parsed(args, "--requests"),
+        queue_capacity: parsed(args, "--queue-cap"),
+        cores: parsed(args, "--cores"),
+        fibers: parsed(args, "--fibers"),
+        seed: q.seed,
+        replay_device: q.replay_device,
+        faults: q.faults,
+        slo_p99: span("--slo-p99"),
+        slo_p999: span("--slo-p999"),
+        net,
+        mechanisms: list(args, "--mech", parse_mech),
+        rates: list(args, "--rates", parse_rate),
+        nics: list(args, "--nics", parse_nic),
+        topologies: list(args, "--topos", parse_topo),
+        policies: list(args, "--policies", parse_policy),
     }
-    let rates = list(args, "--rates", parse_rate);
-    if !rates.is_empty() {
-        sweep = sweep.rates(&rates);
-    }
-
-    let opts = com.opts();
-    eprintln!("# overload sweep: {} cells + retry pair, jobs={}", sweep.cell_count(), opts.jobs);
-    let results = run_overload_sweep(&sweep, &opts);
-    eprintln!("# overload sweep: done in {:.2}s", results.wall_seconds);
-    print!("{}", results.render_table());
-    emit_overload_artifacts(&com, args, &results);
-    i32::from(!results.errors().is_empty())
 }
 
-/// Writes the overload artifacts (`--json`, `--csv`, and the
-/// non-deterministic `--bench` record) — shared by `figures overload` and
-/// matrix-carrying `figures scenario` runs.
-fn emit_overload_artifacts(com: &Common, args: &[String], results: &kus_bench::OverloadResults) {
+/// `figures load|net|blame|overload`: a serving preset over the shared
+/// base flags.
+fn serving_mode(name: &str, args: &[String]) -> i32 {
+    let com = common(args);
+    let preset = serving_flags(args, &com).preset(name).unwrap_or_else(|e| fail(e));
+    run_preset(&preset, &com, args)
+}
+
+/// Runs a serving preset, prints its table, and writes `--json`, `--csv`,
+/// the wall-clock `--bench` record, and with `--trace` a Chrome trace (with
+/// causal flow arrows) of the matrix's representative run.
+fn run_preset(preset: &Preset, com: &Common, args: &[String]) -> i32 {
+    let opts = com.opts();
+    eprintln!("# {} sweep: {} cells, jobs={}", preset.name(), preset.cell_count(), opts.jobs);
+    let results = preset.run(&opts);
+    eprintln!("# {} sweep: done in {:.2}s", preset.name(), results.wall_seconds());
+    print!("{}", results.render_table());
+    let cells = results.main.cells.len();
     if let Some(path) = &com.json {
-        write_artifact("--json", path, &results.to_json(), results.cells.len());
+        write_artifact("--json", path, &results.to_json(), cells);
     }
     if let Some(path) = &com.csv {
-        write_artifact("--csv", path, &results.to_csv(), results.cells.len());
+        write_artifact("--csv", path, &results.to_csv(), cells);
     }
     if let Some(path) = flag_value(args, "--bench") {
         if let Err(e) = std::fs::write(&path, results.bench_json()) {
@@ -734,6 +483,20 @@ fn emit_overload_artifacts(com: &Common, args: &[String], results: &kus_bench::O
         }
         eprintln!("# wrote {path}");
     }
+    if let Some(path) = flag_value(args, "--trace") {
+        let label = format!("{} trace", preset.name());
+        let exp = preset
+            .matrix
+            .representative(&label)
+            .unwrap_or_else(|e| fail(format!("--trace: {e}")));
+        let run = exp.run();
+        let t = run.trace.as_ref().expect("traced run");
+        let arrows = kus_load::flow_arrows(&t.events);
+        let json = kus_sim::trace::chrome_json_with_flows(&t.events, &arrows);
+        write_artifact("--trace", &path, &json, arrows.len());
+    }
+    let failed = results.errors().next().is_some();
+    i32::from(failed)
 }
 
 /// `figures scenario FILE`: compile one declarative world and run it.
@@ -762,25 +525,10 @@ fn scenario_mode(args: &[String]) -> i32 {
         sc.fingerprint()
     );
 
-    if let Some(m) = sc.matrix().cloned() {
-        // A matrix scenario IS an overload sweep: same engine, same
-        // artifacts, byte-for-byte.
-        let sweep = OverloadSweepSpec::new(sc.service_name(), sc.service(), sc.load(), sc.cfg().clone())
-            .policies(&m.policies)
-            .plans(&m.plans)
-            .rates(&m.rates)
-            .with_retry_pair(m.retry_pair);
-        let opts = com.opts();
-        eprintln!(
-            "# scenario matrix: {} cells + retry pair, jobs={}",
-            sweep.cell_count(),
-            opts.jobs
-        );
-        let results = run_overload_sweep(&sweep, &opts);
-        eprintln!("# scenario matrix: done in {:.2}s", results.wall_seconds);
-        print!("{}", results.render_table());
-        emit_overload_artifacts(&com, args, &results);
-        return i32::from(!results.errors().is_empty());
+    if let Some(m) = sc.matrix() {
+        // A matrix scenario IS the overload preset over the scenario's
+        // base: same engine, same artifacts, byte-for-byte.
+        return run_preset(&Preset::overload(ServingMatrix::of(&sc), m), &com, args);
     }
 
     let exp = sc.experiment().unwrap_or_else(|e| fail(format!("scenario: {file}: {e}")));
@@ -821,7 +569,7 @@ fn scenario_mode(args: &[String]) -> i32 {
             code |= i32::from(!ok);
         }
         if let Some(rate) = want.knee_at_least {
-            let ok = report.goodput_rps >= KNEE_GOODPUT_FRACTION * rate;
+            let ok = keeps_up(&report, rate);
             println!(
                 "expect knee_at_least={rate:.0} rps: goodput {:.0} rps [{}]",
                 report.goodput_rps,
@@ -837,13 +585,7 @@ fn scenario_mode(args: &[String]) -> i32 {
             println!();
             print!("{}", blame.to_table());
             let got = &blame.overall.critical_tier;
-            let share = blame
-                .overall
-                .hops
-                .iter()
-                .find(|h| &h.hop == got)
-                .map(|h| h.share)
-                .unwrap_or(0.0);
+            let share = critical_share(&blame.overall);
             if let Some(tier) = &want.critical_tier {
                 let ok = got == tier;
                 println!("expect critical_tier={tier}: observed {got} [{}]", status(ok));
@@ -860,17 +602,7 @@ fn scenario_mode(args: &[String]) -> i32 {
         }
     }
     if let Some(path) = &com.json {
-        let net_field = match &net_report {
-            Some(n) => format!(",\n  \"net\": {}", n.to_json()),
-            None => String::new(),
-        };
-        let json = format!(
-            "{{\n  \"scenario\": \"{}\",\n  \"fingerprint\": \"{:016x}\",\n  \"report\": {}{}\n}}\n",
-            sc.name(),
-            sc.fingerprint(),
-            report.to_json(),
-            net_field,
-        );
+        let json = scenario_json(sc.name(), sc.fingerprint(), &report, net_report.as_ref());
         write_artifact("--json", path, &json, 1);
     }
     code
@@ -900,9 +632,7 @@ fn scenario_matrix_mode(args: &[String]) -> i32 {
 
 /// `figures simbench`: the simulator-substrate throughput suite.
 fn simbench_mode(args: &[String]) -> i32 {
-    let samples: u32 = flag_value(args, "--samples")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--samples: bad value `{s}`"))))
-        .unwrap_or(3);
+    let samples: u32 = parsed(args, "--samples").unwrap_or(3);
     let label = flag_value(args, "--label").unwrap_or_else(|| "wheel-slab".into());
     eprintln!("# simbench: {samples} samples per scenario per core");
     let results = kus_bench::simbench::run_simbench(samples);
@@ -982,10 +712,7 @@ fn main() {
             args.remove(0);
             match name {
                 "sweep" => sweep_mode(&args),
-                "load" => load_mode(&args),
-                "net" => net_mode(&args),
-                "blame" => blame_mode(&args),
-                "overload" => overload_mode(&args),
+                "load" | "net" | "blame" | "overload" => serving_mode(name, &args),
                 "trace" => trace_sub(&args),
                 "profile" => profile_mode(&args),
                 "simbench" => simbench_mode(&args),
@@ -1001,4 +728,44 @@ fn main() {
         None => figures_mode(&args),
     };
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flag_values_must_be_present() {
+        let v = |a: &[&str]| try_flag_value(&args(a), "--rates");
+        assert_eq!(v(&["--rates", "1m", "--jobs", "2"]), Ok(Some("1m".into())));
+        assert_eq!(v(&["--jobs", "2"]), Ok(None));
+        assert_eq!(v(&["--jobs", "2", "--rates"]), Err("--rates: expected a value".into()));
+        assert_eq!(v(&["--rates", "--jobs", "2"]), Err("--rates: expected a value".into()));
+    }
+
+    #[test]
+    fn serving_flags_reach_every_knob() {
+        let a = args(&[
+            "--service", "bloom", "--requests", "7", "--queue-cap", "9", "--cores", "3",
+            "--fibers", "5", "--slo-p99", "4us", "--rx-queues", "2", "--net-jitter", "300ns",
+            "--mech", "swq", "--rates", "1.5m,250k", "--nics", "nano", "--topos", "fanout2",
+            "--policies", "adaptive",
+        ]);
+        let f = serving_flags(&a, &common(&a));
+        assert_eq!(f.service.as_deref(), Some("bloom"));
+        assert_eq!((f.requests, f.queue_capacity), (Some(7), Some(9)));
+        assert_eq!((f.cores, f.fibers, f.slo_p99), (Some(3), Some(5), Some(Span::from_us(4))));
+        assert_eq!((f.net.rx_queues, f.net.jitter), (2, Span::from_ns(300)));
+        assert_eq!(f.mechanisms, vec![Mechanism::SoftwareQueue]);
+        assert_eq!(f.rates, vec![1_500_000, 250_000]);
+        assert_eq!(f.nics, vec![NicModelKind::nanopu()]);
+        assert_eq!(f.topologies, vec![TierSpec::fanout(2)]);
+        assert_eq!(f.policies.len(), 1);
+        let none = serving_flags(&[], &common(&[]));
+        assert!(none.rates.is_empty(), "an absent axis flag keeps the preset default");
+    }
 }

@@ -10,19 +10,20 @@
 //!   prints them as text tables.
 //! - `figures sweep` runs a declarative configuration matrix from the
 //!   command line (see `--help` in the binary's doc comment).
-//! - `figures load` runs a serving [`load`] sweep — mechanism × offered
-//!   rate — and prints the throughput–latency curve with the saturation
-//!   knee per mechanism.
-//! - `figures net` runs a [`net`] front-end sweep — NIC model × tier
-//!   topology × offered rate against the wire-less baseline — and prints
-//!   the per-front-end knee and its shift vs the dispatcher-only knee.
-//! - `figures overload` runs an [`overload`] sweep — admission policy ×
-//!   fault plan × offered rate — and prints the degradation matrix with a
+//! - `figures load`, `net`, `blame` and `overload` are presets of one
+//!   [`serving`] matrix — a base world plus axes of knobs, expanded by
+//!   Cartesian product and run through the sweep engine — and share one
+//!   base-flag parser and one JSON/CSV/table emitter. `load` sweeps
+//!   mechanism × offered rate for the saturation knee per mechanism; `net`
+//!   sweeps NIC model × tier topology × rate against the wire-less
+//!   baseline for the knee shift; `blame` sweeps mechanism × topology ×
+//!   rate with the causal event class on for critical-tier flips; and
+//!   `overload` sweeps admission policy × fault plan × rate for a
 //!   graceful/brownout/collapse verdict per cell, plus the budgeted-vs-
 //!   unbudgeted retry pair.
 //! - `figures scenario FILE` compiles one `kus-scenario` TOML world and
-//!   runs it (a `[matrix]` scenario expands to the full overload sweep,
-//!   byte-identical to `figures overload`'s artifacts).
+//!   runs it (a `[matrix]` scenario runs the `overload` preset over the
+//!   scenario's base, byte-identical to `figures overload`'s artifacts).
 //! - `figures scenario-matrix` compiles the whole `scenarios/` corpus and
 //!   scores it across every access mechanism on the sweep engine (the
 //!   [`scenario`] module) with byte-deterministic emitters.
@@ -40,30 +41,23 @@
 
 #![forbid(unsafe_code)]
 
-pub mod blame;
 pub mod harness;
-pub mod load;
-pub mod net;
-pub mod overload;
 pub mod profile;
 pub mod scenario;
+pub mod serving;
 pub mod simbench;
 pub mod sweep;
 
-pub use blame::{
-    run_blame_sweep, BlameCell, BlameOutcome, BlameSweepResults, BlameSweepSpec, TierFlip,
-};
 pub use kus_workloads::figures;
-pub use load::{run_load_sweep, LoadCell, LoadSweepResults, LoadSweepSpec};
-pub use net::{run_net_sweep, NetCell, NetKnee, NetOutcome, NetSweepResults, NetSweepSpec};
-pub use overload::{
-    run_overload_sweep, OverloadCell, OverloadResults, OverloadSweepSpec, RetryCell,
-};
 pub use scenario::{
     load_scenario_dir, run_scenario_matrix, ScenarioCell, ScenarioMatrixResults,
     ScenarioMatrixSpec,
 };
 pub use profile::{profile_scenarios, run_profile_suite, ProfileOutcome, ProfileScenario, ProfileSuite};
+pub use serving::{
+    run_serving, Harvest, Knob, Point, Preset, PresetResults, ServingCell, ServingFlags,
+    ServingMatrix, ServingResults,
+};
 pub use simbench::{run_simbench, ScenarioResult, SimbenchResults};
 pub use sweep::{
     run_cells, run_figures, run_sweep, CellResult, SweepCell, SweepOptions, SweepResults,

@@ -97,9 +97,9 @@ pub struct PlatformSpec {
 }
 
 /// The overload matrix a scenario can carry: admission policy × fault
-/// plan × offered rate, plus the closed-loop retry pair. Defaults mirror
-/// `OverloadSweepSpec::new` in `kus-bench`, so `[matrix]` with no keys is
-/// today's overload sweep.
+/// plan × offered rate, plus the closed-loop retry pair. These defaults are
+/// the axes of the `figures overload` preset in `kus-bench`, so `[matrix]`
+/// with no keys is today's overload sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixSpec {
     /// Admission-policy axis.

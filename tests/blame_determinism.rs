@@ -13,7 +13,7 @@
 //!    critical time exactly (the per-request equivalent is asserted
 //!    inside `BlameReport` construction).
 
-use kus_bench::blame::{run_blame_sweep, BlameSweepSpec};
+use kus_bench::serving::{Preset, ServingMatrix};
 use kus_bench::sweep::SweepOptions;
 use kus_core::prelude::*;
 use kus_load::{
@@ -46,7 +46,7 @@ fn run(spec: LoadSpec, cfg: PlatformConfig) -> RunReport {
         .run()
 }
 
-fn tiny_sweep() -> BlameSweepSpec {
+fn tiny_sweep() -> Preset {
     let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
         .requests(80)
         .queue_capacity(16);
@@ -55,22 +55,55 @@ fn tiny_sweep() -> BlameSweepSpec {
         .cores(2)
         .fibers_per_core(4)
         .dataset_bytes(1 << 20);
-    BlameSweepSpec::new("echo", service_factory(|| EchoService::new(64)), spec, cfg)
-        .mechanisms(&[Mechanism::OnDemand, Mechanism::SoftwareQueue])
-        .topologies(&[TierSpec::fanout(4)])
-        .rates(&[200_000, 1_500_000])
+    let base = ServingMatrix::new("echo", service_factory(|| EchoService::new(64)), spec, cfg);
+    Preset::blame(
+        base,
+        &[Mechanism::OnDemand, Mechanism::SoftwareQueue],
+        &[TierSpec::fanout(4)],
+        &[200_000, 1_500_000],
+    )
 }
 
-/// `figures blame` artifacts are byte-identical across `--jobs` values.
+/// `figures blame` artifacts are byte-identical across `--jobs` values,
+/// with the `direct` baseline first per mechanism.
 #[test]
 fn blame_sweep_artifacts_are_jobs_invariant() {
     let spec = tiny_sweep();
-    let serial = run_blame_sweep(&spec, &SweepOptions::jobs(1));
-    let pooled = run_blame_sweep(&spec, &SweepOptions::jobs(4));
+    let serial = spec.run(&SweepOptions::jobs(1));
+    let pooled = spec.run(&SweepOptions::jobs(4));
     assert_eq!(serial.to_json(), pooled.to_json());
     assert_eq!(serial.to_csv(), pooled.to_csv());
     assert_eq!(serial.render_table(), pooled.render_table());
     assert_eq!(serial.errors().count(), 0);
+    assert_eq!(serial.main.cells[0].facet("topology"), "direct");
+    assert_eq!(serial.main.cells[2].facet("topology"), "fanout");
+}
+
+#[test]
+fn fanout_cells_resolve_shard_blame_and_flip_vs_baseline() {
+    let results = tiny_sweep().run(&SweepOptions::jobs(2));
+    let blame = |i: usize| {
+        let cell = results.main.cells[i].outcome.as_ref().expect("cell ran");
+        cell.blame.clone().expect("causal cells carry blame")
+    };
+    // The causal event class must resolve the join: some shard hop
+    // appears in the fan-out cell's blame table.
+    let fan = blame(2);
+    assert!(
+        fan.overall.hops.iter().any(|h| h.hop.starts_with("rpc.shard")),
+        "fan-out blame must name shard hops, got {:?}",
+        fan.overall.hops.iter().map(|h| h.hop.as_str()).collect::<Vec<_>>(),
+    );
+    assert!(blame(0).overall.hops.iter().all(|h| !h.hop.starts_with("rpc.")));
+    // Every request decomposes exactly; the report exists for all cells.
+    for i in 0..results.main.cells.len() {
+        let b = blame(i);
+        assert_eq!(b.requests, b.completed + b.truncated);
+    }
+    for f in results.main.flips() {
+        assert_eq!(results.main.cells[f.cell].facet("topology"), "fanout");
+    }
+    assert!(results.to_json().contains("\"flips\""));
 }
 
 /// One seed reproduces the report byte-for-byte; a different seed walks

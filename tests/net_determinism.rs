@@ -10,7 +10,7 @@
 //!    out the default (disabled) NIC and the direct tier chain is
 //!    bit-indistinguishable from one that never mentions them.
 
-use kus_bench::net::{run_net_sweep, NetSweepSpec};
+use kus_bench::serving::{Preset, ServingMatrix};
 use kus_bench::sweep::SweepOptions;
 use kus_core::prelude::*;
 use kus_load::{
@@ -75,29 +75,70 @@ fn nic_jitter_reproduces_per_seed() {
     assert_ne!(a, c, "a different seed must draw different jitter");
 }
 
-fn tiny_net_sweep() -> NetSweepSpec {
-    NetSweepSpec::new(
+fn tiny_net_sweep() -> Preset {
+    let base = ServingMatrix::new(
         "echo",
         service_factory(|| EchoService::new(64)),
-        base_spec(),
+        base_spec().net(NetConfig::on()),
         base_cfg(Mechanism::Prefetch).seed(17),
-        NetConfig::on(),
+    );
+    Preset::net(
+        base,
+        &[NicModelKind::dma(), NicModelKind::nanopu()],
+        &[TierSpec::rpc(), TierSpec::fanout(4)],
+        &[300_000, 3_000_000],
     )
-    .topologies(&[TierSpec::rpc(), TierSpec::fanout(4)])
-    .rates(&[300_000, 3_000_000])
 }
 
-/// The `figures net` artifacts are byte-identical at any `--jobs`.
+/// The `figures net` artifacts are byte-identical at any `--jobs`, with the
+/// baseline front end first.
 #[test]
 fn net_sweep_artifacts_are_byte_identical_across_jobs() {
-    let serial = run_net_sweep(&tiny_net_sweep(), &SweepOptions::jobs(1));
-    let pooled = run_net_sweep(&tiny_net_sweep(), &SweepOptions::jobs(4));
+    let serial = tiny_net_sweep().run(&SweepOptions::jobs(1));
+    let pooled = tiny_net_sweep().run(&SweepOptions::jobs(4));
     assert_eq!(serial.errors().count(), 0, "{:?}", serial.errors().collect::<Vec<_>>());
     assert_eq!(serial.to_json(), pooled.to_json());
     assert_eq!(serial.to_csv(), pooled.to_csv());
     assert_eq!(serial.render_table(), pooled.render_table());
     // Both NIC models over both topologies, plus the baseline front end.
-    assert_eq!(serial.knees().len(), 5);
+    assert_eq!(serial.main.knees().len(), 5);
+    let front = |i: usize| {
+        let c = &serial.main.cells[i];
+        format!("{}/{}", c.facet("nic"), c.facet("topology"))
+    };
+    assert_eq!(
+        (front(0), front(2), front(6)),
+        ("off/direct".into(), "dma/rpc".into(), "nanopu/rpc".into())
+    );
+}
+
+#[test]
+fn baseline_cells_carry_no_net_report_and_nic_cells_do() {
+    let results = tiny_net_sweep().run(&SweepOptions::jobs(2));
+    let base = results.main.cells[0].outcome.as_ref().expect("baseline ran");
+    assert!(base.net.is_none(), "baseline must not see net events");
+    let nic = results.main.cells[2].outcome.as_ref().expect("dma cell ran");
+    let net = nic.net.as_ref().expect("NIC cell decomposes");
+    assert!(net.packets > 0);
+    assert!(net.e2e.p99 >= nic.load.latency.p99, "e2e includes the wire");
+}
+
+#[test]
+fn knees_and_shifts_reference_the_baseline() {
+    let results = tiny_net_sweep().run(&SweepOptions::jobs(2));
+    let knees = results.main.knees();
+    let baseline: Vec<_> = knees[0].group.iter().map(|f| f.1.to_string()).collect();
+    assert_eq!(baseline, ["off", "direct"]);
+    assert!(results.main.baseline_knee().is_some(), "300k rps must keep up");
+    let shifts = results.main.knee_shifts();
+    for (k, shift) in &shifts {
+        assert_ne!(k, &knees[0], "the baseline has no shift against itself");
+        // The shift is bounded by the swept range.
+        assert!(shift.abs() <= 3_000_000);
+    }
+    let json = results.to_json();
+    assert!(json.contains("\"knee_shifts\""));
+    assert!(json.contains("\"baseline_knee_rps\""));
 }
 
 /// Spelling out the defaults is invisible under every mechanism: the

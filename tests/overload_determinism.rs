@@ -11,13 +11,14 @@
 //!    same trace fingerprint, same event count, same report JSON. The
 //!    overload machinery costs nothing unless it is asked for.
 
-use kus_bench::overload::{run_overload_sweep, OverloadSweepSpec};
+use kus_bench::serving::{Preset, ServingFlags, ServingMatrix};
 use kus_bench::sweep::SweepOptions;
 use kus_core::prelude::*;
 use kus_load::{
     load_experiment, service_factory, AdmissionControl, ArrivalProcess, EchoService, LoadReport,
     LoadSpec, RetryPolicy, SloSpec,
 };
+use kus_scenario::MatrixSpec;
 use kus_sim::fault::FaultPlan;
 use kus_sim::Span;
 
@@ -28,7 +29,7 @@ fn chaos_plan() -> FaultPlan {
         .with_dispatcher_stalls(0.05, Span::from_us(5))
 }
 
-fn chaos_sweep() -> OverloadSweepSpec {
+fn chaos_sweep() -> Preset {
     let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
         .requests(150)
         .queue_capacity(32)
@@ -38,53 +39,106 @@ fn chaos_sweep() -> OverloadSweepSpec {
         .cores(2)
         .fibers_per_core(4)
         .seed(11);
-    OverloadSweepSpec::new(
-        "echo",
-        service_factory(|| EchoService::new(256)),
-        spec,
-        cfg,
-    )
-    .policies(&[AdmissionControl::AdaptiveConcurrency { initial: 4, max: 16, window: 16 }])
-    .plans(&[("chaos".into(), chaos_plan())])
-    .rates(&[2_000_000])
+    let m = MatrixSpec {
+        policies: vec![AdmissionControl::AdaptiveConcurrency { initial: 4, max: 16, window: 16 }],
+        plans: vec![("chaos".into(), chaos_plan())],
+        rates: vec![2_000_000],
+        retry_pair: true,
+    };
+    let base = ServingMatrix::new("echo", service_factory(|| EchoService::new(256)), spec, cfg);
+    Preset::overload(base, &m)
+}
+
+/// Static vs deadline-aware admission under a calm and a freeze plan, plus
+/// the retry pair, on a single four-fiber core.
+fn tiny_sweep() -> Preset {
+    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
+        .requests(150)
+        .queue_capacity(32)
+        .slo(SloSpec::none().p99(Span::from_us(40)));
+    let cfg = PlatformConfig::paper_default()
+        .without_replay_device()
+        .fibers_per_core(4)
+        .dataset_bytes(1 << 20);
+    let freeze = FaultPlan::none().with_freeze_windows(
+        Span::from_us(60),
+        Span::from_us(25),
+        Span::from_us(20),
+    );
+    let deadline =
+        AdmissionControl::DeadlineAware { target: Span::from_us(2), interval: Span::from_us(5) };
+    let m = MatrixSpec {
+        policies: vec![AdmissionControl::Static, deadline],
+        plans: vec![("calm".into(), FaultPlan::none()), ("freeze".into(), freeze)],
+        rates: vec![2_000_000],
+        retry_pair: true,
+    };
+    let base = ServingMatrix::new("echo", service_factory(|| EchoService::new(64)), spec, cfg);
+    Preset::overload(base, &m)
+}
+
+#[test]
+fn sweep_is_policy_major_and_deterministic_across_jobs() {
+    let spec = tiny_sweep();
+    assert_eq!(spec.cell_count(), 4 + 2);
+    let serial = spec.run(&SweepOptions::jobs(1));
+    let pooled = spec.run(&SweepOptions::jobs(4));
+    assert_eq!(serial.to_json(), pooled.to_json());
+    assert_eq!(serial.to_csv(), pooled.to_csv());
+    assert_eq!(serial.render_table(), pooled.render_table());
+    assert_eq!(serial.errors().count(), 0, "{:?}", serial.errors().collect::<Vec<_>>());
+    let at = |i: usize| (serial.main.cells[i].facet("policy"), serial.main.cells[i].facet("plan"));
+    assert_eq!(at(0), ("static".into(), "calm".into()));
+    assert_eq!(at(3), ("deadline".into(), "freeze".into()));
+    let pair = serial.retry_cells();
+    assert_eq!(pair[0].facet("budgeted"), "true");
+    assert_eq!(pair[1].facet("budgeted"), "false");
+    let judged = serial.main.cells.iter().all(|c| c.outcome.as_ref().unwrap().recovery.is_some());
+    assert!(judged, "every cell is judged");
+    assert!(serial.main.sim_events > 0, "throughput record needs event counts");
+    assert!(serial.bench_json().starts_with("{\"suite\":\"overload\",\"cells\":6,"));
+}
+
+#[test]
+fn budget_bounds_amplification_where_unbudgeted_amplifies() {
+    let results = tiny_sweep().run(&SweepOptions::jobs(2));
+    let amp = |i: usize| {
+        results.retry_cells()[i].outcome.as_ref().expect("ran").load.retry_amplification
+    };
+    let (budgeted, unbudgeted) = (amp(0), amp(1));
+    assert!(budgeted < 1.2, "budgeted amplification {budgeted}");
+    assert!(
+        unbudgeted > budgeted,
+        "unbudgeted {unbudgeted} must amplify beyond budgeted {budgeted}"
+    );
 }
 
 /// Same seed, same chaos, any `--jobs`: the artifacts are byte-identical.
 #[test]
 fn adaptive_chaos_sweep_is_byte_identical_across_jobs() {
-    let serial = run_overload_sweep(&chaos_sweep(), &SweepOptions::jobs(1));
-    let parallel = run_overload_sweep(&chaos_sweep(), &SweepOptions::jobs(4));
-    assert!(serial.errors().is_empty(), "{:?}", serial.errors());
+    let serial = chaos_sweep().run(&SweepOptions::jobs(1));
+    let parallel = chaos_sweep().run(&SweepOptions::jobs(4));
+    assert_eq!(serial.errors().count(), 0, "{:?}", serial.errors().collect::<Vec<_>>());
     assert_eq!(serial.to_json(), parallel.to_json());
     assert_eq!(serial.to_csv(), parallel.to_csv());
     // The chaos really bit: crashes and stalls are in the artifact.
-    let (report, _) = serial.cells[0].outcome.as_ref().unwrap();
+    let report = &serial.main.cells[0].outcome.as_ref().unwrap().load;
     assert!(report.crashes + report.dispatcher_stalls > 0, "chaos plan was a no-op");
     assert!(!report.fault_windows.is_empty(), "freeze windows missing from the trace");
 }
 
 /// The committed `artifacts/overload/` files are regenerated byte-for-byte
-/// by the default degradation sweep — the same spec `figures --overload`
-/// builds with no flags. This pins the *entire* deterministic output of the
+/// by the default degradation sweep — the preset `figures overload` builds
+/// with no flags. This pins the *entire* deterministic output of the
 /// serving + overload + event-core stack to the repository: any scheduler
 /// or allocator change that perturbs even one event's order shows up as an
 /// artifact diff here. (The wall-clock `BENCH_overload.json` is the one
 /// non-deterministic sibling and is deliberately not pinned.)
 #[test]
 fn committed_overload_artifacts_reproduce() {
-    // Mirrors `overload_mode`'s defaults in `figures.rs` — keep in sync.
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(400)
-        .queue_capacity(24)
-        .slo(SloSpec::none().p99(Span::from_us(46)));
-    let cfg = PlatformConfig::paper_default()
-        .without_replay_device()
-        .cores(2)
-        .fibers_per_core(4);
-    let sweep =
-        OverloadSweepSpec::new("echo", service_factory(|| EchoService::new(4096)), spec, cfg);
-    let results = run_overload_sweep(&sweep, &SweepOptions::jobs(2));
-    assert!(results.errors().is_empty(), "{:?}", results.errors());
+    let preset = ServingFlags::default().preset("overload").expect("defaults are valid");
+    let results = preset.run(&SweepOptions::jobs(2));
+    assert_eq!(results.errors().count(), 0, "{:?}", results.errors().collect::<Vec<_>>());
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/overload");
     let committed = |name: &str| {
@@ -95,7 +149,7 @@ fn committed_overload_artifacts_reproduce() {
         results.to_json(),
         committed("overload.json"),
         "artifacts/overload/overload.json diverged — regenerate with \
-         `figures overload --json ... --csv ...` and review the diff"
+         `figures overload --json ... --csv ... > overload.txt` and review the diff"
     );
     assert_eq!(results.to_csv(), committed("overload.csv"), "overload.csv diverged");
     assert_eq!(results.render_table(), committed("overload.txt"), "overload.txt diverged");

@@ -16,8 +16,8 @@
 
 use std::path::Path;
 
-use kus_bench::overload::{run_overload_sweep, OverloadSweepSpec};
 use kus_bench::scenario::{load_scenario_dir, run_scenario_matrix, ScenarioMatrixSpec};
+use kus_bench::serving::{Preset, ServingMatrix};
 use kus_bench::sweep::SweepOptions;
 use kus_scenario::{Scenario, ScenarioSpec};
 
@@ -78,14 +78,10 @@ fn overload_defaults_scenario_reproduces_committed_artifacts() {
     let text = std::fs::read_to_string(corpus_dir().join("overload-defaults.toml"))
         .expect("overload-defaults.toml is committed");
     let sc = Scenario::from_toml(&text).expect("overload-defaults compiles");
-    let m = sc.matrix().expect("overload-defaults carries a [matrix]").clone();
-    let sweep = OverloadSweepSpec::new(sc.service_name(), sc.service(), sc.load(), sc.cfg().clone())
-        .policies(&m.policies)
-        .plans(&m.plans)
-        .rates(&m.rates)
-        .with_retry_pair(m.retry_pair);
-    let results = run_overload_sweep(&sweep, &SweepOptions::jobs(2));
-    assert!(results.errors().is_empty(), "{:?}", results.errors());
+    let m = sc.matrix().expect("overload-defaults carries a [matrix]");
+    // The same constructor `figures scenario` runs for a `[matrix]` world.
+    let results = Preset::overload(ServingMatrix::of(&sc), m).run(&SweepOptions::jobs(2));
+    assert_eq!(results.errors().count(), 0, "{:?}", results.errors().collect::<Vec<_>>());
 
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/overload");
     let committed = |name: &str| {

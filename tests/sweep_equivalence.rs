@@ -5,10 +5,13 @@
 //! serial `Runner::immediate` output exactly. A panicking cell must poison
 //! only its own row.
 
-use kus_bench::load::{run_load_sweep, LoadSweepSpec};
+use std::path::Path;
+
+use kus_bench::serving::{Preset, PresetResults, ServingFlags, ServingMatrix};
 use kus_bench::sweep::{run_cells, run_figures, run_sweep, SweepCell, SweepOptions, SweepSpec};
 use kus_core::prelude::*;
-use kus_load::{service_factory, ArrivalProcess, EchoService, LoadSpec};
+use kus_load::{service_factory, ArrivalProcess, EchoService, LoadSpec, SloSpec, TierSpec};
+use kus_sim::Span;
 use kus_workloads::figures::{self, Quality};
 use kus_workloads::{Microbench, MicrobenchConfig};
 
@@ -79,26 +82,140 @@ fn figure_pipeline_matches_serial_runner() {
 
 /// The load sweep inherits the engine's guarantee wholesale: `--jobs 1`
 /// and `--jobs 4` over the mechanism × rate matrix emit byte-identical
-/// JSON and CSV, knees included.
+/// JSON and CSV, knees included, in mechanism-major order.
 #[test]
 fn load_sweep_is_byte_identical_across_jobs() {
-    let spec = || {
-        LoadSweepSpec::new(
-            "echo",
-            service_factory(|| EchoService::new(256)),
-            LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 }).requests(80),
-            PlatformConfig::paper_default().without_replay_device().cores(2).fibers_per_core(4),
-        )
-        .mechanisms(&[Mechanism::OnDemand, Mechanism::SoftwareQueue])
-        .rates(&[500_000, 4_000_000])
-    };
-    let serial = run_load_sweep(&spec(), &SweepOptions::jobs(1));
-    let parallel = run_load_sweep(&spec(), &SweepOptions::jobs(4));
-    assert_eq!(serial.cells.len(), 4);
+    let base = ServingMatrix::new(
+        "echo",
+        service_factory(|| EchoService::new(256)),
+        LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 }).requests(80),
+        PlatformConfig::paper_default().without_replay_device().cores(2).fibers_per_core(4),
+    );
+    let spec =
+        Preset::load(base, &[Mechanism::OnDemand, Mechanism::SoftwareQueue], &[500_000, 4_000_000]);
+    let serial = spec.run(&SweepOptions::jobs(1));
+    let parallel = spec.run(&SweepOptions::jobs(4));
+    assert_eq!(serial.main.cells.len(), 4);
     assert_eq!(serial.errors().count(), 0);
     assert_eq!(serial.to_json(), parallel.to_json());
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.render_table(), parallel.render_table());
+    let at = |i: usize| {
+        (serial.main.cells[i].facet("mechanism"), serial.main.cells[i].facet("rate_rps"))
+    };
+    assert_eq!(at(0), ("on-demand".into(), "500000".into()));
+    assert_eq!(at(3), ("swq".into(), "4000000".into()));
+}
+
+/// On-demand and prefetch at a rate both keep up with and one that
+/// saturates a single four-fiber core.
+fn tiny_load_sweep(slo: SloSpec) -> PresetResults {
+    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
+        .requests(80)
+        .queue_capacity(16)
+        .slo(slo);
+    let cfg = PlatformConfig::paper_default()
+        .without_replay_device()
+        .fibers_per_core(4)
+        .dataset_bytes(1 << 20);
+    let base = ServingMatrix::new("echo", service_factory(|| EchoService::new(64)), spec, cfg);
+    Preset::load(base, &[Mechanism::OnDemand, Mechanism::Prefetch], &[200_000, 5_000_000])
+        .run(&SweepOptions::jobs(2))
+}
+
+#[test]
+fn prefetch_knee_is_at_or_above_on_demand() {
+    let knees = tiny_load_sweep(SloSpec::none()).main.knees();
+    assert_eq!(knees.len(), 2);
+    let od = knees[0].knee_rps.unwrap_or(0);
+    let pf = knees[1].knee_rps.unwrap_or(0);
+    assert!(pf >= od, "prefetch knee {pf} below on-demand {od}");
+    // At 200k rps both mechanisms keep up with four fibers.
+    assert!(od >= 200_000, "on-demand should keep up at 200k rps");
+}
+
+#[test]
+fn overloaded_cells_report_sheds_and_slo_failures() {
+    let results = tiny_load_sweep(SloSpec::none().p99(Span::from_us(3)));
+    // The 5M rps on-demand cell must be saturated.
+    let hot = results.main.cells[1].outcome.as_ref().expect("cell ran");
+    assert!(hot.load.shed > 0, "5M rps on-demand must shed");
+    let json = results.to_json();
+    assert!(json.contains("\"knees\""));
+    assert!(json.contains("\"slo_pass\":false"), "saturated cell should bust a 3us p99");
+}
+
+/// An invalid serving spec poisons only its own cell, and the error row
+/// surfaces in every emitter.
+#[test]
+fn invalid_serving_cells_become_error_rows_in_every_emitter() {
+    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 }).requests(20);
+    let cfg = PlatformConfig::paper_default().without_replay_device().fibers_per_core(4);
+    let base = ServingMatrix::new("echo", service_factory(|| EchoService::new(64)), spec, cfg);
+    let r = Preset::blame(base, &[Mechanism::Prefetch], &[TierSpec::fanout(0)], &[200_000])
+        .run(&SweepOptions::jobs(1));
+    let errors: Vec<_> = r.errors().map(|(c, e)| (c.index, e.to_string())).collect();
+    let msg = "invalid configuration: invalid serving spec: fan-out width must be at least 1";
+    assert_eq!(errors, vec![(1, msg.to_string())]);
+    assert!(r.to_json().contains(&format!("\"ok\":false,\"error\":\"{msg}\"}}")));
+    assert!(r.to_csv().lines().nth(2).unwrap().ends_with(&format!(",false,,,,,,,{msg}")));
+    let row = format!("{:<24} {:>10} ERROR {msg}", "prefetch/fanout", 200_000);
+    assert!(r.render_table().contains(&row), "{}", r.render_table());
+}
+
+#[test]
+fn unknown_services_and_presets_are_errors() {
+    let flags = ServingFlags { service: Some("redis".into()), ..ServingFlags::default() };
+    assert!(flags.preset("load").err().unwrap().contains("unknown `redis`"));
+    assert!(ServingFlags::default().preset("bogus").is_err());
+    let p = ServingFlags::default().preset("net").unwrap();
+    assert_eq!(p.cell_count(), 25, "baseline + 2 NICs x 2 topologies, 5 rates");
+}
+
+/// The committed `artifacts/serving/` files are regenerated byte-for-byte
+/// by the presets `figures load|net|blame` build from the CI smoke flags
+/// (`figures <preset> <flags> --json --csv > <preset>.txt`). Any change to
+/// the serving engine, its emitters, or the stack under it that moves one
+/// byte shows up here.
+#[test]
+fn committed_serving_artifacts_reproduce() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/serving");
+    let smoke = |service: &str, rates: &[u64], topologies: &[TierSpec]| ServingFlags {
+        service: Some(service.into()),
+        rates: rates.to_vec(),
+        topologies: topologies.to_vec(),
+        requests: Some(200),
+        ..ServingFlags::default()
+    };
+    let presets = [
+        ("load", smoke("memcached", &[500_000, 2_000_000, 4_000_000], &[])),
+        (
+            "net",
+            smoke(
+                "echo",
+                &[250_000, 1_000_000, 3_000_000],
+                &[TierSpec::rpc(), TierSpec::fanout(4)],
+            ),
+        ),
+        ("blame", smoke("echo", &[250_000, 1_000_000, 2_000_000], &[TierSpec::fanout(4)])),
+    ];
+    for (name, flags) in presets {
+        let results = flags.preset(name).expect("valid flags").run(&SweepOptions::jobs(2));
+        assert_eq!(results.errors().count(), 0, "{name}");
+        for (ext, got) in [
+            ("json", results.to_json()),
+            ("csv", results.to_csv()),
+            ("txt", results.render_table()),
+        ] {
+            let path = dir.join(format!("{name}.{ext}"));
+            let want = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(
+                got == want,
+                "artifacts/serving/{name}.{ext} diverged — regenerate it with the CI smoke flags and review the diff"
+            );
+        }
+    }
 }
 
 /// A workload that panics mid-build.
