@@ -121,12 +121,12 @@
 use kus_bench::profile::run_profile_suite;
 use kus_bench::scenario::{load_scenario_dir, run_scenario_matrix, ScenarioMatrixSpec};
 use kus_bench::serving::{
-    critical_share, keeps_up, scenario_json, Preset, ServingFlags, ServingMatrix,
+    critical_share, keeps_up, run_serving, scenario_json, Preset, ServingFlags, ServingMatrix,
 };
 use kus_bench::sweep::{run_figures, run_sweep, SweepOptions, SweepSpec};
 use kus_core::prelude::*;
 use kus_load::{AdmissionControl, NetConfig, NicModelKind, TierSpec};
-use kus_scenario::Scenario;
+use kus_scenario::{MatrixSpec, Scenario};
 use kus_workloads::figures::{self, Quality};
 use kus_workloads::trace_scenarios::{run_trace_scenario, trace_scenarios};
 use kus_workloads::{Microbench, MicrobenchConfig};
@@ -400,16 +400,10 @@ fn parse_topo(s: &str) -> Option<TierSpec> {
     }
 }
 
+/// Parses an admission policy by label: one of the overload matrix's
+/// default policies (`static` | `deadline` | `adaptive`).
 fn parse_policy(s: &str) -> Option<AdmissionControl> {
-    match s {
-        "static" => Some(AdmissionControl::Static),
-        "deadline" => Some(AdmissionControl::DeadlineAware {
-            target: Span::from_us(2),
-            interval: Span::from_us(5),
-        }),
-        "adaptive" => Some(AdmissionControl::AdaptiveConcurrency { initial: 4, max: 16, window: 16 }),
-        _ => None,
-    }
+    MatrixSpec::default().policies.into_iter().find(|p| p.label() == s)
 }
 
 /// The base flags every serving preset shares, parsed in one place.
@@ -531,19 +525,18 @@ fn scenario_mode(args: &[String]) -> i32 {
         return run_preset(&Preset::overload(ServingMatrix::of(&sc), m), &com, args);
     }
 
-    let exp = sc.experiment().unwrap_or_else(|e| fail(format!("scenario: {file}: {e}")));
-    let run = exp.run();
-    let Some(report) = kus_load::LoadReport::from_run(&run) else {
-        fail(format!("scenario: {file}: run produced no serving trace events"));
-    };
+    // A plain scenario is a matrix with no axes: one cell, the same harvest.
+    let mut run = run_serving(&ServingMatrix::of(&sc), &SweepOptions::jobs(com.jobs));
+    let harvest = run.cells.remove(0).outcome;
+    let h = harvest.unwrap_or_else(|e| fail(format!("scenario: {file}: {e}")));
+    let report = &h.load;
     println!("{}", report.to_table());
-    let net_report = kus_load::NetReport::from_run(&run);
-    if let Some(n) = &net_report {
+    if let Some(n) = &h.net {
         println!("{}", n.to_table());
     }
     let slo = sc.load().slo;
     if slo.p99.is_some() || slo.p999.is_some() || slo.max_shed_fraction.is_some() {
-        let v = slo.verdict(&report);
+        let v = slo.verdict(report);
         println!("slo: {}", if v.pass { "pass" } else { "FAIL" });
     }
     // Executable claims: each stated `[expect]` entry is checked against
@@ -558,7 +551,7 @@ fn scenario_mode(args: &[String]) -> i32 {
             code |= i32::from(!ok);
         }
         if let Some(pass) = want.slo_pass {
-            let got = slo.verdict(&report).pass;
+            let got = slo.verdict(report).pass;
             let ok = got == pass;
             println!(
                 "expect slo={}: observed {} [{}]",
@@ -569,7 +562,7 @@ fn scenario_mode(args: &[String]) -> i32 {
             code |= i32::from(!ok);
         }
         if let Some(rate) = want.knee_at_least {
-            let ok = keeps_up(&report, rate);
+            let ok = keeps_up(report, rate);
             println!(
                 "expect knee_at_least={rate:.0} rps: goodput {:.0} rps [{}]",
                 report.goodput_rps,
@@ -580,8 +573,7 @@ fn scenario_mode(args: &[String]) -> i32 {
         if want.wants_blame() {
             // Blame claims check the causal critical-path decomposition;
             // compile enabled the causal event class for this run.
-            let blame = kus_load::BlameReport::from_run(&run)
-                .unwrap_or_else(|| fail(format!("scenario: {file}: run produced no blameable requests")));
+            let blame = h.blame.as_ref().expect("blame claims enable the causal class");
             println!();
             print!("{}", blame.to_table());
             let got = &blame.overall.critical_tier;
@@ -602,7 +594,7 @@ fn scenario_mode(args: &[String]) -> i32 {
         }
     }
     if let Some(path) = &com.json {
-        let json = scenario_json(sc.name(), sc.fingerprint(), &report, net_report.as_ref());
+        let json = scenario_json(sc.name(), sc.fingerprint(), report, h.net.as_ref());
         write_artifact("--json", path, &json, 1);
     }
     code

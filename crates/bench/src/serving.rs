@@ -295,10 +295,6 @@ impl ServingMatrix {
             keys.push(Key {
                 point,
                 facets: pts.iter().flat_map(|p| p.facets.iter().cloned()).collect(),
-                rate_rps: pts.iter().find_map(|p| match p.knob {
-                    Knob::Rate(r) => Some(r),
-                    _ => None,
-                }),
                 nic: spec.net.enabled,
                 causal: cfg.causal,
             });
@@ -322,7 +318,6 @@ impl ServingMatrix {
 struct Key {
     point: Vec<usize>,
     facets: Vec<Facet>,
-    rate_rps: Option<u64>,
     nic: bool,
     causal: bool,
 }
@@ -343,16 +338,12 @@ pub struct Harvest {
 
 fn harvest(r: &RunReport, nic: bool, causal: bool) -> Result<Harvest, String> {
     let load = LoadReport::from_run(r).ok_or("run produced no serving trace events")?;
-    let net = if nic {
-        Some(NetReport::from_run(r).ok_or("NIC-enabled run produced no net trace events")?)
-    } else {
-        None
-    };
-    let blame = if causal {
-        Some(BlameReport::from_run(r).ok_or("run produced no blameable requests")?)
-    } else {
-        None
-    };
+    let net = nic
+        .then(|| NetReport::from_run(r).ok_or("NIC-enabled run produced no net trace events"))
+        .transpose()?;
+    let blame = causal
+        .then(|| BlameReport::from_run(r).ok_or("run produced no blameable requests"))
+        .transpose()?;
     Ok(Harvest { load, net, blame, recovery: None })
 }
 
@@ -367,8 +358,6 @@ pub struct ServingCell {
     pub point: Vec<usize>,
     /// The facets of every axis point, in axis order.
     pub facets: Vec<Facet>,
-    /// The offered Poisson rate, when the matrix has a rate axis.
-    pub rate_rps: Option<u64>,
     /// The analytics, or the validation/panic message.
     pub outcome: Result<Harvest, String>,
 }
@@ -377,6 +366,14 @@ impl ServingCell {
     /// A facet's text (`""` when this cell has no such facet).
     pub fn facet(&self, key: &str) -> String {
         self.facets.iter().find(|f| f.0 == key).map(|f| f.1.to_string()).unwrap_or_default()
+    }
+
+    /// The offered Poisson rate, when the matrix has a rate axis.
+    pub fn rate_rps(&self) -> Option<u64> {
+        self.facets.iter().find_map(|f| match f {
+            (RATE, Value::Int(r)) => Some(*r),
+            _ => None,
+        })
     }
 
     /// Every facet but the rate: the curve this cell belongs to.
@@ -445,7 +442,6 @@ pub fn run_serving(m: &ServingMatrix, opts: &SweepOptions) -> ServingResults {
             label: c.label,
             point: k.point,
             facets: k.facets,
-            rate_rps: k.rate_rps,
             outcome: c.outcome.and_then(|r| {
                 sim_events += r.sim_events;
                 harvest(&r, k.nic, k.causal)
@@ -475,7 +471,7 @@ impl ServingResults {
     pub fn knees(&self) -> Vec<Knee> {
         let mut out: Vec<Knee> = Vec::new();
         for c in &self.cells {
-            let Some(rate) = c.rate_rps else { continue };
+            let Some(rate) = c.rate_rps() else { continue };
             let group = c.group();
             if out.last().map(|k| &k.group) != Some(&group) {
                 out.push(Knee { group, knee_rps: None });
@@ -1386,7 +1382,6 @@ mod tests {
         assert_eq!((m.cell_count(), keys.len(), cells.len()), (6, 6, 6));
         assert_eq!(keys[4].point, vec![1, 0, 1]);
         assert_eq!(cells[4].label, "echo mech=prefetch topo=rpc rate=2rps");
-        assert_eq!(keys[4].rate_rps, Some(2));
         assert_eq!(m.facet_keys(), vec!["mechanism", "topology", RATE]);
         assert_eq!(base.axis(Vec::new()).expand().1.len(), 0, "an empty axis empties the matrix");
     }
