@@ -55,8 +55,8 @@ pub use scenario::{
 };
 pub use profile::{profile_scenarios, run_profile_suite, ProfileOutcome, ProfileScenario, ProfileSuite};
 pub use serving::{
-    run_serving, Harvest, Knob, Point, Preset, PresetResults, ServingCell, ServingFlags,
-    ServingMatrix, ServingResults,
+    run_serving, Harvest, Preset, PresetResults, ServingCell, ServingFlags, ServingMatrix,
+    ServingResults,
 };
 pub use simbench::{run_simbench, ScenarioResult, SimbenchResults};
 pub use sweep::{

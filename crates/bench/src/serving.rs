@@ -5,14 +5,14 @@
 //!
 //! - a [`ServingMatrix`]: a base — service, [`LoadSpec`] and
 //!   [`PlatformConfig`], exactly what a compiled [`Scenario`] exposes — plus
-//!   an ordered list of axes whose [`Point`]s each set one [`Knob`]
-//!   (mechanism, offered rate, NIC plus tiers, tiers, admission policy,
-//!   fault plan or retry policy);
+//!   an ordered list of axes whose points each set one knob (mechanism,
+//!   offered rate, NIC plus tiers, tiers, admission policy, fault plan or
+//!   retry policy);
 //! - expansion by Cartesian product, last axis innermost, executed by
 //!   [`run_serving`] through one [`run_cells`] call;
 //! - one harvest per cell: a [`LoadReport`] always, a [`NetReport`] for
 //!   NIC cells and a [`BlameReport`] for causal cells;
-//! - post-passes over the result columns ([`Post`]): saturation knees,
+//! - post-passes over the result columns: saturation knees,
 //!   knee shifts, critical-tier flips, recovery verdicts and the retry
 //!   pair (a second, two-point matrix);
 //! - one JSON/CSV/table emitter driven by the preset's view: its facets,
@@ -40,11 +40,11 @@ use crate::sweep::{csv_field, json_escape, run_cells, SweepCell, SweepOptions};
 
 /// Goodput must stay within this fraction of the offered rate for a cell
 /// to count as "keeping up" (see [`keeps_up`]).
-pub const KNEE_GOODPUT_FRACTION: f64 = 0.95;
+const KNEE_GOODPUT_FRACTION: f64 = 0.95;
 
 /// The knee predicate, shared by the sweep knees and the scenario
 /// `[expect] knee_at_least` claim: measured goodput reached
-/// [`KNEE_GOODPUT_FRACTION`] of the *nominal* offered rate. The nominal
+/// `KNEE_GOODPUT_FRACTION` (95%) of the *nominal* offered rate. The nominal
 /// rate is the yardstick because a finite open-loop run eventually drains
 /// its queue — completions match admissions even deep into saturation.
 pub fn keeps_up(report: &LoadReport, rate_rps: f64) -> bool {
@@ -57,7 +57,7 @@ const RATE: &str = "rate_rps";
 
 /// One knob an axis point sets on the base spec or platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Knob {
+pub(crate) enum Knob {
     /// The access mechanism.
     Mechanism(Mechanism),
     /// An open-loop Poisson arrival at this rate (requests/second).
@@ -143,7 +143,7 @@ pub type Facet = (&'static str, Value);
 /// One point on an axis: the knob it sets, its cell-label fragment, and
 /// the facets it contributes to every emitter.
 #[derive(Debug, Clone)]
-pub struct Point {
+pub(crate) struct Point {
     knob: Knob,
     label: String,
     facets: Vec<Facet>,
@@ -151,7 +151,7 @@ pub struct Point {
 
 impl Point {
     /// A point with explicit label fragment and facets.
-    pub fn new(knob: Knob, label: impl Into<String>, facets: Vec<Facet>) -> Point {
+    fn new(knob: Knob, label: impl Into<String>, facets: Vec<Facet>) -> Point {
         Point { knob, label: label.into(), facets }
     }
 
@@ -161,17 +161,17 @@ impl Point {
     }
 
     /// `mech=<m>`.
-    pub fn mechanism(m: Mechanism) -> Point {
+    fn mechanism(m: Mechanism) -> Point {
         Point::tagged(Knob::Mechanism(m), "mech", "mechanism", &m.to_string())
     }
 
     /// `rate=<r>rps`.
-    pub fn rate(r: u64) -> Point {
+    fn rate(r: u64) -> Point {
         Point::new(Knob::Rate(r), format!("rate={r}rps"), vec![(RATE, Value::Int(r))])
     }
 
     /// `nic=<n> topo=<t>`; `None` is the front end off (`nic=off`).
-    pub fn front(nic: Option<NicModelKind>, tiers: TierSpec) -> Point {
+    fn front(nic: Option<NicModelKind>, tiers: TierSpec) -> Point {
         let n = nic.map_or("off", |n| n.name());
         let t = tiers.topology.name();
         Point::new(
@@ -182,17 +182,17 @@ impl Point {
     }
 
     /// `topo=<t>`.
-    pub fn tiers(t: TierSpec) -> Point {
+    fn tiers(t: TierSpec) -> Point {
         Point::tagged(Knob::Tiers(t), "topo", "topology", t.topology.name())
     }
 
     /// `policy=<label>`.
-    pub fn admission(a: AdmissionControl) -> Point {
+    fn admission(a: AdmissionControl) -> Point {
         Point::tagged(Knob::Admission(a), "policy", "policy", a.label())
     }
 
     /// `plan=<name>`.
-    pub fn plan(name: &str, plan: FaultPlan) -> Point {
+    fn plan(name: &str, plan: FaultPlan) -> Point {
         Point::tagged(Knob::Faults(plan), "plan", "plan", name)
     }
 }
@@ -234,14 +234,14 @@ impl ServingMatrix {
     }
 
     /// Appends an axis (inside every earlier one).
-    pub fn axis(mut self, points: Vec<Point>) -> ServingMatrix {
+    pub(crate) fn axis(mut self, points: Vec<Point>) -> ServingMatrix {
         self.axes.push(points);
         self
     }
 
     /// Appends an axis whose first point is the baseline that tier flips
     /// compare against.
-    pub fn baseline_axis(mut self, points: Vec<Point>) -> ServingMatrix {
+    pub(crate) fn baseline_axis(mut self, points: Vec<Point>) -> ServingMatrix {
         self.baseline_axis = Some(self.axes.len());
         self.axis(points)
     }
@@ -332,7 +332,7 @@ pub struct Harvest {
     /// The causal critical-path decomposition (causal cells only).
     pub blame: Option<BlameReport>,
     /// The degradation verdict against the spec SLO (filled by the
-    /// [`Post::Verdicts`] post-pass).
+    /// recovery-verdict post-pass).
     pub recovery: Option<RecoveryReport>,
 }
 
@@ -355,7 +355,7 @@ pub struct ServingCell {
     /// Cell label.
     pub label: String,
     /// The point index on each axis.
-    pub point: Vec<usize>,
+    pub(crate) point: Vec<usize>,
     /// The facets of every axis point, in axis order.
     pub facets: Vec<Facet>,
     /// The analytics, or the validation/panic message.
@@ -537,7 +537,7 @@ impl ServingResults {
 
 /// A post-pass over the result columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Post {
+pub(crate) enum Post {
     /// Recovery verdict per cell against the spec SLO.
     Verdicts,
     /// The saturation knee per curve.
@@ -811,8 +811,8 @@ pub struct Preset {
     view: &'static View,
     /// The swept matrix.
     pub matrix: ServingMatrix,
-    /// The second matrix the [`Post::RetryPair`] post-pass reads.
-    pub retry: Option<ServingMatrix>,
+    /// The retry pair's matrix, for `overload`.
+    retry: Option<ServingMatrix>,
 }
 
 impl Preset {
@@ -906,6 +906,15 @@ impl Preset {
     }
 }
 
+/// A retry-pair cell's client: `budgeted` or `unbudgeted`.
+fn budget(c: &ServingCell) -> &'static str {
+    if c.facet("budgeted") == "true" {
+        "budgeted"
+    } else {
+        "unbudgeted"
+    }
+}
+
 fn rate_points(rates: &[u64]) -> Vec<Point> {
     rates.iter().map(|&r| Point::rate(r)).collect()
 }
@@ -917,7 +926,7 @@ pub struct PresetResults {
     /// The swept matrix's results.
     pub main: ServingResults,
     /// The retry pair's results, when the preset has one.
-    pub retry: Option<ServingResults>,
+    retry: Option<ServingResults>,
 }
 
 impl PresetResults {
@@ -937,64 +946,14 @@ impl PresetResults {
     }
 
     /// Machine-readable JSON: one object per cell with its facets and
-    /// result columns, then one field per post-pass.
+    /// result columns, then each post-pass's fields.
     pub fn to_json(&self) -> String {
         let (v, m) = (self.view, &self.main);
-        let slo = &m.spec.slo;
-        let mut out = format!("{{\n  \"service\": \"{}\",\n  \"cells\": ", json_escape(&m.service));
-        json_list(&mut out, m.cells.iter().map(|c| json_cell(c, true, v.json, slo)));
-        for post in v.post {
-            match post {
-                Post::Verdicts => {}
-                Post::Knees => {
-                    out.push_str(",\n  \"knees\": ");
-                    json_list(
-                        &mut out,
-                        m.knees().iter().map(|k| {
-                            format!(
-                                "{{{},\"knee_rps\":{}}}",
-                                json_fields(&k.group),
-                                opt(k.knee_rps)
-                            )
-                        }),
-                    );
-                }
-                Post::KneeShifts => {
-                    let _ = write!(
-                        out,
-                        ",\n  \"baseline_knee_rps\": {},\n  \"knee_shifts\": ",
-                        opt(m.baseline_knee())
-                    );
-                    let shifts = m.knee_shifts();
-                    json_list(
-                        &mut out,
-                        shifts.iter().map(|(k, s)| {
-                            format!("{{{},\"shift_rps\":{s}}}", json_fields(&k.group))
-                        }),
-                    );
-                }
-                Post::Flips => {
-                    out.push_str(",\n  \"flips\": ");
-                    json_list(
-                        &mut out,
-                        m.flips().iter().map(|f| {
-                            format!(
-                                "{{{},\"baseline_tier\":\"{}\",\"tier\":\"{}\"}}",
-                                json_fields(&m.cells[f.cell].facets),
-                                json_escape(&f.baseline_tier),
-                                json_escape(&f.tier),
-                            )
-                        }),
-                    );
-                }
-                Post::RetryPair => {
-                    out.push_str(",\n  \"retry_pair\": ");
-                    json_list(
-                        &mut out,
-                        self.retry_cells().iter().map(|c| json_cell(c, false, RETRY_JSON, slo)),
-                    );
-                }
-            }
+        let mut out = format!("{{\n  \"service\": \"{}\"", json_escape(&m.service));
+        let cells = m.cells.iter().map(|c| json_cell(c, true, v.json, &m.spec.slo));
+        json_list(&mut out, "cells", cells);
+        for &post in v.post {
+            out.push_str(&self.post_pass(post).0);
         }
         out.push_str("\n}\n");
         out
@@ -1018,14 +977,8 @@ impl PresetResults {
         }
         if v.post.contains(&Post::RetryPair) {
             for c in self.retry_cells() {
-                let name = if c.facet("budgeted") == "true" { "budgeted" } else { "unbudgeted" };
-                csv_row(
-                    &mut out,
-                    &format!(",{},retry,{name},", csv_field(&c.label)),
-                    c,
-                    v.csv,
-                    &m.spec.slo,
-                );
+                let head = format!(",{},retry,{},", csv_field(&c.label), budget(c));
+                csv_row(&mut out, &head, c, v.csv, &m.spec.slo);
             }
         }
         out
@@ -1063,7 +1016,7 @@ impl PresetResults {
             }
             out.push('\n');
         }
-        let tail = self.post_lines();
+        let tail: Vec<String> = v.post.iter().flat_map(|&p| self.post_pass(p).1).collect();
         if !tail.is_empty() {
             out.push('\n');
             for line in tail {
@@ -1074,51 +1027,72 @@ impl PresetResults {
         out
     }
 
-    fn post_lines(&self) -> Vec<String> {
+    /// One post-pass, rendered: its JSON fields and its table lines.
+    fn post_pass(&self, post: Post) -> (String, Vec<String>) {
         let m = &self.main;
-        let mut lines = Vec::new();
-        for post in self.view.post {
-            match post {
-                Post::Verdicts => {}
-                Post::Knees => lines.extend(m.knees().iter().map(|k| match k.knee_rps {
+        let (mut json, mut lines) = (String::new(), Vec::new());
+        match post {
+            Post::Verdicts => {}
+            Post::Knees => {
+                let knees = m.knees();
+                let items = knees.iter().map(|k| {
+                    format!("{{{},\"knee_rps\":{}}}", json_fields(&k.group), opt(k.knee_rps))
+                });
+                json_list(&mut json, "knees", items);
+                lines.extend(knees.iter().map(|k| match k.knee_rps {
                     Some(r) => format!("knee {}: {r} rps", group_name(&k.group)),
                     None => format!("knee {}: below the swept range", group_name(&k.group)),
-                })),
-                Post::KneeShifts => lines.extend(m.knee_shifts().iter().map(|(k, s)| {
+                }));
+            }
+            Post::KneeShifts => {
+                let shifts = m.knee_shifts();
+                let _ = write!(json, ",\n  \"baseline_knee_rps\": {}", opt(m.baseline_knee()));
+                let items = shifts
+                    .iter()
+                    .map(|(k, s)| format!("{{{},\"shift_rps\":{s}}}", json_fields(&k.group)));
+                json_list(&mut json, "knee_shifts", items);
+                lines.extend(shifts.iter().map(|(k, s)| {
                     format!("knee shift {} vs baseline: {s:+} rps", group_name(&k.group))
-                })),
-                Post::Flips => {
-                    let flips = m.flips();
-                    if flips.is_empty() {
-                        lines.push("no critical-tier flips vs the direct baseline".into());
-                    }
-                    lines.extend(flips.iter().map(|f| {
-                        let c = &m.cells[f.cell];
-                        format!(
-                            "flip {} @ {} rps: {} -> {}",
-                            c.group_name(),
-                            c.facet(RATE),
-                            f.baseline_tier,
-                            f.tier
-                        )
-                    }));
+                }));
+            }
+            Post::Flips => {
+                let flips = m.flips();
+                let items = flips.iter().map(|f| {
+                    format!(
+                        "{{{},\"baseline_tier\":\"{}\",\"tier\":\"{}\"}}",
+                        json_fields(&m.cells[f.cell].facets),
+                        json_escape(&f.baseline_tier),
+                        json_escape(&f.tier),
+                    )
+                });
+                json_list(&mut json, "flips", items);
+                if flips.is_empty() {
+                    lines.push("no critical-tier flips vs the direct baseline".into());
                 }
-                Post::RetryPair => {
-                    lines.extend(self.retry_cells().iter().map(|c| match &c.outcome {
-                        Ok(h) => format!(
-                            "retry {:<10} amplification {:.3}x  retries {}  timeouts {}  p99 {}",
-                            if c.facet("budgeted") == "true" { "budgeted" } else { "unbudgeted" },
-                            h.load.retry_amplification,
-                            h.load.retries,
-                            h.load.client_timeouts,
-                            h.load.latency.p99,
-                        ),
-                        Err(e) => format!("retry {} ERROR {e}", c.label),
-                    }))
-                }
+                lines.extend(flips.iter().map(|f| {
+                    let c = &m.cells[f.cell];
+                    let (group, rate) = (c.group_name(), c.facet(RATE));
+                    format!("flip {group} @ {rate} rps: {} -> {}", f.baseline_tier, f.tier)
+                }));
+            }
+            Post::RetryPair => {
+                let pair = self.retry_cells();
+                let items = pair.iter().map(|c| json_cell(c, false, RETRY_JSON, &m.spec.slo));
+                json_list(&mut json, "retry_pair", items);
+                lines.extend(pair.iter().map(|c| match &c.outcome {
+                    Ok(h) => format!(
+                        "retry {:<10} amplification {:.3}x  retries {}  timeouts {}  p99 {}",
+                        budget(c),
+                        h.load.retry_amplification,
+                        h.load.retries,
+                        h.load.client_timeouts,
+                        h.load.latency.p99,
+                    ),
+                    Err(e) => format!("retry {} ERROR {e}", c.label),
+                }));
             }
         }
-        lines
+        (json, lines)
     }
 
     /// The `BENCH_<preset>.json` performance record: cell count, total
@@ -1144,9 +1118,9 @@ fn json_fields(facets: &[Facet]) -> String {
     facets.iter().map(|(k, v)| format!("\"{k}\":{}", v.json())).collect::<Vec<_>>().join(",")
 }
 
-/// Writes `[`, one indented item per line, `  ]`.
-fn json_list(out: &mut String, items: impl Iterator<Item = String>) {
-    out.push_str("[\n");
+/// Writes the field `key` as a list: one indented item per line.
+fn json_list(out: &mut String, key: &str, items: impl Iterator<Item = String>) {
+    let _ = write!(out, ",\n  \"{key}\": [\n");
     let items: Vec<String> = items.collect();
     for (i, item) in items.iter().enumerate() {
         let comma = if i + 1 < items.len() { "," } else { "" };
@@ -1217,7 +1191,7 @@ fn table_line(cells: impl Iterator<Item = (String, usize, bool)>) -> String {
 }
 
 /// Resolves a `--service` name to its factory.
-pub fn service_by_name(name: &str) -> Option<ServiceFactory> {
+fn service_by_name(name: &str) -> Option<ServiceFactory> {
     match name {
         "echo" => Some(service_factory(|| EchoService::new(4096))),
         "memcached" => Some(MemcachedService::factory(MemcachedConfig::default())),
