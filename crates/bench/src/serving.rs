@@ -1229,7 +1229,8 @@ pub struct ServingFlags {
 const MECHANISMS: [Mechanism; 3] =
     [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
 
-fn or<T: Clone>(flag: &[T], default: &[T]) -> Vec<T> {
+/// The flag's list, or the preset's default when the flag was not given.
+fn given_or<T: Clone>(flag: &[T], default: &[T]) -> Vec<T> {
     if flag.is_empty() { default } else { flag }.to_vec()
 }
 
@@ -1240,8 +1241,8 @@ impl ServingFlags {
         Ok(match name {
             "load" => Preset::load(
                 self.base("memcached", 8, 64, None)?,
-                &or(&self.mechanisms, &MECHANISMS),
-                &or(
+                &given_or(&self.mechanisms, &MECHANISMS),
+                &given_or(
                     &self.rates,
                     &[250_000, 500_000, 1_000_000, 2_000_000, 2_500_000, 3_000_000, 4_000_000],
                 ),
@@ -1251,16 +1252,16 @@ impl ServingFlags {
                 base.spec.net = self.net;
                 Preset::net(
                     base,
-                    &or(&self.nics, &[NicModelKind::dma(), NicModelKind::nanopu()]),
-                    &or(&self.topologies, &[TierSpec::rpc(), TierSpec::fanout(4)]),
-                    &or(&self.rates, &[250_000, 500_000, 1_000_000, 2_000_000, 3_000_000]),
+                    &given_or(&self.nics, &[NicModelKind::dma(), NicModelKind::nanopu()]),
+                    &given_or(&self.topologies, &[TierSpec::rpc(), TierSpec::fanout(4)]),
+                    &given_or(&self.rates, &[250_000, 500_000, 1_000_000, 2_000_000, 3_000_000]),
                 )
             }
             "blame" => Preset::blame(
                 self.base("echo", 8, 64, None)?,
-                &or(&self.mechanisms, &MECHANISMS),
-                &or(&self.topologies, &[TierSpec::fanout(4)]),
-                &or(&self.rates, &[250_000, 1_000_000, 2_000_000]),
+                &given_or(&self.mechanisms, &MECHANISMS),
+                &given_or(&self.topologies, &[TierSpec::fanout(4)]),
+                &given_or(&self.rates, &[250_000, 1_000_000, 2_000_000]),
             ),
             // Few fibers so queue waits (the admission signal) build under
             // overload; the SLO bound sits between deadline-aware's worst
@@ -1268,8 +1269,8 @@ impl ServingFlags {
             "overload" => {
                 let d = MatrixSpec::default();
                 let m = MatrixSpec {
-                    policies: or(&self.policies, &d.policies),
-                    rates: or(&self.rates, &d.rates),
+                    policies: given_or(&self.policies, &d.policies),
+                    rates: given_or(&self.rates, &d.rates),
                     ..d
                 };
                 Preset::overload(self.base("echo", 4, 24, Some(Span::from_us(46)))?, &m)

@@ -1,7 +1,8 @@
 //! The guarantees the causal blame layer must keep:
 //!
 //! 1. **Sweep equivalence** — `figures blame` artifacts (JSON and CSV)
-//!    are byte-identical between `--jobs 1` and `--jobs 4`.
+//!    are byte-identical between `--jobs 1` and `--jobs 4`, with the
+//!    `direct` baseline first and shard blame on every fan-out cell.
 //! 2. **Seed sensitivity** — distinct seeds walk distinct critical
 //!    paths; one seed reproduces its `BlameReport` byte-for-byte.
 //! 3. **Bitwise inertness** — with the causal event class off (the

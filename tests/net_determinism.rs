@@ -5,7 +5,9 @@
 //!    pair's fingerprint is distinct from the wire-less run (the front
 //!    end really changed the event stream, deterministically).
 //! 2. **Sweep equivalence** — `figures net` artifacts (JSON and CSV) are
-//!    byte-identical between `--jobs 1` and `--jobs 4`.
+//!    byte-identical between `--jobs 1` and `--jobs 4`, the baseline
+//!    front end comes first, only NIC cells carry a `NetReport`, and
+//!    knee shifts are measured against the baseline.
 //! 3. **Bitwise inertness** — under every mechanism, a spec that spells
 //!    out the default (disabled) NIC and the direct tier chain is
 //!    bit-indistinguishable from one that never mentions them.

@@ -10,6 +10,11 @@
 //!    is bitwise-indistinguishable from a spec that never mentions them:
 //!    same trace fingerprint, same event count, same report JSON. The
 //!    overload machinery costs nothing unless it is asked for.
+//! 3. **The overload preset** — cells run policy-major, every matrix cell
+//!    carries a recovery verdict, and the committed `artifacts/overload/`
+//!    files come back byte-for-byte from the flagless `figures overload`
+//!    preset; in the retry pair the budget bounds the amplification the
+//!    unbudgeted client shows.
 
 use kus_bench::serving::{Preset, ServingFlags, ServingMatrix};
 use kus_bench::sweep::SweepOptions;
