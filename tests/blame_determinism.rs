@@ -65,8 +65,7 @@ fn tiny_sweep() -> Preset {
     )
 }
 
-/// `figures blame` artifacts are byte-identical across `--jobs` values,
-/// with the `direct` baseline first per mechanism.
+/// `figures blame` artifacts are byte-identical across `--jobs` values.
 #[test]
 fn blame_sweep_artifacts_are_jobs_invariant() {
     let spec = tiny_sweep();
@@ -76,8 +75,31 @@ fn blame_sweep_artifacts_are_jobs_invariant() {
     assert_eq!(serial.to_csv(), pooled.to_csv());
     assert_eq!(serial.render_table(), pooled.render_table());
     assert_eq!(serial.errors().count(), 0);
+}
+
+/// The `direct` baseline comes first per mechanism, and that layout
+/// survives any `--jobs`.
+#[test]
+fn sweep_is_baseline_first_and_deterministic_across_jobs() {
+    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
+        .requests(80)
+        .queue_capacity(16);
+    let cfg = PlatformConfig::paper_default()
+        .without_replay_device()
+        .fibers_per_core(4)
+        .dataset_bytes(1 << 20);
+    let base = ServingMatrix::new("echo", service_factory(|| EchoService::new(64)), spec, cfg);
+    let spec =
+        Preset::blame(base, &[Mechanism::OnDemand], &[TierSpec::fanout(4)], &[200_000, 2_000_000]);
+    assert_eq!(spec.cell_count(), 4);
+    let serial = spec.run(&SweepOptions::jobs(1));
+    let pooled = spec.run(&SweepOptions::jobs(4));
+    assert_eq!(serial.to_json(), pooled.to_json());
+    assert_eq!(serial.to_csv(), pooled.to_csv());
+    assert_eq!(serial.render_table(), pooled.render_table());
     assert_eq!(serial.main.cells[0].facet("topology"), "direct");
     assert_eq!(serial.main.cells[2].facet("topology"), "fanout");
+    assert_eq!(serial.errors().count(), 0);
 }
 
 #[test]

@@ -92,8 +92,7 @@ fn tiny_net_sweep() -> Preset {
     )
 }
 
-/// The `figures net` artifacts are byte-identical at any `--jobs`, with the
-/// baseline front end first.
+/// The `figures net` artifacts are byte-identical at any `--jobs`.
 #[test]
 fn net_sweep_artifacts_are_byte_identical_across_jobs() {
     let serial = tiny_net_sweep().run(&SweepOptions::jobs(1));
@@ -104,14 +103,42 @@ fn net_sweep_artifacts_are_byte_identical_across_jobs() {
     assert_eq!(serial.render_table(), pooled.render_table());
     // Both NIC models over both topologies, plus the baseline front end.
     assert_eq!(serial.main.knees().len(), 5);
+}
+
+/// The baseline front end comes first, then each NIC model's cells, and
+/// that layout survives any `--jobs`.
+#[test]
+fn sweep_is_baseline_first_and_deterministic_across_jobs() {
+    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
+        .requests(60)
+        .queue_capacity(16)
+        .net(NetConfig::on());
+    let cfg = PlatformConfig::paper_default()
+        .without_replay_device()
+        .fibers_per_core(4)
+        .dataset_bytes(1 << 20);
+    let base = ServingMatrix::new("echo", service_factory(|| EchoService::new(64)), spec, cfg);
+    let spec = Preset::net(
+        base,
+        &[NicModelKind::dma(), NicModelKind::nanopu()],
+        &[TierSpec::rpc()],
+        &[200_000, 5_000_000],
+    );
+    assert_eq!(spec.cell_count(), 6);
+    let serial = spec.run(&SweepOptions::jobs(1));
+    let pooled = spec.run(&SweepOptions::jobs(4));
+    assert_eq!(serial.to_json(), pooled.to_json());
+    assert_eq!(serial.to_csv(), pooled.to_csv());
+    assert_eq!(serial.render_table(), pooled.render_table());
     let front = |i: usize| {
         let c = &serial.main.cells[i];
         format!("{}/{}", c.facet("nic"), c.facet("topology"))
     };
     assert_eq!(
-        (front(0), front(2), front(6)),
+        (front(0), front(2), front(4)),
         ("off/direct".into(), "dma/rpc".into(), "nanopu/rpc".into())
     );
+    assert_eq!(serial.errors().count(), 0);
 }
 
 #[test]

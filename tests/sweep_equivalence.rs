@@ -82,7 +82,7 @@ fn figure_pipeline_matches_serial_runner() {
 
 /// The load sweep inherits the engine's guarantee wholesale: `--jobs 1`
 /// and `--jobs 4` over the mechanism × rate matrix emit byte-identical
-/// JSON and CSV, knees included, in mechanism-major order.
+/// JSON and CSV, knees included.
 #[test]
 fn load_sweep_is_byte_identical_across_jobs() {
     let base = ServingMatrix::new(
@@ -100,16 +100,11 @@ fn load_sweep_is_byte_identical_across_jobs() {
     assert_eq!(serial.to_json(), parallel.to_json());
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.render_table(), parallel.render_table());
-    let at = |i: usize| {
-        (serial.main.cells[i].facet("mechanism"), serial.main.cells[i].facet("rate_rps"))
-    };
-    assert_eq!(at(0), ("on-demand".into(), "500000".into()));
-    assert_eq!(at(3), ("swq".into(), "4000000".into()));
 }
 
 /// On-demand and prefetch at a rate both keep up with and one that
 /// saturates a single four-fiber core.
-fn tiny_load_sweep(slo: SloSpec) -> PresetResults {
+fn tiny_load_preset(slo: SloSpec) -> Preset {
     let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
         .requests(80)
         .queue_capacity(16)
@@ -120,7 +115,29 @@ fn tiny_load_sweep(slo: SloSpec) -> PresetResults {
         .dataset_bytes(1 << 20);
     let base = ServingMatrix::new("echo", service_factory(|| EchoService::new(64)), spec, cfg);
     Preset::load(base, &[Mechanism::OnDemand, Mechanism::Prefetch], &[200_000, 5_000_000])
-        .run(&SweepOptions::jobs(2))
+}
+
+fn tiny_load_sweep(slo: SloSpec) -> PresetResults {
+    tiny_load_preset(slo).run(&SweepOptions::jobs(2))
+}
+
+/// The load preset lays its cells out mechanism-major, rates inner, and
+/// that layout survives any `--jobs`.
+#[test]
+fn sweep_is_mechanism_major_and_deterministic_across_jobs() {
+    let spec = tiny_load_preset(SloSpec::none());
+    assert_eq!(spec.cell_count(), 4);
+    let serial = spec.run(&SweepOptions::jobs(1));
+    let pooled = spec.run(&SweepOptions::jobs(4));
+    assert_eq!(serial.to_json(), pooled.to_json());
+    assert_eq!(serial.to_csv(), pooled.to_csv());
+    assert_eq!(serial.render_table(), pooled.render_table());
+    let at = |i: usize| {
+        (serial.main.cells[i].facet("mechanism"), serial.main.cells[i].facet("rate_rps"))
+    };
+    assert_eq!(at(0), ("on-demand".into(), "200000".into()));
+    assert_eq!(at(3), ("prefetch".into(), "5000000".into()));
+    assert_eq!(serial.errors().count(), 0);
 }
 
 #[test]
