@@ -45,13 +45,12 @@
 //! The serving presets `figures load|net|blame|overload` share one
 //! base-flag parser: `--service echo|memcached|bloom`, `--requests N`,
 //! `--queue-cap N`, `--cores N`, `--fibers N`, `--slo-p99`/`--slo-p999`
-//! (ns/us suffixes), `--full`, `--faults plan.toml`, the NIC knobs
-//! `--rx-queues --flows --link-gbps --net-jitter`, `--bench PATH` (the
-//! wall-clock/events-per-second record — not deterministic, excluded from
-//! CI byte-diffs) and `--trace PATH` (a Chrome trace of the preset's
-//! representative run, with causal flow arrows). Rates accept k/m
-//! suffixes. Each preset reads its own axis flags; --json/--csv emit the
-//! full per-cell reports, byte-identical across --jobs values.
+//! (ns/us suffixes), `--full`, `--faults plan.toml` and the NIC knobs
+//! `--rx-queues --flows --link-gbps --net-jitter`. Rates accept k/m
+//! suffixes. Each preset reads its own axis flags and ignores base flags
+//! it has no use for (`--slo-p999` outside `load`, SLOs in `blame`,
+//! `--faults` in `overload`); --json/--csv emit the full per-cell reports,
+//! byte-identical across --jobs values.
 //!
 //! `figures load` (mechanism × offered Poisson rate):
 //!   figures load --service memcached --mech ondemand,prefetch,swq \
@@ -452,17 +451,25 @@ fn serving_flags(args: &[String], com: &Common) -> ServingFlags {
 fn serving_mode(name: &str, args: &[String]) -> i32 {
     let com = common(args);
     let preset = serving_flags(args, &com).preset(name).unwrap_or_else(|e| fail(e));
-    run_preset(&preset, &com, args)
+    // `--bench` belongs to overload and `--trace` to blame; the other
+    // presets never read them.
+    let only = |owner: &str, flag: &str| (name == owner).then(|| flag_value(args, flag)).flatten();
+    run_preset(&preset, &com, only("overload", "--bench"), only("blame", "--trace"))
 }
 
 /// Runs a serving preset, prints its table, and writes `--json`, `--csv`,
-/// the wall-clock `--bench` record, and with `--trace` a Chrome trace (with
-/// causal flow arrows) of the matrix's representative run.
-fn run_preset(preset: &Preset, com: &Common, args: &[String]) -> i32 {
+/// the wall-clock `bench` record, and a Chrome `trace` (with causal flow
+/// arrows) of the preset's traced run.
+fn run_preset(
+    preset: &Preset,
+    com: &Common,
+    bench: Option<String>,
+    trace: Option<String>,
+) -> i32 {
     let opts = com.opts();
     eprintln!("# {} sweep: {} cells, jobs={}", preset.name(), preset.cell_count(), opts.jobs);
     let results = preset.run(&opts);
-    eprintln!("# {} sweep: done in {:.2}s", preset.name(), results.wall_seconds());
+    eprintln!("# {} sweep: done in {:.2}s", preset.name(), results.wall_seconds);
     print!("{}", results.render_table());
     let cells = results.main.cells.len();
     if let Some(path) = &com.json {
@@ -471,19 +478,14 @@ fn run_preset(preset: &Preset, com: &Common, args: &[String]) -> i32 {
     if let Some(path) = &com.csv {
         write_artifact("--csv", path, &results.to_csv(), cells);
     }
-    if let Some(path) = flag_value(args, "--bench") {
+    if let Some(path) = bench {
         if let Err(e) = std::fs::write(&path, results.bench_json()) {
             fail(format!("--bench: cannot write {path}: {e}"));
         }
         eprintln!("# wrote {path}");
     }
-    if let Some(path) = flag_value(args, "--trace") {
-        let label = format!("{} trace", preset.name());
-        let exp = preset
-            .matrix
-            .representative(&label)
-            .unwrap_or_else(|e| fail(format!("--trace: {e}")));
-        let run = exp.run();
+    if let Some((path, exp)) = trace.zip(preset.trace_run()) {
+        let run = exp.unwrap_or_else(|e| fail(format!("--trace: {e}"))).run();
         let t = run.trace.as_ref().expect("traced run");
         let arrows = kus_load::flow_arrows(&t.events);
         let json = kus_sim::trace::chrome_json_with_flows(&t.events, &arrows);
@@ -522,12 +524,13 @@ fn scenario_mode(args: &[String]) -> i32 {
     if let Some(m) = sc.matrix() {
         // A matrix scenario IS the overload preset over the scenario's
         // base: same engine, same artifacts, byte-for-byte.
-        return run_preset(&Preset::overload(ServingMatrix::of(&sc), m), &com, args);
+        let preset = Preset::overload(ServingMatrix::of(&sc), m);
+        return run_preset(&preset, &com, flag_value(args, "--bench"), None);
     }
 
     // A plain scenario is a matrix with no axes: one cell, the same harvest.
-    let mut run = run_serving(&ServingMatrix::of(&sc), &SweepOptions::jobs(com.jobs));
-    let harvest = run.cells.remove(0).outcome;
+    let (mut runs, _) = run_serving(&[&ServingMatrix::of(&sc)], &SweepOptions::jobs(com.jobs));
+    let harvest = runs.remove(0).cells.remove(0).outcome;
     let h = harvest.unwrap_or_else(|e| fail(format!("scenario: {file}: {e}")));
     let report = &h.load;
     println!("{}", report.to_table());

@@ -12,9 +12,9 @@
 //!   [`run_serving`] through one [`run_cells`] call;
 //! - one harvest per cell: a [`LoadReport`] always, a [`NetReport`] for
 //!   NIC cells and a [`BlameReport`] for causal cells;
-//! - post-passes over the result columns: saturation knees,
-//!   knee shifts, critical-tier flips, recovery verdicts and the retry
-//!   pair (a second, two-point matrix);
+//! - post-passes over the result columns: saturation knees, knee shifts,
+//!   critical-tier flips and the retry pair (a second, two-point matrix
+//!   that shares the first one's `run_cells` call);
 //! - one JSON/CSV/table emitter driven by the preset's view: its facets,
 //!   column lists and post-passes are data, so the engine never asks which
 //!   preset it is running.
@@ -259,23 +259,6 @@ impl ServingMatrix {
         (spec, cfg)
     }
 
-    /// One representative run outside the matrix: every axis at its first
-    /// non-baseline point, except that the mechanism stays the base
-    /// platform's. `figures blame --trace` draws its waterfall from it.
-    pub fn representative(&self, label: &str) -> Result<Experiment, ConfigError> {
-        let knobs = self
-            .axes
-            .iter()
-            .enumerate()
-            .filter_map(|(a, pts)| {
-                pts.get(usize::from(self.baseline_axis == Some(a))).or(pts.first())
-            })
-            .map(|p| p.knob)
-            .filter(|k| !matches!(k, Knob::Mechanism(_)));
-        let (spec, cfg) = self.knobbed(knobs);
-        load_experiment(label, spec, cfg, self.service.clone())
-    }
-
     /// Expands the Cartesian product, last axis innermost.
     fn expand(&self) -> (Vec<Key>, Vec<SweepCell>) {
         let (mut keys, mut cells) = (Vec::new(), Vec::new());
@@ -331,9 +314,6 @@ pub struct Harvest {
     pub net: Option<NetReport>,
     /// The causal critical-path decomposition (causal cells only).
     pub blame: Option<BlameReport>,
-    /// The degradation verdict against the spec SLO (filled by the
-    /// recovery-verdict post-pass).
-    pub recovery: Option<RecoveryReport>,
 }
 
 fn harvest(r: &RunReport, nic: bool, causal: bool) -> Result<Harvest, String> {
@@ -344,7 +324,7 @@ fn harvest(r: &RunReport, nic: bool, causal: bool) -> Result<Harvest, String> {
     let blame = causal
         .then(|| BlameReport::from_run(r).ok_or("run produced no blameable requests"))
         .transpose()?;
-    Ok(Harvest { load, net, blame, recovery: None })
+    Ok(Harvest { load, net, blame })
 }
 
 /// One executed cell, in matrix order.
@@ -422,41 +402,49 @@ pub struct ServingResults {
     pub cells: Vec<ServingCell>,
     /// Simulator events executed across all cells.
     pub sim_events: u64,
-    /// Wall-clock seconds (never part of the deterministic emitters).
-    pub wall_seconds: f64,
     facet_keys: Vec<&'static str>,
     baseline_axis: Option<usize>,
 }
 
-/// Expands and executes a serving matrix on the shared pool.
-pub fn run_serving(m: &ServingMatrix, opts: &SweepOptions) -> ServingResults {
-    let (keys, cells) = m.expand();
-    let results = run_cells(cells, opts);
-    let mut sim_events = 0;
-    let cells = results
-        .cells
-        .into_iter()
-        .zip(keys)
-        .map(|(c, k)| ServingCell {
-            index: c.index,
-            label: c.label,
-            point: k.point,
-            facets: k.facets,
-            outcome: c.outcome.and_then(|r| {
-                sim_events += r.sim_events;
-                harvest(&r, k.nic, k.causal)
-            }),
-        })
-        .collect();
-    ServingResults {
-        service: m.service_name.clone(),
-        spec: m.spec,
-        cells,
-        sim_events,
-        wall_seconds: results.wall_seconds,
-        facet_keys: m.facet_keys(),
-        baseline_axis: m.baseline_axis,
+/// Expands serving matrices and executes all their cells through one
+/// [`run_cells`] call, so a later matrix's cells fill the workers an earlier
+/// one leaves idle. Returns each matrix's results, in input order, and the
+/// call's wall-clock seconds (never part of the deterministic emitters).
+pub fn run_serving(ms: &[&ServingMatrix], opts: &SweepOptions) -> (Vec<ServingResults>, f64) {
+    let (mut keys, mut cells) = (Vec::new(), Vec::new());
+    for m in ms {
+        let (k, c) = m.expand();
+        keys.extend(k);
+        cells.extend(c);
     }
+    let results = run_cells(cells, opts);
+    let mut done = results.cells.into_iter().zip(keys);
+    let runs = ms.iter().map(|m| {
+        let mut sim_events = 0;
+        let cells = (&mut done)
+            .take(m.cell_count())
+            .enumerate()
+            .map(|(index, (c, k))| ServingCell {
+                index,
+                label: c.label,
+                point: k.point,
+                facets: k.facets,
+                outcome: c.outcome.and_then(|r| {
+                    sim_events += r.sim_events;
+                    harvest(&r, k.nic, k.causal)
+                }),
+            })
+            .collect();
+        ServingResults {
+            service: m.service_name.clone(),
+            spec: m.spec,
+            cells,
+            sim_events,
+            facet_keys: m.facet_keys(),
+            baseline_axis: m.baseline_axis,
+        }
+    });
+    (runs.collect(), results.wall_seconds)
 }
 
 impl ServingResults {
@@ -525,21 +513,11 @@ impl ServingResults {
         }
         out
     }
-
-    fn judge(&mut self) {
-        for c in &mut self.cells {
-            if let Ok(h) = &mut c.outcome {
-                h.recovery = Some(h.load.recovery(&self.spec.slo));
-            }
-        }
-    }
 }
 
 /// A post-pass over the result columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Post {
-    /// Recovery verdict per cell against the spec SLO.
-    Verdicts,
     /// The saturation knee per curve.
     Knees,
     /// Knee shifts vs the baseline curve.
@@ -550,10 +528,11 @@ pub(crate) enum Post {
     RetryPair,
 }
 
-/// What a result column reads.
+/// What a result column reads: the cell's harvest and the SLO it is judged
+/// against (`None` for the retry pair, which is not judged).
 struct Cx<'a> {
     out: &'a Harvest,
-    slo: &'a SloSpec,
+    slo: Option<&'a SloSpec>,
 }
 
 /// A JSON/CSV result column: its name and how to read it (`None` renders
@@ -594,9 +573,13 @@ const GOODPUT: ValCol = ("goodput", 12, false, |cx| format!("{:.0}", cx.out.load
 const SHED: ValCol =
     ("shed%", 7, false, |cx| format!("{:.2}%", 100.0 * cx.out.load.shed_fraction()));
 const REPORT: Col = ("report", |cx| Some(Value::Json(cx.out.load.to_json())));
-const SLO_PASS: Col = ("slo_pass", |cx| Some(Value::Bool(cx.slo.verdict(&cx.out.load).pass)));
-const VERDICT: Col =
-    ("verdict", |cx| cx.out.recovery.as_ref().and_then(|r| text(r.verdict.to_string())));
+const SLO_PASS: Col = ("slo_pass", |cx| cx.slo.map(|s| Value::Bool(s.verdict(&cx.out.load).pass)));
+const VERDICT: Col = ("verdict", |cx| recovery(cx).map(|r| Value::Str(r.verdict.to_string())));
+
+/// The cell's degradation verdict against its SLO, if it is judged.
+fn recovery(cx: &Cx) -> Option<RecoveryReport> {
+    cx.slo.map(|s| cx.out.load.recovery(s))
+}
 
 static LOAD: View = View {
     name: "load",
@@ -637,7 +620,8 @@ static LOAD: View = View {
         ("p999", 10, false, |cx| cx.out.load.latency.p999.to_string()),
         ("max", 10, false, |cx| cx.out.load.latency.max.to_string()),
         ("slo", 0, false, |cx| {
-            if cx.slo.verdict(&cx.out.load).pass { "pass" } else { "FAIL" }.into()
+            if cx.slo.is_some_and(|s| s.verdict(&cx.out.load).pass) { "pass" } else { "FAIL" }
+                .into()
         }),
     ],
     post: &[Post::Knees],
@@ -741,11 +725,7 @@ static OVERLOAD: View = View {
             r.service, r.spec.requests, r.spec.queue_capacity,
         )
     },
-    json: &[
-        VERDICT,
-        ("recovery", |cx| cx.out.recovery.as_ref().map(|r| Value::Json(r.to_json()))),
-        REPORT,
-    ],
+    json: &[VERDICT, ("recovery", |cx| recovery(cx).map(|r| Value::Json(r.to_json()))), REPORT],
     csv: &[
         VERDICT,
         ("completed", |cx| int(cx.out.load.completed)),
@@ -771,11 +751,9 @@ static OVERLOAD: View = View {
         ("p99", 10, false, |cx| cx.out.load.latency.p99.to_string()),
         ("crashes", 8, false, |cx| cx.out.load.crashes.to_string()),
         ("stalls", 7, false, |cx| cx.out.load.dispatcher_stalls.to_string()),
-        ("verdict", 0, false, |cx| {
-            cx.out.recovery.as_ref().map(|r| r.verdict.to_string()).unwrap_or_default()
-        }),
+        ("verdict", 0, false, |cx| recovery(cx).map(|r| r.verdict.to_string()).unwrap_or_default()),
     ],
-    post: &[Post::Verdicts, Post::RetryPair],
+    post: &[Post::RetryPair],
 };
 
 /// The retry pair's JSON columns (its cells carry no index).
@@ -813,16 +791,22 @@ pub struct Preset {
     pub matrix: ServingMatrix,
     /// The retry pair's matrix, for `overload`.
     retry: Option<ServingMatrix>,
+    /// The knobs of the one traced run outside the matrix, for `blame`.
+    trace: Option<[Knob; 2]>,
 }
 
 impl Preset {
+    fn new(view: &'static View, matrix: ServingMatrix) -> Preset {
+        Preset { view, matrix, retry: None, trace: None }
+    }
+
     /// `figures load`: mechanism × offered rate, with the knee per
     /// mechanism.
     pub fn load(base: ServingMatrix, mechanisms: &[Mechanism], rates: &[u64]) -> Preset {
         let matrix = base
             .axis(mechanisms.iter().map(|&m| Point::mechanism(m)).collect())
             .axis(rate_points(rates));
-        Preset { view: &LOAD, matrix, retry: None }
+        Preset::new(&LOAD, matrix)
     }
 
     /// `figures net`: front end (the `off/direct` baseline, then NIC ×
@@ -838,16 +822,14 @@ impl Preset {
         for &nic in nics {
             fronts.extend(topologies.iter().map(|&t| Point::front(Some(nic), t)));
         }
-        Preset {
-            view: &NET,
-            matrix: base.baseline_axis(fronts).axis(rate_points(rates)),
-            retry: None,
-        }
+        Preset::new(&NET, base.baseline_axis(fronts).axis(rate_points(rates)))
     }
 
     /// `figures blame`: mechanism × tiers (the `direct` baseline first) ×
     /// offered rate with the causal event class on, and the critical-tier
-    /// flips vs the baseline.
+    /// flips vs the baseline. Its traced run (see [`Preset::trace_run`])
+    /// keeps the base platform's mechanism and takes the first swept
+    /// topology and rate.
     pub fn blame(
         mut base: ServingMatrix,
         mechanisms: &[Mechanism],
@@ -861,7 +843,11 @@ impl Preset {
             .axis(mechanisms.iter().map(|&m| Point::mechanism(m)).collect())
             .baseline_axis(tiers.collect())
             .axis(rate_points(rates));
-        Preset { view: &BLAME, matrix, retry: None }
+        let trace = topologies.first().zip(rates.first());
+        Preset {
+            trace: trace.map(|(&t, &r)| [Knob::Tiers(t), Knob::Rate(r)]),
+            ..Preset::new(&BLAME, matrix)
+        }
     }
 
     /// `figures overload` and every `[matrix]` scenario: admission policy ×
@@ -881,7 +867,7 @@ impl Preset {
             .axis(m.policies.iter().map(|&p| Point::admission(p)).collect())
             .axis(m.plans.iter().map(|(name, plan)| Point::plan(name, *plan)).collect())
             .axis(rate_points(&m.rates));
-        Preset { view: &OVERLOAD, matrix, retry }
+        Preset { retry, ..Preset::new(&OVERLOAD, matrix) }
     }
 
     /// The preset name.
@@ -894,15 +880,21 @@ impl Preset {
         self.matrix.cell_count() + self.retry.as_ref().map_or(0, ServingMatrix::cell_count)
     }
 
-    /// Runs the matrix (and the retry pair) and applies the post-passes
-    /// that annotate cells.
+    /// Runs the matrix and the retry pair on one pool.
     pub fn run(&self, opts: &SweepOptions) -> PresetResults {
-        let mut main = run_serving(&self.matrix, opts);
-        if self.view.post.contains(&Post::Verdicts) {
-            main.judge();
-        }
-        let retry = self.retry.as_ref().map(|m| run_serving(m, opts));
-        PresetResults { view: self.view, main, retry }
+        let ms: Vec<&ServingMatrix> = std::iter::once(&self.matrix).chain(&self.retry).collect();
+        let (runs, wall_seconds) = run_serving(&ms, opts);
+        let mut runs = runs.into_iter();
+        let main = runs.next().expect("one result per matrix");
+        PresetResults { view: self.view, main, retry: runs.next(), wall_seconds }
+    }
+
+    /// The one causal run `figures blame --trace` draws, outside the matrix
+    /// (`None` for the other presets).
+    pub fn trace_run(&self) -> Option<Result<Experiment, ConfigError>> {
+        let (spec, cfg) = self.matrix.knobbed(self.trace?);
+        let label = format!("{} trace", self.view.name);
+        Some(load_experiment(label, spec, cfg, self.matrix.service.clone()))
     }
 }
 
@@ -927,6 +919,9 @@ pub struct PresetResults {
     pub main: ServingResults,
     /// The retry pair's results, when the preset has one.
     retry: Option<ServingResults>,
+    /// Wall-clock seconds of the whole run (never part of the
+    /// deterministic emitters).
+    pub wall_seconds: f64,
 }
 
 impl PresetResults {
@@ -940,17 +935,12 @@ impl PresetResults {
         self.main.errors().chain(self.retry.iter().flat_map(ServingResults::errors))
     }
 
-    /// Wall-clock seconds across both matrices.
-    pub fn wall_seconds(&self) -> f64 {
-        self.main.wall_seconds + self.retry.as_ref().map_or(0.0, |r| r.wall_seconds)
-    }
-
     /// Machine-readable JSON: one object per cell with its facets and
     /// result columns, then each post-pass's fields.
     pub fn to_json(&self) -> String {
         let (v, m) = (self.view, &self.main);
         let mut out = format!("{{\n  \"service\": \"{}\"", json_escape(&m.service));
-        let cells = m.cells.iter().map(|c| json_cell(c, true, v.json, &m.spec.slo));
+        let cells = m.cells.iter().map(|c| json_cell(c, true, v.json, Some(&m.spec.slo)));
         json_list(&mut out, "cells", cells);
         for &post in v.post {
             out.push_str(&self.post_pass(post).0);
@@ -973,13 +963,11 @@ impl PresetResults {
             for f in &c.facets {
                 let _ = write!(head, ",{}", f.1.csv());
             }
-            csv_row(&mut out, &head, c, v.csv, &m.spec.slo);
+            csv_row(&mut out, &head, c, v.csv, Some(&m.spec.slo));
         }
-        if v.post.contains(&Post::RetryPair) {
-            for c in self.retry_cells() {
-                let head = format!(",{},retry,{},", csv_field(&c.label), budget(c));
-                csv_row(&mut out, &head, c, v.csv, &m.spec.slo);
-            }
+        for c in self.retry_cells() {
+            let head = format!(",{},retry,{},", csv_field(&c.label), budget(c));
+            csv_row(&mut out, &head, c, v.csv, None);
         }
         out
     }
@@ -1006,7 +994,7 @@ impl PresetResults {
             }
             match &c.outcome {
                 Ok(h) => {
-                    let cx = Cx { out: h, slo: &m.spec.slo };
+                    let cx = Cx { out: h, slo: Some(&m.spec.slo) };
                     let values = v.values.iter().map(|&(_, w, left, get)| (get(&cx), w, left));
                     out.push_str(&table_line(keys.into_iter().chain(values)));
                 }
@@ -1032,7 +1020,6 @@ impl PresetResults {
         let m = &self.main;
         let (mut json, mut lines) = (String::new(), Vec::new());
         match post {
-            Post::Verdicts => {}
             Post::Knees => {
                 let knees = m.knees();
                 let items = knees.iter().map(|k| {
@@ -1077,7 +1064,7 @@ impl PresetResults {
             }
             Post::RetryPair => {
                 let pair = self.retry_cells();
-                let items = pair.iter().map(|c| json_cell(c, false, RETRY_JSON, &m.spec.slo));
+                let items = pair.iter().map(|c| json_cell(c, false, RETRY_JSON, None));
                 json_list(&mut json, "retry_pair", items);
                 lines.extend(pair.iter().map(|c| match &c.outcome {
                     Ok(h) => format!(
@@ -1101,7 +1088,7 @@ impl PresetResults {
     pub fn bench_json(&self) -> String {
         let all = std::iter::once(&self.main).chain(&self.retry);
         let (cells, events) = all.fold((0, 0), |(c, e), r| (c + r.cells.len(), e + r.sim_events));
-        let wall = self.wall_seconds();
+        let wall = self.wall_seconds;
         let eps = if wall > 0.0 { events as f64 / wall } else { 0.0 };
         format!(
             "{{\"suite\":\"{}\",\"cells\":{cells},\"sim_events\":{events},\"wall_seconds\":{wall:.3},\"events_per_sec\":{eps:.0}}}\n",
@@ -1129,7 +1116,7 @@ fn json_list(out: &mut String, key: &str, items: impl Iterator<Item = String>) {
     out.push_str("  ]");
 }
 
-fn json_cell(c: &ServingCell, index: bool, cols: &[Col], slo: &SloSpec) -> String {
+fn json_cell(c: &ServingCell, index: bool, cols: &[Col], slo: Option<&SloSpec>) -> String {
     let mut s = String::from("{");
     if index {
         let _ = write!(s, "\"index\":{},", c.index);
@@ -1154,7 +1141,7 @@ fn json_cell(c: &ServingCell, index: bool, cols: &[Col], slo: &SloSpec) -> Strin
     s
 }
 
-fn csv_row(out: &mut String, head: &str, c: &ServingCell, cols: &[Col], slo: &SloSpec) {
+fn csv_row(out: &mut String, head: &str, c: &ServingCell, cols: &[Col], slo: Option<&SloSpec>) {
     out.push_str(head);
     match &c.outcome {
         Ok(h) => {
@@ -1205,7 +1192,9 @@ fn service_by_name(name: &str) -> Option<ServiceFactory> {
 /// `replay_device` is `--full`, `mechanisms`/`topologies` are
 /// `--mech`/`--topos`, and `net` carries the NIC knobs `--rx-queues
 /// --flows --link-gbps --net-jitter`). `None` and empty fields keep the
-/// preset's defaults (see [`ServingFlags::preset`]).
+/// preset's defaults (see [`ServingFlags::preset`]). A preset ignores the
+/// fields it has no use for: only `load` takes `slo_p999`, `blame` takes
+/// no SLO, and `overload` runs without `faults` (its plans are an axis).
 #[derive(Debug, Clone, Default)]
 pub struct ServingFlags {
     pub service: Option<String>,
@@ -1248,7 +1237,8 @@ impl ServingFlags {
                 ),
             ),
             "net" => {
-                let mut base = self.base("echo", 8, 64, None)?;
+                let mut base =
+                    ServingFlags { slo_p999: None, ..self.clone() }.base("echo", 8, 64, None)?;
                 base.spec.net = self.net;
                 Preset::net(
                     base,
@@ -1258,7 +1248,8 @@ impl ServingFlags {
                 )
             }
             "blame" => Preset::blame(
-                self.base("echo", 8, 64, None)?,
+                ServingFlags { slo_p99: None, slo_p999: None, ..self.clone() }
+                    .base("echo", 8, 64, None)?,
                 &given_or(&self.mechanisms, &MECHANISMS),
                 &given_or(&self.topologies, &[TierSpec::fanout(4)]),
                 &given_or(&self.rates, &[250_000, 1_000_000, 2_000_000]),
@@ -1273,7 +1264,9 @@ impl ServingFlags {
                     rates: given_or(&self.rates, &d.rates),
                     ..d
                 };
-                Preset::overload(self.base("echo", 4, 24, Some(Span::from_us(46)))?, &m)
+                let flags =
+                    ServingFlags { faults: FaultPlan::none(), slo_p999: None, ..self.clone() };
+                Preset::overload(flags.base("echo", 4, 24, Some(Span::from_us(46)))?, &m)
             }
             other => return Err(format!("unknown serving preset `{other}`")),
         })

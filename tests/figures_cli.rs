@@ -60,6 +60,23 @@ fn invalid_serving_specs_are_reported_as_such() {
 }
 
 #[test]
+fn only_blame_traces_and_only_overload_benches() {
+    let small = ["--mech", "swq", "--rates", "250k", "--requests", "20", "--topos", "rpc"];
+    for preset in ["load", "blame"] {
+        let (trace, bench) =
+            (scratch(&format!("{preset}.trace")), scratch(&format!("{preset}.bench")));
+        let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&bench));
+        let mut args = vec![preset, "--trace", trace.to_str().unwrap()];
+        args.extend(["--bench", bench.to_str().unwrap()]);
+        args.extend(small);
+        let out = figures(&args);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(trace.exists(), preset == "blame", "{preset} --trace");
+        assert!(!bench.exists(), "{preset} --bench");
+    }
+}
+
+#[test]
 fn scenario_json_escapes_the_name() {
     let toml = scratch("escaped-name.toml");
     let json = scratch("escaped-name.json");
