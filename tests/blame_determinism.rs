@@ -13,14 +13,17 @@
 //!    topology, per-hop critical time sums to the population's total
 //!    critical time exactly (the per-request equivalent is asserted
 //!    inside `BlameReport` construction).
+//! 5. **A pinned Perfetto document** — the `figures blame --trace`
+//!    export at the CI smoke flags hashes to a digest fixed in source.
 
-use kus_bench::serving::{Preset, ServingMatrix};
+use kus_bench::serving::{Preset, ServingFlags, ServingMatrix};
 use kus_bench::sweep::SweepOptions;
 use kus_core::prelude::*;
 use kus_load::{
-    load_experiment, service_factory, ArrivalProcess, BlameReport, EchoService, LoadSpec,
-    TierSpec,
+    flow_arrows, load_experiment, service_factory, ArrivalProcess, BlameReport, EchoService,
+    LoadSpec, TierSpec,
 };
+use kus_sim::trace::chrome_json_with_flows;
 
 const MECHANISMS: [Mechanism; 3] =
     [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
@@ -204,4 +207,41 @@ fn hop_attribution_telescopes_exactly_on_live_runs() {
             }
         }
     }
+}
+
+/// FNV-1a-64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The `figures blame --trace` document at the CI smoke flags (`--service
+/// echo --topos fanout4 --rates 250k,1m,2m --requests 200`), built the way
+/// the CLI builds it: the preset's traced run, its flow arrows, and one
+/// Chrome export. CI only diffs two runs of one binary; this digest pins
+/// the bytes across commits, so an exporter or trace change that moves
+/// one byte of the Perfetto document fails here.
+#[test]
+fn blame_trace_document_is_pinned() {
+    const DIGEST: u64 = 0xd64df58eb4911022;
+    const LEN: usize = 1_442_777;
+    let flags = ServingFlags {
+        service: Some("echo".into()),
+        rates: vec![250_000, 1_000_000, 2_000_000],
+        topologies: vec![TierSpec::fanout(4)],
+        requests: Some(200),
+        ..ServingFlags::default()
+    };
+    let preset = flags.preset("blame").expect("smoke flags are valid");
+    let run = preset.trace_run().expect("blame has a traced run").expect("valid config").run();
+    let t = run.trace.as_ref().expect("traced run");
+    let arrows = flow_arrows(&t.events);
+    assert!(!arrows.is_empty(), "the fan-out trace draws flow arrows");
+    let json = chrome_json_with_flows(&t.events, &arrows);
+    assert_eq!(
+        (fnv1a(json.as_bytes()), json.len()),
+        (DIGEST, LEN),
+        "figures blame --trace document diverged from the source-pinned digest"
+    );
 }

@@ -16,6 +16,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use kus_sim::trace::chrome_json;
 use kus_workloads::trace_scenarios::{run_trace_scenario, trace_scenarios};
 
 /// Events snapshotted per scenario (the full stream is pinned by the hash).
@@ -107,26 +108,42 @@ fn golden_chaos_stalls() {
     check_scenario("chaos-stalls");
 }
 
+/// FNV-1a-64 over `bytes`: the digest the Chrome export pins below.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 /// The committed fingerprints, pinned in *source* as well as in the golden
 /// files. The golden files can be re-blessed with one environment variable;
 /// these constants cannot — changing them requires editing this test, so an
 /// unintentional event-stream change (e.g. from a scheduler rewrite) fails
 /// even if the goldens were blindly regenerated. Update both together, on
-/// purpose.
+/// purpose. The last column digests the scenario's `chrome_json` export, so
+/// an exporter change that moves one byte of the Perfetto document fails
+/// here too.
 #[test]
 fn golden_fingerprints_pinned_in_source() {
-    const PINNED: &[(&str, u64, u64)] = &[
-        ("ondemand-baseline", 0x440dedf29d4e87c9, 676),
-        ("swq-optimized", 0x1e0aea9385dfef96, 4407),
-        ("chaos-stalls", 0x9f24373df863c08a, 2787),
+    const PINNED: &[(&str, u64, u64, u64)] = &[
+        ("ondemand-baseline", 0x440dedf29d4e87c9, 676, 0x3bb9fb963e6820e7),
+        ("swq-optimized", 0x1e0aea9385dfef96, 4407, 0x83cf6d5f5b019d72),
+        ("chaos-stalls", 0x9f24373df863c08a, 2787, 0xb9d17ca5bb240260),
     ];
-    for &(name, hash, count) in PINNED {
+    for &(name, hash, count, chrome) in PINNED {
         let r = run_trace_scenario(name, SEED).expect("canonical scenario");
         let t = r.trace.expect("traced run");
         assert_eq!(
             (t.hash, t.count),
             (hash, count),
             "{name}: trace fingerprint diverged from the source-pinned golden"
+        );
+        let json = chrome_json(&t.events);
+        assert_eq!(
+            fnv1a(json.as_bytes()),
+            chrome,
+            "{name}: Chrome export diverged from the source-pinned digest (got {:#018x})",
+            fnv1a(json.as_bytes())
         );
     }
 }
