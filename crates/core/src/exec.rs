@@ -290,10 +290,18 @@ impl Executor {
     /// The host-side hook the platform wires into the device's request
     /// fetcher: delivers a completion to the waiting fiber, charging the
     /// completion-handling software cost.
+    ///
+    /// The hook holds the executor weakly. The fetcher that owns it is in
+    /// turn owned by the executor's doorbell closure, so a strong edge
+    /// would close an `Rc` cycle and keep every core, fiber and device of
+    /// the run alive after it ends. A completion landing after the
+    /// executor is gone has no one to deliver to and is dropped.
     pub(crate) fn swq_completion_hook(&self) -> TagHook {
-        let inner = self.inner.clone();
+        let inner = Rc::downgrade(&self.inner);
         Rc::new(move |sim: &mut Sim, tag: u64| {
-            ExecInner::on_swq_completion(&inner, sim, tag);
+            if let Some(inner) = inner.upgrade() {
+                ExecInner::on_swq_completion(&inner, sim, tag);
+            }
         })
     }
 

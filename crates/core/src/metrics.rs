@@ -116,8 +116,9 @@ pub struct LatencyBreakdown {
 pub struct TraceReport {
     /// The full event stream, in emission order.
     pub events: Vec<TraceEvent>,
-    /// Running FNV-1a hash of the canonical encoding — the determinism
-    /// fingerprint compared by `tests/determinism.rs` and CI.
+    /// FNV-1a hash of the canonical encoding, computed once here at
+    /// harvest — the determinism fingerprint compared by
+    /// `tests/determinism.rs` and CI.
     pub hash: u64,
     /// Events emitted.
     pub count: u64,
@@ -131,7 +132,8 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Builds the report from a finished run's event stream.
+    /// Builds the report from a finished run's event stream, which it
+    /// takes by value and keeps, hashing it in one pass.
     ///
     /// `end` is the simulation end time, used to close the occupancy
     /// timelines' final interval.

@@ -204,13 +204,9 @@ impl Platform {
 
             if cfg.mechanism != Mechanism::SoftwareQueue {
                 let mmio = MmioDevice::new(dc.clone(), l.clone());
-                let dbg = std::env::var("KUS_TRACE_FILLS").is_ok();
                 let hist = fill_latency.clone();
                 device_fill = Some(Rc::new(move |sim: &mut Sim, core, line, done| {
                     let t_issue = sim.now();
-                    if dbg {
-                        eprintln!("[fill] issue t={} core={core} {line}", t_issue);
-                    }
                     let hist = hist.clone();
                     MmioDevice::read_line(
                         &mmio,
@@ -219,13 +215,6 @@ impl Platform {
                         line,
                         Box::new(move |sim, _data| {
                             hist.borrow_mut().record(sim.now() - t_issue);
-                            if dbg {
-                                eprintln!(
-                                    "[fill] done  t={} core={core} {line} (took {})",
-                                    sim.now(),
-                                    sim.now() - t_issue
-                                );
-                            }
                             done(sim)
                         }),
                     );
@@ -452,7 +441,8 @@ impl Platform {
         });
 
         let (trace, profile) = if traced {
-            let events = tracer.events();
+            // Move the buffer into the report: the stream is never copied.
+            let events = tracer.take_events();
             // Profiled runs classify the measured window [t0, now] per
             // hardware context (sum-to-wall is asserted inside build).
             let profile = cfg.profile.then(|| {
@@ -501,5 +491,68 @@ impl Platform {
             profile,
         };
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::future::Future;
+
+    use super::*;
+    use crate::exec::MemCtx;
+    use crate::workload::FiberFuture;
+    use kus_mem::Addr;
+
+    /// Every fiber reads a few lines and holds a clone of `sentinel` for as
+    /// long as the fiber itself exists, finished or not.
+    struct Sentinel {
+        base: Addr,
+        sentinel: Rc<()>,
+    }
+
+    impl Workload for Sentinel {
+        fn name(&self) -> &'static str {
+            "sentinel"
+        }
+
+        fn build(&mut self, data: &mut Dataset) {
+            self.base = data.alloc_lines(64).expect("room for 64 lines");
+        }
+
+        fn spawn(&self, core: usize, fiber: usize, fibers: usize, ctx: MemCtx) -> FiberFuture {
+            let (base, held) = (self.base, self.sentinel.clone());
+            let mut body = Box::pin(async move {
+                for i in 0..4 {
+                    let slot = ((core * fibers + fiber) * 4 + i) as u64;
+                    let _ = ctx.dev_read_u64(base + slot * LINE_BYTES).await;
+                }
+            });
+            // An async block drops what it captured when it finishes; the
+            // poll closure keeps `held` until the fiber is dropped.
+            Box::pin(std::future::poll_fn(move |cx| {
+                assert!(Rc::strong_count(&held) > 1, "the workload still holds the sentinel");
+                body.as_mut().poll(cx)
+            }))
+        }
+    }
+
+    /// A finished run frees its platform: once `run` returns, nothing of
+    /// the run (cores, executors, fibers, device) still holds what the
+    /// fibers captured. The software-queue path once leaked all of it
+    /// through an `Rc` cycle between an executor and its request fetcher.
+    #[test]
+    fn finished_runs_free_their_platform() {
+        for mech in [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue] {
+            let cfg = PlatformConfig::paper_default()
+                .without_replay_device()
+                .mechanism(mech)
+                .cores(2)
+                .fibers_per_core(2)
+                .dataset_bytes(1 << 20);
+            let mut w = Sentinel { base: Addr::ZERO, sentinel: Rc::new(()) };
+            let r = Platform::try_new(cfg).expect("valid config").run(&mut w);
+            assert_eq!(r.accesses, 16, "{mech}");
+            assert_eq!(Rc::strong_count(&w.sentinel), 1, "{mech}: the run leaked its fibers");
+        }
     }
 }
