@@ -150,10 +150,9 @@ pub struct PlatformConfig {
     /// run report is bit-identical either way (the tracer observes, never
     /// schedules).
     pub trace: bool,
-    /// Also emit the deep per-access event class (`load.issue`, `l1.read`).
-    /// Requires the `trace` cargo feature; without it this flag changes
-    /// nothing, so default-feature and all-feature builds produce identical
-    /// trace hashes unless deep tracing is explicitly requested.
+    /// Also emit the deep per-access event class (`load.issue`, `l1.read`,
+    /// `dev_read.batch`): implies tracing. Like the other optional classes,
+    /// it extends the stream and its hash but never changes the outcome.
     pub trace_deep: bool,
     /// Run the cycle-accounting profiler over the measured phase: implies
     /// tracing, additionally emits the accounting event class (`cpu.*`,
@@ -501,8 +500,7 @@ impl PlatformConfig {
         self
     }
 
-    /// Enables tracing including the deep per-access event class (only
-    /// effective when built with the `trace` cargo feature).
+    /// Enables tracing including the deep per-access event class.
     pub fn trace_deep(mut self) -> Self {
         self.trace = true;
         self.trace_deep = true;

@@ -29,7 +29,7 @@ use kus_fiber::{yield_now, Fiber, FiberId, OneShot, PollOutcome, SchedPolicy, Wa
 use kus_mem::{Addr, ByteStore};
 use kus_sim::event::EventFn;
 use kus_sim::stats::Counter;
-use kus_sim::trace::Category;
+use kus_sim::trace::{Category, TraceClass};
 use kus_sim::{Sim, Span, Time, Tracer};
 use kus_swq::descriptor::Descriptor;
 use kus_swq::ring::QueuePair;
@@ -489,7 +489,7 @@ impl ExecInner {
                 {
                     let mut x = this2.borrow_mut();
                     x.switching = false;
-                    if x.tracer.is_profile() {
+                    if x.tracer.wants(TraceClass::Profile) {
                         x.tracer.complete_since(Category::Cpu, "cpu.ctx", x.track, start, next as u64);
                     }
                 }
@@ -536,7 +536,7 @@ impl ExecInner {
                     if x.parked_on == Some(id) && !x.switching {
                         x.parked_on = None;
                         if let Some(since) = x.park_since.take() {
-                            if x.tracer.is_profile() {
+                            if x.tracer.wants(TraceClass::Profile) {
                                 x.tracer.complete_since(Category::Cpu, "cpu.park", x.track, since, id as u64);
                             }
                         }
@@ -568,7 +568,7 @@ impl ExecInner {
             if (parked_here || idle_here) && !x.switching {
                 x.parked_on = None;
                 if let Some(since) = x.park_since.take() {
-                    if x.tracer.is_profile() {
+                    if x.tracer.wants(TraceClass::Profile) {
                         x.tracer.complete_since(Category::Cpu, "cpu.park", x.track, since, id as u64);
                     }
                 }
@@ -953,10 +953,9 @@ impl MemCtx {
         x.tracer.complete_span(Category::Load, name, x.track, start, end, a0);
     }
 
-    /// Whether the causal event class is enabled for this run (see
-    /// [`Tracer::is_causal`]).
-    pub fn is_causal(&self) -> bool {
-        self.exec.borrow().tracer.is_causal()
+    /// Whether this run records `class` (see [`Tracer::wants`]).
+    pub fn wants(&self, class: TraceClass) -> bool {
+        self.exec.borrow().tracer.wants(class)
     }
 
     /// Emits a fixed-duration stretch of host software (serialized).
@@ -999,9 +998,8 @@ impl MemCtx {
         {
             let mut x = self.exec.borrow_mut();
             x.accesses.incr();
-            // Deep event class: per-access volume, compiled in only with the
-            // `trace` feature and emitted only in verbose mode.
-            if x.tracer.is_verbose() {
+            // Deep event class: per-access volume.
+            if x.tracer.wants(TraceClass::Deep) {
                 x.tracer.instant(Category::Exec, "load.issue", x.track, addr.line().index(), self.fiber as u64);
             }
         }
@@ -1060,7 +1058,7 @@ impl MemCtx {
     pub fn l1_read_u64(&self, addr: Addr) -> u64 {
         let d = self.buffer(OpKind::Load { line: addr.line() }, Vec::new(), None);
         let mut x = self.exec.borrow_mut();
-        if x.tracer.is_verbose() {
+        if x.tracer.wants(TraceClass::Deep) {
             x.tracer.instant(Category::Exec, "l1.read", x.track, addr.line().index(), self.fiber as u64);
         }
         x.fibers[self.fiber].last_reads.push(d);
@@ -1090,7 +1088,7 @@ impl MemCtx {
     /// load for an already-filled prefetch line). Scheduling is identical
     /// to the untagged batch in every mechanism — the tag only emits.
     pub async fn dev_read_batch_spans(&self, addrs: &[Addr], name: &'static str, a0_base: u64) -> Vec<u64> {
-        let causal = self.exec.borrow().tracer.is_causal();
+        let causal = self.wants(TraceClass::Causal);
         self.dev_read_batch_inner(addrs, causal.then_some((name, a0_base))).await
     }
 
@@ -1098,7 +1096,7 @@ impl MemCtx {
         let mechanism = {
             let mut x = self.exec.borrow_mut();
             x.accesses.add(addrs.len() as u64);
-            if x.tracer.is_verbose() {
+            if x.tracer.wants(TraceClass::Deep) {
                 let first = addrs.first().map_or(0, |a| a.line().index());
                 x.tracer.instant(Category::Exec, "dev_read.batch", x.track, first, addrs.len() as u64);
             }

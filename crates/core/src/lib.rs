@@ -60,7 +60,7 @@ pub use dataset::Dataset;
 pub use exec::{Executor, MemCtx};
 pub use experiment::{Experiment, Runner, WorkloadFactory};
 pub use mechanism::Mechanism;
-pub use metrics::{DeviceReport, FaultReport, LatencyBreakdown, LinkReport, RunReport, TraceReport};
+pub use metrics::{DeviceReport, FaultReport, LinkReport, RunReport, TraceReport};
 pub use platform::Platform;
 pub use workload::{FiberFuture, Workload};
 pub use kus_device::JitterModel;

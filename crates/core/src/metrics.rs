@@ -8,8 +8,7 @@
 
 use kus_mem::Backing;
 use kus_sim::stats::SpanHistogram;
-use kus_sim::trace::Category;
-use kus_sim::{Clock, OccupancyTimeline, Span, Time, TraceEvent};
+use kus_sim::{Clock, Span, TraceEvent};
 
 use crate::mechanism::Mechanism;
 
@@ -89,29 +88,7 @@ pub struct FaultReport {
     pub fiber_crashes: u64,
 }
 
-/// Per-request latency decomposition for the software-queue path, derived
-/// from the trace by matching lifecycle stamps by descriptor tag:
-/// `issue → enqueue → fetch → serve → deliver`. Only requests with all five
-/// stamps contribute (requests still in flight at run end are dropped).
-#[derive(Debug, Clone, Default)]
-pub struct LatencyBreakdown {
-    /// Requests with a complete stamp set.
-    pub requests: u64,
-    /// Host-side submission cost: issue → descriptor visible in the ring.
-    pub host: SpanHistogram,
-    /// Ring residency: enqueue → descriptor fetched by the device.
-    pub queueing: SpanHistogram,
-    /// Device service: fetch → response produced.
-    pub device: SpanHistogram,
-    /// Completion delivery: response → value handed to the fiber.
-    pub wire: SpanHistogram,
-    /// End-to-end: issue → delivery.
-    pub total: SpanHistogram,
-}
-
-/// Derived observability products of a traced run: the raw event stream,
-/// its determinism hash, and metrics timelines computed in a post-pass
-/// (never fed back into the simulation).
+/// A traced run's event stream and its determinism hash.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// The full event stream, in emission order.
@@ -122,85 +99,15 @@ pub struct TraceReport {
     pub hash: u64,
     /// Events emitted.
     pub count: u64,
-    /// Core 0's LFB occupancy over time (from `lfb.alloc`/`lfb.fill`).
-    pub lfb_occupancy: OccupancyTimeline,
-    /// Core 0's SWQ request-ring depth over time (from
-    /// `swq.enqueue`/`swq.fetch`); empty outside software-queue runs.
-    pub ring_occupancy: OccupancyTimeline,
-    /// SWQ per-request latency decomposition; empty outside SWQ runs.
-    pub latency: LatencyBreakdown,
 }
 
 impl TraceReport {
     /// Builds the report from a finished run's event stream, which it
     /// takes by value and keeps, hashing it in one pass.
-    ///
-    /// `end` is the simulation end time, used to close the occupancy
-    /// timelines' final interval.
-    pub fn build(events: Vec<TraceEvent>, end: Time) -> TraceReport {
+    pub fn build(events: Vec<TraceEvent>) -> TraceReport {
         let hash = kus_sim::trace::hash_events(&events);
         let count = events.len() as u64;
-        let lfb_occupancy = OccupancyTimeline::from_samples(
-            events
-                .iter()
-                .filter(|e| {
-                    e.track == 0
-                        && e.cat == Category::Mem
-                        && matches!(e.name, "lfb.alloc" | "lfb.fill")
-                })
-                .map(|e| (e.at, e.a1)),
-            end,
-        );
-        let ring_occupancy = OccupancyTimeline::from_samples(
-            events
-                .iter()
-                .filter(|e| {
-                    e.track == 0
-                        && e.cat == Category::Swq
-                        && matches!(e.name, "swq.enqueue" | "swq.fetch")
-                })
-                .map(|e| (e.at, e.a1)),
-            end,
-        );
-
-        // Latency decomposition: collect the first stamp of each kind per
-        // tag (retries re-stamp a tag; the first attempt wins so retried
-        // requests report their full, painful latency).
-        use std::collections::HashMap;
-        let mut stamps: HashMap<u64, [Option<Time>; 5]> = HashMap::new();
-        for e in &events {
-            let slot = match (e.cat, e.name) {
-                (Category::Swq, "swq.issue") => 0,
-                (Category::Swq, "swq.enqueue") => 1,
-                (Category::Swq, "swq.fetch") => 2,
-                (Category::Swq, "swq.serve") => 3,
-                (Category::Swq, "swq.deliver") => 4,
-                _ => continue,
-            };
-            let s = stamps.entry(e.a0).or_default();
-            if s[slot].is_none() {
-                s[slot] = Some(e.at);
-            }
-        }
-        let mut latency = LatencyBreakdown::default();
-        let mut tags: Vec<_> = stamps.keys().copied().collect();
-        tags.sort_unstable();
-        for tag in tags {
-            let s = &stamps[&tag];
-            let (Some(issue), Some(enq), Some(fetch), Some(serve), Some(deliver)) =
-                (s[0], s[1], s[2], s[3], s[4])
-            else {
-                continue;
-            };
-            latency.requests += 1;
-            latency.host.record(enq.saturating_since(issue));
-            latency.queueing.record(fetch.saturating_since(enq));
-            latency.device.record(serve.saturating_since(fetch));
-            latency.wire.record(deliver.saturating_since(serve));
-            latency.total.record(deliver.saturating_since(issue));
-        }
-
-        TraceReport { events, hash, count, lfb_occupancy, ring_occupancy, latency }
+        TraceReport { events, hash, count }
     }
 }
 
@@ -343,6 +250,8 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kus_sim::trace::{Category, Phase};
+    use kus_sim::Time;
 
     fn report(work: u64, elapsed_ns: u64) -> RunReport {
         RunReport {
@@ -407,54 +316,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_report_latency_decomposition() {
-        use kus_sim::trace::Phase;
-        let t = |ns| Time::ZERO + Span::from_ns(ns);
-        let ev = |name, at, tag, a1| TraceEvent {
-            at,
-            cat: Category::Swq,
-            name,
-            phase: Phase::Instant,
-            track: 0,
-            a0: tag,
-            a1,
-        };
-        // Tag 7 has the full stamp set; tag 8 never completes.
-        let events = vec![
-            ev("swq.issue", t(0), 7, 0),
-            ev("swq.enqueue", t(10), 7, 1),
-            ev("swq.issue", t(15), 8, 0),
-            ev("swq.fetch", t(40), 7, 0),
-            ev("swq.serve", t(1040), 7, 0),
-            ev("swq.deliver", t(1100), 7, 0),
-        ];
-        let r = TraceReport::build(events, t(2000));
-        assert_eq!(r.count, 6);
-        assert_eq!(r.latency.requests, 1);
-        assert_eq!(r.latency.host.mean(), Span::from_ns(10));
-        assert_eq!(r.latency.queueing.mean(), Span::from_ns(30));
-        assert_eq!(r.latency.device.mean(), Span::from_ns(1000));
-        assert_eq!(r.latency.wire.mean(), Span::from_ns(60));
-        assert_eq!(r.latency.total.mean(), Span::from_ns(1100));
-        // Ring depth: 0 until 10ns, 1 until 40ns, 0 until 2000ns.
-        assert_eq!(r.ring_occupancy.max_level, 1);
-        assert_eq!(r.ring_occupancy.time_at_level[1], Span::from_ns(30));
-    }
-
-    #[test]
     fn trace_report_hash_matches_event_hash() {
         let events = vec![TraceEvent {
             at: Time::ZERO,
             cat: Category::Mem,
             name: "lfb.alloc",
-            phase: kus_sim::trace::Phase::Instant,
+            phase: Phase::Instant,
             track: 0,
             a0: 1,
             a1: 1,
         }];
         let h = kus_sim::trace::hash_events(&events);
-        let r = TraceReport::build(events, Time::ZERO + Span::from_ns(1));
-        assert_eq!(r.hash, h);
-        assert_eq!(r.lfb_occupancy.max_level, 1);
+        let r = TraceReport::build(events);
+        assert_eq!((r.hash, r.count), (h, 1));
     }
 }

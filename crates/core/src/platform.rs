@@ -29,7 +29,7 @@ use kus_mem::{Backing, LINE_BYTES};
 use kus_pcie::dma::DmaEngine;
 use kus_pcie::link::{LinkDir, PcieLink};
 use kus_pcie::tlp::Tlp;
-use kus_sim::{FaultInjector, Sim, SimRng, Tracer};
+use kus_sim::{FaultInjector, Sim, SimRng, TraceClass, Tracer};
 use kus_swq::ring::QueuePair;
 
 use crate::config::{ConfigError, PlatformConfig};
@@ -76,9 +76,17 @@ impl Platform {
         w.prepare(self.cfg.cores * self.cfg.smt, self.cfg.fibers_per_core);
         w.build(&mut dataset);
         // Only the measured (final) phase is traced: the record phase of a
-        // two-phase run is methodology scaffolding, not a measurement. The
-        // profiler needs the event stream, so profiling implies tracing.
-        let traced = self.cfg.trace || self.cfg.profile || self.cfg.causal;
+        // two-phase run is methodology scaffolding, not a measurement. Every
+        // optional class extends the base stream, so asking for one traces.
+        let classes: Vec<TraceClass> = [
+            (self.cfg.trace_deep, TraceClass::Deep),
+            (self.cfg.profile, TraceClass::Profile),
+            (self.cfg.causal, TraceClass::Causal),
+        ]
+        .into_iter()
+        .filter_map(|(on, class)| on.then_some(class))
+        .collect();
+        let traced = (self.cfg.trace || !classes.is_empty()).then_some(&classes[..]);
         match self.cfg.backing {
             Backing::Dram => self.run_phase(w, &dataset, Phase::Dram, traced),
             Backing::Device => {
@@ -86,7 +94,7 @@ impl Platform {
                     Rc::new(RefCell::new(AccessTrace::new(self.cfg.cores * self.cfg.smt)));
                 if self.cfg.use_replay_device {
                     let _recording =
-                        self.run_phase(w, &dataset, Phase::DeviceRecord(trace.clone()), false);
+                        self.run_phase(w, &dataset, Phase::DeviceRecord(trace.clone()), None);
                     let traces = trace.borrow().clone().into_cores();
                     self.run_phase(w, &dataset, Phase::DeviceReplay(traces), traced)
                 } else {
@@ -109,7 +117,7 @@ impl Platform {
         w: &mut dyn Workload,
         dataset: &Dataset,
         phase: Phase,
-        traced: bool,
+        traced: Option<&[TraceClass]>,
     ) -> RunReport {
         let cfg = &self.cfg;
         // Pre-size the event slab for the platform's steady state: every
@@ -123,15 +131,7 @@ impl Platform {
         // The tracer observes through a shared clock handle; it never
         // schedules events or draws randomness, so a traced run's report is
         // identical to an untraced one (locked down by tests/properties.rs).
-        let tracer = if traced {
-            let t = Tracer::new(sim.now_handle());
-            t.set_verbose(cfg.trace_deep);
-            t.set_profile(cfg.profile);
-            t.set_causal(cfg.causal);
-            t
-        } else {
-            Tracer::off()
-        };
+        let tracer = traced.map_or_else(Tracer::off, |classes| Tracer::new(sim.now_handle(), classes));
 
         // One injector per phase, derived from the run seed: record and
         // replay phases see the same fault schedule, and an inert plan
@@ -440,12 +440,12 @@ impl Platform {
             fr
         });
 
-        let (trace, profile) = if traced {
+        let (trace, profile) = if tracer.is_on() {
             // Move the buffer into the report: the stream is never copied.
             let events = tracer.take_events();
             // Profiled runs classify the measured window [t0, now] per
             // hardware context (sum-to-wall is asserted inside build).
-            let profile = cfg.profile.then(|| {
+            let profile = tracer.wants(TraceClass::Profile).then(|| {
                 let ctx = kus_profile::ProfileContext {
                     cores: cfg.cores * cfg.smt,
                     fibers_per_core: cfg.fibers_per_core,
@@ -460,7 +460,7 @@ impl Platform {
                 };
                 kus_profile::ProfileReport::build(&events, ctx)
             });
-            (Some(TraceReport::build(events, sim.now())), profile)
+            (Some(TraceReport::build(events)), profile)
         } else {
             (None, None)
         };

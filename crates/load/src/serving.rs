@@ -54,7 +54,7 @@ use kus_core::prelude::{
 use kus_net::{NetConfig, NetTimeline};
 use kus_sim::fault::{FaultInjector, FaultPlan};
 use kus_sim::rng::SimRng;
-use kus_sim::{Span, Time};
+use kus_sim::{Span, Time, TraceClass};
 
 use crate::admission::{AdmissionControl, AdmissionDecision, AdmissionPolicy};
 use crate::arrival::ArrivalProcess;
@@ -598,7 +598,7 @@ impl Workload for ServingWorkload {
                             ctx.trace_instant("load.complete", id, arrival.as_ps());
                             if let Some(tx) = tx_cost {
                                 ctx.trace_instant("net.tx", id, tx.as_ps());
-                                if ctx.is_causal() {
+                                if ctx.wants(TraceClass::Causal) {
                                     // Egress span: the TX path covers
                                     // [completion, completion + tx) — no
                                     // longer a flat, invisible tail.

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use kus_sim::event::EventFn;
 use kus_sim::stats::{Counter, Gauge};
-use kus_sim::trace::Category;
+use kus_sim::trace::{Category, TraceClass};
 use kus_sim::{Sim, Time, Tracer};
 
 use crate::addr::LineAddr;
@@ -213,7 +213,7 @@ impl LfbPool {
     /// in which case the caller simply re-registers.
     pub fn wait_for_slot(&mut self, f: impl FnOnce(&mut Sim) + 'static) {
         self.slot_waiters.push_back(Box::new(f));
-        if self.tracer.is_profile() {
+        if self.tracer.wants(TraceClass::Profile) {
             self.tracer.instant(Category::Mem, "lfb.wait", self.track, 0, self.slot_waiters.len() as u64);
         }
     }

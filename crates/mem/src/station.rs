@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use kus_sim::event::EventFn;
 use kus_sim::stats::{Counter, Gauge, SpanHistogram};
-use kus_sim::trace::Category;
+use kus_sim::trace::{Category, TraceClass};
 use kus_sim::{Sim, Span, Time, Tracer};
 
 /// Configuration for a [`Station`].
@@ -186,7 +186,7 @@ impl Station {
             let now = sim.now();
             let level = s.in_service as u64;
             s.occupancy.set(now, level);
-            if s.tracer.is_profile() {
+            if s.tracer.wants(TraceClass::Profile) {
                 s.tracer.counter(Category::Mem, "station.occ", s.track, level);
             }
             let start_at = now.max(s.busy_until);

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use kus_sim::event::EventFn;
 use kus_sim::stats::{Counter, Gauge};
-use kus_sim::trace::Category;
+use kus_sim::trace::{Category, TraceClass};
 use kus_sim::{Sim, Time, Tracer};
 
 /// A shared occupancy-limited credit pool with FIFO retry notification.
@@ -128,7 +128,7 @@ impl CreditQueue {
         self.in_use += 1;
         self.grants.incr();
         self.occupancy.set(now, self.in_use as u64);
-        if self.tracer.is_profile() {
+        if self.tracer.wants(TraceClass::Profile) {
             self.tracer.counter(Category::Mem, "credit.occ", self.track, self.in_use as u64);
         }
         true

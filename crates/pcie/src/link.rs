@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use kus_sim::event::EventFn;
 use kus_sim::stats::Counter;
-use kus_sim::trace::Category;
+use kus_sim::trace::{Category, TraceClass};
 use kus_sim::{FaultInjector, Sim, Span, Time, Tracer};
 
 use crate::tlp::Tlp;
@@ -168,7 +168,7 @@ impl PcieLink {
             if replays > 0 {
                 self.tracer.instant(Category::Pcie, "tlp.replay", track, tlp.wire_bytes(), replays);
             }
-            if self.tracer.is_profile() {
+            if self.tracer.wants(TraceClass::Profile) {
                 // Time this packet will sit behind earlier traffic on the
                 // same direction before its first wire byte.
                 let queued = self.dir(dir).busy_until;

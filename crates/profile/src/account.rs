@@ -2,7 +2,7 @@
 //! time into one of six classes.
 //!
 //! The raw material is the `Category::Cpu` span events the instrumented
-//! layers emit when profiling is on (`Tracer::set_profile`): `cpu.ctx`
+//! layers emit when profiling is on (`TraceClass::Profile`): `cpu.ctx`
 //! (context-switch overhead), `cpu.poll` (SWQ completion polling),
 //! `cpu.work`/`cpu.soft` (retired compute), `cpu.lfbwait` (a memory op
 //! stalled because all line-fill buffers were in use) and `cpu.park` (the

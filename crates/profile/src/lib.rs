@@ -24,7 +24,7 @@
 //!
 //! The input is the ordinary trace stream plus the `Category::Cpu`
 //! accounting spans the platform layers emit when profiling is enabled
-//! (`PlatformConfig::profiled()` → `Tracer::set_profile`). Profiling is
+//! (`PlatformConfig::profiled()` → `TraceClass::Profile`). Profiling is
 //! observability only: the hooks fire from existing callbacks and never
 //! schedule events or draw randomness, so a profiled run's outcome is
 //! identical to an unprofiled one.

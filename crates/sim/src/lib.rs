@@ -51,4 +51,4 @@ pub use event::{RunOutcome, Sim};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use rng::SimRng;
 pub use time::{Clock, Span, Time};
-pub use trace::{Category, FlowArrow, OccupancyTimeline, Phase, TraceEvent, Tracer};
+pub use trace::{Category, FlowArrow, Phase, TraceClass, TraceEvent, Tracer};

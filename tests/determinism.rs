@@ -248,24 +248,12 @@ fn hash_recomputes_and_log_round_trips() {
 }
 
 /// The deep per-access event class is deterministic as well, and strictly
-/// grows the stream relative to the default class. Only meaningful when the
-/// `trace` cargo feature compiled the class in.
+/// grows the stream relative to the default class.
 #[test]
 fn deep_trace_is_deterministic_and_additive() {
     let shallow = run_trace_scenario_opts("ondemand-baseline", 3, false).expect("known");
     let a = run_trace_scenario_opts("ondemand-baseline", 3, true).expect("known");
     let b = run_trace_scenario_opts("ondemand-baseline", 3, true).expect("known");
     assert_eq!(fingerprint(&a), fingerprint(&b), "deep trace nondeterministic");
-    if cfg!(feature = "trace") {
-        assert!(
-            fingerprint(&a).1 > fingerprint(&shallow).1,
-            "deep class compiled in but added no events"
-        );
-    } else {
-        assert_eq!(
-            fingerprint(&a),
-            fingerprint(&shallow),
-            "deep flag must be inert without the trace feature"
-        );
-    }
+    assert!(fingerprint(&a).1 > fingerprint(&shallow).1, "the deep class added no events");
 }
