@@ -78,6 +78,56 @@ fn platform_matrix_fingerprints_pinned_in_source() {
     assert!(diverged.is_empty(), "fingerprints diverged from source-pinned values:\n{}", diverged.join("\n"));
 }
 
+/// A profiled microbench run for one of the core-model paths the matrix
+/// above does not reach. The profile class carries the `cpu.work`,
+/// `cpu.soft` and `cpu.lfbwait` spans, so their times are pinned too.
+fn run_cpu_path(name: &str) -> RunReport {
+    let base = PlatformConfig::paper_default().without_replay_device().seed(1).profiled();
+    let (cfg, mlp, writes_per_iter) = match name {
+        // SMT siblings: one LFB pool, a partitioned ROB.
+        "smt2-prefetch" => (base.mechanism(Mechanism::Prefetch).smt(2).fibers_per_core(8), 4, 0),
+        "ondemand-stores" => (base.mechanism(Mechanism::OnDemand).fibers_per_core(4), 2, 1),
+        "dram-ondemand" => (base.backing(Backing::Dram).mechanism(Mechanism::OnDemand).fibers_per_core(4), 2, 0),
+        // Enough prefetches to exhaust the 10 LFBs: `wait_for_slot`
+        // retries and dropped prefetches.
+        "prefetch-lfb-pressure" => (base.mechanism(Mechanism::Prefetch).fibers_per_core(16), 4, 0),
+        _ => unreachable!("unknown cpu path {name}"),
+    };
+    let mut w = Microbench::new(MicrobenchConfig { work_count: 100, mlp, iters_per_fiber: 10, writes_per_iter });
+    Platform::try_new(cfg).expect("valid config").run(&mut w)
+}
+
+/// The core model's SMT, posted-store, DRAM and LFB back-pressure paths,
+/// pinned in source like the matrix above: a rewrite of the pipeline's
+/// bookkeeping must leave every one of these streams bit-identical.
+#[test]
+fn cpu_path_fingerprints_pinned_in_source() {
+    const PINNED: &[(&str, u64, u64)] = &[
+        ("smt2-prefetch", 0xea9ecb3839e2766f, 11311),
+        ("ondemand-stores", 0xacce96fe7fc3ef1e, 1168),
+        ("dram-ondemand", 0x3f74b254ff9bf4b8, 550),
+        ("prefetch-lfb-pressure", 0x4bbdb89205318615, 10204),
+    ];
+    let mut diverged = Vec::new();
+    for &(name, hash, count) in PINNED {
+        let r = run_cpu_path(name);
+        let t = r.trace.as_ref().expect("profiled run carries a TraceReport");
+        let has = |event: &str| t.events.iter().any(|e| e.name == event);
+        match name {
+            "ondemand-stores" => assert!(r.writes > 0, "{name}: no posted store ran"),
+            "smt2-prefetch" | "prefetch-lfb-pressure" => {
+                assert!(has("lfb.full"), "{name}: the LFB pool never filled");
+                assert!(has("cpu.lfbwait"), "{name}: no load waited for an LFB");
+            }
+            _ => {}
+        }
+        if fingerprint(&r) != (hash, count) {
+            diverged.push(format!("{name}: {:#x} {}", fingerprint(&r).0, fingerprint(&r).1));
+        }
+    }
+    assert!(diverged.is_empty(), "fingerprints diverged from source-pinned values:\n{}", diverged.join("\n"));
+}
+
 /// Same seed + same configuration ⇒ identical trace hash and event count,
 /// across the full mechanism × workload matrix.
 #[test]
