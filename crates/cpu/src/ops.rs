@@ -77,12 +77,11 @@ impl OpKind {
     }
 }
 
-/// An op plus its dependence edges and completion hook.
+/// An op plus its completion hook. Its dependence edges are passed
+/// alongside it, as a slice, to `Core::emit_after`.
 pub struct Op {
     /// What to execute.
     pub kind: OpKind,
-    /// Ops (by id, earlier in program order) that must complete first.
-    pub deps: Vec<OpId>,
     /// Fired when the op completes (out of order); used to deliver load
     /// values, ring doorbells, and wake fibers.
     pub on_complete: Option<EventFn>,
@@ -96,22 +95,15 @@ impl std::fmt::Debug for Op {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Op")
             .field("kind", &self.kind)
-            .field("deps", &self.deps)
             .field("hooked", &self.on_complete.is_some())
             .finish()
     }
 }
 
 impl Op {
-    /// An op with no dependencies and no hook.
+    /// An op with no hook.
     pub fn new(kind: OpKind) -> Op {
-        Op { kind, deps: Vec::new(), on_complete: None, profile: None }
-    }
-
-    /// Adds dependence edges.
-    pub fn after(mut self, deps: impl IntoIterator<Item = OpId>) -> Op {
-        self.deps.extend(deps);
-        self
+        Op { kind, on_complete: None, profile: None }
     }
 
     /// Attaches a completion hook.
@@ -171,8 +163,7 @@ mod tests {
 
     #[test]
     fn op_builder() {
-        let op = Op::new(OpKind::Work { insts: 1 }).after([1, 2]).on_complete(|_| {});
-        assert_eq!(op.deps, vec![1, 2]);
+        let op = Op::new(OpKind::Work { insts: 1 }).on_complete(|_| {});
         assert!(op.on_complete.is_some());
         assert_eq!(op.profile, None);
         let op = Op::new(OpKind::SoftWork { span: Span::from_ns(10) }).profiled("cpu.poll");
