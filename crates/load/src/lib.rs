@@ -39,6 +39,7 @@
 pub mod admission;
 pub mod arrival;
 pub mod blame;
+mod by_id;
 pub mod keys;
 pub mod net_report;
 pub mod report;

@@ -21,6 +21,8 @@ use kus_core::prelude::RunReport;
 use kus_sim::stats::{rate_per_sec, HdrHistogram};
 use kus_sim::{Category, Span, Time, TraceEvent};
 
+use crate::by_id::{last_per_id, lookup};
+
 /// Buckets in the recovery timeline (the run window divided evenly).
 pub const TIMELINE_BUCKETS: u64 = 32;
 
@@ -215,11 +217,9 @@ impl LoadReport {
     /// Rebuilds the load analytics from a raw event stream (exposed for
     /// tests and external trace processing).
     pub fn from_events(events: &[TraceEvent]) -> Option<LoadReport> {
-        // (arrival, dispatch/completion time) per request id, plus the
-        // emitting track so histograms can be sharded per core and merged
-        // — exercising the mergeability the sweep pool relies on.
-        let mut dispatches: BTreeMap<u64, (Time, Time, u32)> = BTreeMap::new();
-        let mut completions: BTreeMap<u64, (Time, Time, u32)> = BTreeMap::new();
+        // (id, arrival, dispatch/completion time) per event.
+        let mut dispatches: Vec<(u64, (Time, Time))> = Vec::new();
+        let mut completions: Vec<(u64, (Time, Time))> = Vec::new();
         let mut shed_times: Vec<Time> = Vec::new();
         let (mut shed_queue_full, mut shed_deadline, mut shed_admission) = (0u64, 0u64, 0u64);
         let (mut retries, mut client_timeouts, mut hedges) = (0u64, 0u64, 0u64);
@@ -229,12 +229,8 @@ impl LoadReport {
         for ev in events.iter().filter(|e| e.cat == Category::Load) {
             let arrival = Time::from_ps(ev.a1);
             match ev.name {
-                "load.dispatch" => {
-                    dispatches.insert(ev.a0, (arrival, ev.at, ev.track));
-                }
-                "load.complete" => {
-                    completions.insert(ev.a0, (arrival, ev.at, ev.track));
-                }
+                "load.dispatch" => dispatches.push((ev.a0, (arrival, ev.at))),
+                "load.complete" => completions.push((ev.a0, (arrival, ev.at))),
                 "load.shed" => {
                     shed_queue_full += 1;
                     shed_times.push(ev.at);
@@ -257,29 +253,32 @@ impl LoadReport {
                 _ => {}
             }
         }
+        let dispatches = last_per_id(dispatches);
+        let completions = last_per_id(completions);
         let shed = shed_queue_full + shed_deadline + shed_admission;
         if completions.is_empty() && dispatches.is_empty() && shed == 0 {
             return None;
         }
 
-        // Per-track histogram shards, merged in ascending track order.
-        let mut latency: BTreeMap<u32, HdrHistogram> = BTreeMap::new();
-        let mut wait: BTreeMap<u32, HdrHistogram> = BTreeMap::new();
-        let mut service: BTreeMap<u32, HdrHistogram> = BTreeMap::new();
+        // Histograms merge exactly, so one per distribution equals the
+        // per-core shards merged.
+        let mut latency = HdrHistogram::new();
+        let mut wait = HdrHistogram::new();
+        let mut service = HdrHistogram::new();
         let mut first_arrival = Time::MAX;
         let mut last_completion = Time::ZERO;
         // (sojourn, queue wait, service) per completed request, for the
         // argmax blame attribution below.
         let mut splits: Vec<(Span, Span, Span)> = Vec::with_capacity(completions.len());
-        for (req, &(arrival, done, track)) in &completions {
+        for &(req, (arrival, done)) in &completions {
             first_arrival = first_arrival.min(arrival);
             last_completion = last_completion.max(done);
-            latency.entry(track).or_default().record(done.saturating_since(arrival));
-            if let Some(&(_, dispatched, _)) = dispatches.get(req) {
+            latency.record(done.saturating_since(arrival));
+            if let Some(&(_, dispatched)) = lookup(&dispatches, req) {
                 let w = dispatched.saturating_since(arrival);
                 let s = done.saturating_since(dispatched);
-                wait.entry(track).or_default().record(w);
-                service.entry(track).or_default().record(s);
+                wait.record(w);
+                service.record(s);
                 splits.push((done.saturating_since(arrival), w, s));
             }
         }
@@ -314,19 +313,11 @@ impl LoadReport {
                 }
             }
         }
-        let merge = |shards: BTreeMap<u32, HdrHistogram>| {
-            let mut all = HdrHistogram::new();
-            for (_, shard) in shards {
-                all.merge(&shard);
-            }
-            all
-        };
-
         // Queue-depth timeline: +1 when an eventually-dispatched request
         // arrives, −1 when it dispatches. At equal timestamps the push
         // precedes the pop (that is the order the dispatcher runs them).
         let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(dispatches.len() * 2);
-        for &(arrival, dispatched, _) in dispatches.values() {
+        for &(_, (arrival, dispatched)) in &dispatches {
             deltas.push((arrival.as_ps(), 1));
             deltas.push((dispatched.as_ps(), -1));
         }
@@ -364,7 +355,7 @@ impl LoadReport {
             let width = window_ps.div_ceil(TIMELINE_BUCKETS).max(1);
             let idx = |t: Time| ((t.as_ps().saturating_sub(origin) / width).min(TIMELINE_BUCKETS - 1)) as usize;
             let mut lat_buckets: Vec<Vec<Span>> = vec![Vec::new(); TIMELINE_BUCKETS as usize];
-            for &(arrival, done, _) in completions.values() {
+            for &(_, (arrival, done)) in &completions {
                 lat_buckets[idx(done)].push(done.saturating_since(arrival));
             }
             let mut shed_buckets = vec![0u64; TIMELINE_BUCKETS as usize];
@@ -415,9 +406,9 @@ impl LoadReport {
             window,
             offered_rps: rate_per_sec(offered, window),
             goodput_rps: rate_per_sec(completed, window),
-            latency: Percentiles::from_histogram(&merge(latency)),
-            queue_wait: Percentiles::from_histogram(&merge(wait)),
-            service: Percentiles::from_histogram(&merge(service)),
+            latency: Percentiles::from_histogram(&latency),
+            queue_wait: Percentiles::from_histogram(&wait),
+            service: Percentiles::from_histogram(&service),
             queue_depth_max: depth_max as u64,
             queue_depth_avg,
             blamed_queue,
