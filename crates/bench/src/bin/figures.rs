@@ -6,7 +6,8 @@
 //! N), `--seed S`, `--json PATH`, and `--csv PATH` are parsed in one
 //! place and accepted by every mode that runs cells. The pre-subcommand
 //! flag spellings (`--sweep`, `--load`, `--trace PATH`, ...) are gone —
-//! invoke the subcommand by name.
+//! invoke the subcommand by name. Every mode rejects a flag it does not
+//! read (exit 2); `--help` or `-h` prints this text and runs nothing.
 //!
 //! Figure mode (the default, or explicitly `figures figures`):
 //!   figures                 # all figures, fast quality (idealized device)
@@ -154,6 +155,57 @@ fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 fn fail(msg: String) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+/// The flags `mode` reads; `None` for an unknown mode. The serving
+/// presets share one list: a base flag that a preset has no use for is
+/// tolerated (see the module docs).
+fn mode_flags(mode: &str) -> Option<&'static [&'static str]> {
+    Some(match mode {
+        "sweep" => &[
+            "--jobs", "--seed", "--json", "--csv", "--full", "--faults", "--work", "--mech",
+            "--lat", "--cores", "--fibers", "--smt", "--lfbs", "--credits", "--ring", "--burst",
+            "--ctx", "--seeds",
+        ],
+        "load" | "net" | "blame" | "overload" => &[
+            "--jobs", "--seed", "--json", "--csv", "--full", "--faults", "--service",
+            "--requests", "--queue-cap", "--cores", "--fibers", "--slo-p99", "--slo-p999",
+            "--rx-queues", "--flows", "--link-gbps", "--net-jitter", "--mech", "--rates",
+            "--nics", "--topos", "--policies", "--bench", "--trace",
+        ],
+        "trace" => &["--out", "--hash", "--canonical", "--seed"],
+        "profile" => &["--out", "--speedscope", "--seed", "--jobs"],
+        "simbench" => &["--samples", "--label", "--bench", "--check"],
+        "scenario" => &["--file", "--jobs", "--seed", "--json", "--csv", "--bench"],
+        "scenario-matrix" => &["--dir", "--mech", "--jobs", "--json", "--csv"],
+        "figures" => {
+            &["--jobs", "--seed", "--json", "--csv", "--full", "--faults", "--fig", "--ablations"]
+        }
+        _ => return None,
+    })
+}
+
+/// Exits 2 on an unknown mode or on the first flag that `mode` does not
+/// read, so a typo never runs the defaults.
+fn reject_unknown_flags(mode: &str, args: &[String]) {
+    let Some(known) = mode_flags(mode) else {
+        fail(format!(
+            "unknown subcommand `{mode}` (sweep | load | net | blame | overload | \
+             trace | profile | simbench | scenario | scenario-matrix | figures)"
+        ))
+    };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+        fail(format!("{flag}: unknown flag for `figures {mode}` (it reads {})", known.join(" ")));
+    }
+}
+
+/// The module documentation above: what `--help` prints.
+fn usage() -> String {
+    include_str!("figures.rs")
+        .lines()
+        .map_while(|l| l.strip_prefix("//!"))
+        .map(|l| l.strip_prefix(' ').unwrap_or(l))
+        .fold(String::new(), |text, l| text + l + "\n")
 }
 
 /// The flags shared by every mode, parsed in exactly one place: `--jobs`
@@ -696,31 +748,30 @@ fn figures_mode(args: &[String]) -> i32 {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage());
+        std::process::exit(0);
+    }
     // Subcommand-first dispatch: the first non-flag argument names the
     // mode; a bare flag list runs figure mode.
     let sub = args
         .first()
         .filter(|a| !a.starts_with('-'))
         .cloned();
-    let code = match sub.as_deref() {
-        Some(name) => {
-            args.remove(0);
-            match name {
-                "sweep" => sweep_mode(&args),
-                "load" | "net" | "blame" | "overload" => serving_mode(name, &args),
-                "trace" => trace_sub(&args),
-                "profile" => profile_mode(&args),
-                "simbench" => simbench_mode(&args),
-                "scenario" => scenario_mode(&args),
-                "scenario-matrix" => scenario_matrix_mode(&args),
-                "figures" => figures_mode(&args),
-                other => fail(format!(
-                    "unknown subcommand `{other}` (sweep | load | net | blame | overload | \
-                     trace | profile | simbench | scenario | scenario-matrix | figures)"
-                )),
-            }
-        }
-        None => figures_mode(&args),
+    if sub.is_some() {
+        args.remove(0);
+    }
+    let mode = sub.as_deref().unwrap_or("figures");
+    reject_unknown_flags(mode, &args);
+    let code = match mode {
+        "sweep" => sweep_mode(&args),
+        "load" | "net" | "blame" | "overload" => serving_mode(mode, &args),
+        "trace" => trace_sub(&args),
+        "profile" => profile_mode(&args),
+        "simbench" => simbench_mode(&args),
+        "scenario" => scenario_mode(&args),
+        "scenario-matrix" => scenario_matrix_mode(&args),
+        _ => figures_mode(&args),
     };
     std::process::exit(code);
 }

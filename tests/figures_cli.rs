@@ -1,7 +1,8 @@
 //! The `figures` binary's input handling, end to end:
 //!
-//! 1. **No silent defaults** — a flag with no value exits 2 with a
-//!    diagnostic instead of running the defaults.
+//! 1. **No silent defaults** — a flag with no value, or a flag the mode
+//!    does not read, exits 2 with a diagnostic instead of running the
+//!    defaults; `--help` prints the usage and runs nothing.
 //! 2. **Accurate diagnostics** — an invalid serving spec (a zero-width
 //!    fan-out, a zero-capacity queue) is reported as a serving-spec error
 //!    in the cell's error row, not as a fault-plan error.
@@ -32,6 +33,33 @@ fn a_flag_without_a_value_exits_2() {
             format!("{flag}: expected a value")
         );
         assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+    }
+}
+
+#[test]
+fn an_unknown_flag_exits_2() {
+    let cases = [(&["trace", "--hash", "--bogus"][..], "--bogus"), (&["sweep", "--job", "4"], "--job")];
+    for (args, flag) in cases {
+        let out = figures(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        let diagnostic = format!("{flag}: unknown flag for `figures {}`", args[0]);
+        assert!(err.starts_with(&diagnostic), "{err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+    }
+}
+
+#[test]
+fn help_prints_the_usage_and_runs_nothing() {
+    for flag in ["--help", "-h"] {
+        let out = figures(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.starts_with("Regenerates the figures of the paper's evaluation"), "{text}");
+        assert!(text.contains("`figures sweep`"), "{text}");
+        assert!(!text.contains("fig2 — "), "{flag} printed a figure table");
+        assert!(out.stderr.is_empty(), "{flag} ran the figure suite");
     }
 }
 
