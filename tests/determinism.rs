@@ -8,12 +8,13 @@
 //! invocations, and the foundation the golden-trace suite builds on.
 
 use kus_core::prelude::*;
-use kus_load::{ArrivalProcess, LoadReport, LoadSpec, ServingWorkload};
+use kus_load::{load_experiment, ArrivalProcess, LoadReport, LoadSpec, ServingWorkload};
+use kus_scenario::Scenario;
 use kus_sim::trace::hash_events;
 use kus_workloads::bloom::{BloomConfig, BloomWorkload};
 use kus_workloads::microbench::{Microbench, MicrobenchConfig};
 use kus_workloads::trace_scenarios::{run_trace_scenario, run_trace_scenario_opts, trace_scenarios};
-use kus_workloads::MemcachedService;
+use kus_workloads::{MemcachedConfig, MemcachedService, MemcachedWorkload};
 
 /// A small traced run of `mechanism` driving `workload`, single-phase.
 fn run_traced(mechanism: Mechanism, workload: &str, seed: u64) -> RunReport {
@@ -126,6 +127,84 @@ fn cpu_path_fingerprints_pinned_in_source() {
         }
     }
     assert!(diverged.is_empty(), "fingerprints diverged from source-pinned values:\n{}", diverged.join("\n"));
+}
+
+const MECHANISMS: [Mechanism; 3] =
+    [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
+
+/// A small Memcached batch run through the two-phase record/replay
+/// device, whose replay serves every bucket and value line from the
+/// dataset contents by whole-line reads.
+fn run_memcached(mechanism: Mechanism, value_lines: u64) -> RunReport {
+    let cfg = PlatformConfig::paper_default()
+        .mechanism(mechanism)
+        .fibers_per_core(4)
+        .seed(1)
+        .traced();
+    let mut w = MemcachedWorkload::new(MemcachedConfig {
+        n_items: 301,
+        value_lines,
+        lookups_per_fiber: 12,
+        work_count: 100,
+        ..MemcachedConfig::default()
+    });
+    Platform::try_new(cfg).expect("valid config").run(&mut w)
+}
+
+/// Memcached batch runs, pinned in source under every mechanism at one
+/// and four value lines: the lookups verify each value word and follow
+/// the bucket table's value addresses, so a change to how the dataset
+/// contents are laid out or served moves a pin or fails a run.
+#[test]
+fn memcached_replay_fingerprints_pinned_in_source() {
+    const PINNED: &[(Mechanism, u64, u64, u64)] = &[
+        (Mechanism::OnDemand, 4, 0xe53e8f04db38e672, 1817),
+        (Mechanism::OnDemand, 1, 0x0336d0b887dee5db, 629),
+        (Mechanism::Prefetch, 4, 0x51bf7eabe468b498, 1788),
+        (Mechanism::Prefetch, 1, 0x5367ecc661fda8ae, 804),
+        (Mechanism::SoftwareQueue, 4, 0x42653a90dc397565, 3356),
+        (Mechanism::SoftwareQueue, 1, 0xd93e7b5a26c04945, 1724),
+    ];
+    let mut got = Vec::new();
+    for mechanism in MECHANISMS {
+        for value_lines in [4, 1] {
+            let r = run_memcached(mechanism, value_lines);
+            let device = r.device.as_ref().expect("device-backed run");
+            assert!(device.replayed > 0, "{mechanism:?}: the replay device served nothing");
+            let (hash, count) = fingerprint(&r);
+            got.push((mechanism, value_lines, hash, count));
+        }
+    }
+    assert_eq!(got, PINNED, "fingerprints diverged from source-pinned values");
+}
+
+/// The `skewed-zipfian` world (Zipfian keys over the Memcached service)
+/// at seed 1 under every mechanism, pinned in source like the batch runs
+/// above.
+#[test]
+fn skewed_zipfian_fingerprints_pinned_in_source() {
+    const PINNED: &[(Mechanism, u64, u64)] = &[
+        (Mechanism::OnDemand, 0x42d170126c0a48c3, 1441),
+        (Mechanism::Prefetch, 0x714c8c163ee5d390, 1591),
+        (Mechanism::SoftwareQueue, 0x9bb2ffc7bdea4da6, 9776),
+    ];
+    let spec = Scenario::from_toml(include_str!("../scenarios/skewed-zipfian.toml"))
+        .expect("shipped world parses")
+        .spec()
+        .clone();
+    let sc = spec.seed(1).compile().expect("shipped world compiles");
+    let got: Vec<_> = MECHANISMS
+        .into_iter()
+        .map(|mechanism| {
+            let cfg = sc.cfg().clone().mechanism(mechanism);
+            let r = load_experiment(sc.name(), sc.load(), cfg, sc.service())
+                .expect("valid experiment")
+                .run();
+            let (hash, count) = fingerprint(&r);
+            (mechanism, hash, count)
+        })
+        .collect();
+    assert_eq!(got, PINNED, "fingerprints diverged from source-pinned values");
 }
 
 /// Same seed + same configuration ⇒ identical trace hash and event count,
