@@ -4,6 +4,12 @@
 //! address space, and a seeded RNG. Workloads build their structures here
 //! once; the platform then serves the same bytes from either the device or
 //! DRAM depending on the run's backing.
+//!
+//! A structure whose contents are a pure function of the word index is
+//! registered with [`Dataset::generate`] instead of being written: its
+//! words are computed when read, so a run pays nothing for the lines it
+//! never touches. Structures that aggregate every key (a Bloom filter's
+//! bit array, a hash table's buckets) are written as before.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -60,6 +66,20 @@ impl Dataset {
         self.store.borrow_mut().write_u64(addr, v);
     }
 
+    /// Makes the allocated range `[addr, addr + bytes)` read-only
+    /// contents whose word `i`, at `addr + 8 * i`, is `word(i)`
+    /// ([`ByteStore::generate`]). Nothing is written: every read computes
+    /// the words it covers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not word-aligned, lies outside the dataset,
+    /// or overlaps another generated range.
+    #[track_caller]
+    pub fn generate(&self, addr: Addr, bytes: u64, word: impl Fn(u64) -> u64 + 'static) {
+        self.store.borrow_mut().generate(addr, bytes, word);
+    }
+
     /// Reads a `u64` during construction or verification (zero simulated
     /// cost).
     pub fn read_u64(&self, addr: Addr) -> u64 {
@@ -77,6 +97,14 @@ mod tests {
         let a = d.alloc_lines(2).unwrap();
         d.write_u64(a, 99);
         assert_eq!(d.read_u64(a), 99);
+    }
+
+    #[test]
+    fn generated_words_read_back() {
+        let mut d = Dataset::new(4096, 1);
+        let a = d.alloc_lines(2).unwrap();
+        d.generate(a, 128, |i| i ^ 0x55);
+        assert_eq!(d.read_u64(a + 8 * 15), 15 ^ 0x55);
     }
 
     #[test]

@@ -75,9 +75,7 @@ impl Service for EchoService {
 
     fn build(&mut self, data: &mut Dataset) {
         let base = data.alloc_lines(self.lines).expect("echo dataset fits");
-        for i in 0..self.lines {
-            data.write_u64(Addr::new(base.raw() + i * 64), i ^ 0x5ca1ab1e);
-        }
+        generate_tagged_lines(data, base, self.lines, 0x5ca1ab1e);
         self.base = Some(base);
     }
 
@@ -94,6 +92,12 @@ impl Service for EchoService {
     }
 }
 
+/// Makes the `lines` lines at `base` a generated ring: word 0 of line `i`
+/// reads as `i ^ tag`, every other word as zero. Nothing is written.
+pub(crate) fn generate_tagged_lines(data: &Dataset, base: Addr, lines: u64, tag: u64) {
+    data.generate(base, lines * 64, move |w| if w.is_multiple_of(8) { (w / 8) ^ tag } else { 0 });
+}
+
 /// Convenience: wraps a `Send + Sync` closure as a [`ServiceFactory`].
 pub fn service_factory<S, F>(f: F) -> ServiceFactory
 where
@@ -106,3 +110,33 @@ where
 /// Shares one built service between fiber bodies (single-threaded inside a
 /// run, so an `Rc` suffices).
 pub(crate) type SharedService = Rc<dyn Service>;
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Every byte up to the allocation cursor.
+    pub(crate) fn allocated_bytes(data: &mut Dataset) -> Vec<u8> {
+        let mut out = vec![0; data.alloc().cursor().raw() as usize];
+        data.store().borrow().read_bytes(Addr::ZERO, &mut out);
+        out
+    }
+
+    /// A tagged ring as builds wrote it before it was generated: the
+    /// reference [`generate_tagged_lines`] must match.
+    pub(crate) fn write_tagged_lines(data: &mut Dataset, lines: u64, tag: u64) {
+        let base = data.alloc_lines(lines).expect("reference fits");
+        for i in 0..lines {
+            data.write_u64(Addr::new(base.raw() + i * 64), i ^ tag);
+        }
+    }
+
+    #[test]
+    fn the_generated_echo_ring_matches_the_written_one() {
+        let mut generated = Dataset::new(1 << 16, 1);
+        EchoService::new(37).build(&mut generated);
+        let mut reference = Dataset::new(1 << 16, 1);
+        write_tagged_lines(&mut reference, 37, 0x5ca1ab1e);
+        assert!(allocated_bytes(&mut generated) == allocated_bytes(&mut reference));
+    }
+}

@@ -18,7 +18,7 @@
 use kus_core::prelude::{Addr, Dataset, MemCtx};
 use kus_sim::Span;
 
-use crate::service::{ServeFuture, Service};
+use crate::service::{generate_tagged_lines, ServeFuture, Service};
 
 /// Upper bound on fan-out width (keeps a single request's batch bounded).
 pub const MAX_FANOUT: u32 = 64;
@@ -162,9 +162,7 @@ impl Service for TieredService {
         if width > 0 {
             let base =
                 data.alloc_lines(width * SHARD_LINES).expect("fan-out shard lines fit");
-            for i in 0..width * SHARD_LINES {
-                data.write_u64(Addr::new(base.raw() + i * 64), i ^ 0xfa0f_a0fa);
-            }
+            generate_tagged_lines(data, base, width * SHARD_LINES, 0xfa0f_a0fa);
             self.hops = Some(base);
         }
     }
@@ -221,6 +219,19 @@ mod tests {
         assert!(TierSpec::fanout(MAX_FANOUT + 1).validate().is_err());
         assert!(TierSpec::fanout(4).validate().is_ok());
         assert_eq!(TierSpec::fanout(4).fanout_width(), 4);
+    }
+
+    #[test]
+    fn generated_shard_lines_match_the_written_ones() {
+        use crate::service::tests::{allocated_bytes, write_tagged_lines};
+        use crate::EchoService;
+        let mut generated = Dataset::new(1 << 16, 1);
+        TieredService::new(Box::new(EchoService::new(37)), TierSpec::fanout(3))
+            .build(&mut generated);
+        let mut reference = Dataset::new(1 << 16, 1);
+        write_tagged_lines(&mut reference, 37, 0x5ca1ab1e);
+        write_tagged_lines(&mut reference, 3 * SHARD_LINES, 0xfa0f_a0fa);
+        assert!(allocated_bytes(&mut generated) == allocated_bytes(&mut reference));
     }
 
     #[test]

@@ -66,15 +66,16 @@ impl BumpAllocator {
     /// Panics if `align` is not a power of two.
     pub fn alloc(&mut self, size: u64, align: u64) -> Result<Addr, OutOfMemory> {
         let base = self.next.align_up(align);
-        let end = base + size;
-        if end > self.end {
-            return Err(OutOfMemory {
+        match base.raw().checked_add(size) {
+            Some(end) if end <= self.end.raw() => {
+                self.next = Addr::new(end);
+                Ok(base)
+            }
+            _ => Err(OutOfMemory {
                 requested: size,
                 available: self.end.raw().saturating_sub(base.raw()),
-            });
+            }),
         }
-        self.next = end;
-        Ok(base)
     }
 
     /// Allocates a whole number of cache lines (64-byte aligned).
@@ -109,6 +110,13 @@ mod tests {
         assert_eq!(x.raw(), 0);
         assert_eq!(y.raw(), 10);
         assert_eq!(a.remaining(), 980);
+    }
+
+    #[test]
+    fn a_size_past_the_address_space_does_not_fit() {
+        let mut a = BumpAllocator::new(Addr::new(64), 1000);
+        assert!(a.alloc(u64::MAX - 8, 1).is_err());
+        assert_eq!(a.remaining(), 1000);
     }
 
     #[test]

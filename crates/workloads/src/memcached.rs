@@ -10,7 +10,8 @@
 //! the benign work loop.
 //!
 //! Every value's contents are a pure function of its key, so each retrieval
-//! is verified word-by-word against recomputation.
+//! is verified word-by-word against recomputation, and the build registers
+//! the value bodies as one generated dataset range instead of writing them.
 
 use kus_core::prelude::*;
 use kus_load::KeyPopularity;
@@ -156,27 +157,31 @@ impl Workload for MemcachedWorkload {
         // probing over buckets handles collisions.
         let bucket_count =
             (cfg.n_items * 2 / SLOTS_PER_BUCKET).next_power_of_two();
-        self.seed_hint = data.rng("memcached-keys").next_u64();
+        let seed_hint = data.rng("memcached-keys").next_u64();
+        self.seed_hint = seed_hint;
         let buckets_addr = data
             .alloc_lines(bucket_count)
             .expect("dataset too small for the hash table");
         let buckets = ArrayLayout::new(buckets_addr, LINE_BYTES, bucket_count);
+        // Value bodies: item `j` owns the `value_lines` lines after item
+        // `j - 1`'s, and every word is a pure function of its key, so the
+        // values are one generated range that no build writes.
+        let value_lines = cfg
+            .n_items
+            .checked_mul(cfg.value_lines)
+            .filter(|lines| lines.checked_mul(LINE_BYTES).is_some())
+            .expect("dataset too small for values");
+        let values = data.alloc_lines(value_lines).expect("dataset too small for values");
+        let item_words = cfg.value_lines * (LINE_BYTES / 8);
+        data.generate(values, value_lines * LINE_BYTES, move |i| {
+            Self::value_word(Self::item_key(seed_hint, i / item_words), i % item_words)
+        });
         let store = data.store();
+        let mut s = store.borrow_mut();
         for j in 0..cfg.n_items {
-            let key = Self::item_key(self.seed_hint, j);
-            // Value body.
-            let value_addr = {
-                let a = data
-                    .alloc_lines(cfg.value_lines)
-                    .expect("dataset too small for values");
-                let mut s = store.borrow_mut();
-                for w in 0..cfg.value_lines * (LINE_BYTES / 8) {
-                    s.write_u64(a + w * 8, Self::value_word(key, w));
-                }
-                a
-            };
+            let key = Self::item_key(seed_hint, j);
+            let value_addr = values + j * cfg.value_lines * LINE_BYTES;
             // Insert: linear probing over bucket lines.
-            let mut s = store.borrow_mut();
             let mut b = key % bucket_count;
             'insert: for _probe in 0..bucket_count {
                 let line = buckets.addr_of(b);
@@ -247,5 +252,79 @@ mod tests {
         let mut w = small();
         let r = p.run_baseline(&mut w);
         assert!(r.accesses >= 500);
+    }
+
+    /// The build as it was before the value bodies were generated: each
+    /// item allocates and writes its own value lines, then inserts itself.
+    /// The reference the generated build must match byte for byte.
+    fn materialized_build(cfg: MemcachedConfig, seed: u64) -> Dataset {
+        let mut data = Dataset::new(1 << 20, seed);
+        let bucket_count = (cfg.n_items * 2 / SLOTS_PER_BUCKET).next_power_of_two();
+        let seed_hint = data.rng("memcached-keys").next_u64();
+        let buckets_addr = data.alloc_lines(bucket_count).unwrap();
+        let buckets = ArrayLayout::new(buckets_addr, LINE_BYTES, bucket_count);
+        let store = data.store();
+        for j in 0..cfg.n_items {
+            let key = MemcachedWorkload::item_key(seed_hint, j);
+            let value_addr = data.alloc_lines(cfg.value_lines).unwrap();
+            let mut s = store.borrow_mut();
+            for w in 0..cfg.value_lines * (LINE_BYTES / 8) {
+                s.write_u64(value_addr + w * 8, MemcachedWorkload::value_word(key, w));
+            }
+            let mut b = key % bucket_count;
+            'insert: for _probe in 0..bucket_count {
+                let line = buckets.addr_of(b);
+                for slot in 0..SLOTS_PER_BUCKET {
+                    let tag_addr = line + slot * 16;
+                    if s.read_u64(tag_addr) == 0 {
+                        s.write_u64(tag_addr, key);
+                        s.write_u64(tag_addr + 8, value_addr.raw());
+                        break 'insert;
+                    }
+                }
+                b = (b + 1) % bucket_count;
+            }
+        }
+        data
+    }
+
+    /// Every byte up to the allocation cursor.
+    fn allocated_bytes(data: &mut Dataset) -> Vec<u8> {
+        let mut out = vec![0; data.alloc().cursor().raw() as usize];
+        data.store().borrow().read_bytes(Addr::ZERO, &mut out);
+        out
+    }
+
+    #[test]
+    fn generated_values_match_the_materialized_build() {
+        for seed in [1, 2] {
+            for value_lines in [1, 4] {
+                let cfg = MemcachedConfig { n_items: 301, value_lines, ..MemcachedConfig::default() };
+                let mut generated = Dataset::new(1 << 20, seed);
+                MemcachedWorkload::new(cfg).build(&mut generated);
+                let mut reference = materialized_build(cfg, seed);
+                let (got, want) = (allocated_bytes(&mut generated), allocated_bytes(&mut reference));
+                assert_eq!(got.len(), want.len(), "seed {seed}, {value_lines} value lines");
+                assert!(got == want, "seed {seed}, {value_lines} value lines: contents differ");
+            }
+        }
+    }
+
+    #[test]
+    fn an_overflowing_value_extent_is_too_small_a_dataset() {
+        // The line count, its bytes, and the allocation's end address each
+        // overflow a u64 in turn.
+        for (n_items, value_lines) in [(2, 1 << 63), (4, 1 << 58), (1, u64::MAX / LINE_BYTES)] {
+            let cfg = MemcachedConfig { n_items, value_lines, ..MemcachedConfig::default() };
+            let panic = std::panic::catch_unwind(|| {
+                MemcachedWorkload::new(cfg).build(&mut Dataset::new(1 << 20, 1))
+            })
+            .expect_err("an overflowing build must fail");
+            let msg = panic.downcast_ref::<String>().map(String::as_str);
+            assert!(
+                msg.is_some_and(|m| m.starts_with("dataset too small for values")),
+                "{n_items} x {value_lines}: {msg:?}"
+            );
+        }
     }
 }
