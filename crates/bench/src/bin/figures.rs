@@ -7,7 +7,8 @@
 //! place and accepted by every mode that runs cells. The pre-subcommand
 //! flag spellings (`--sweep`, `--load`, `--trace PATH`, ...) are gone —
 //! invoke the subcommand by name. Every mode rejects a flag it does not
-//! read (exit 2); `--help` or `-h` prints this text and runs nothing.
+//! read, and a word that is no flag's value (exit 2); `--help` or `-h`
+//! prints this text and runs nothing.
 //!
 //! Figure mode (the default, or explicitly `figures figures`):
 //!   figures                 # all figures, fast quality (idealized device)
@@ -185,17 +186,35 @@ fn mode_flags(mode: &str) -> Option<&'static [&'static str]> {
     })
 }
 
-/// Exits 2 on an unknown mode or on the first flag that `mode` does not
-/// read, so a typo never runs the defaults.
-fn reject_unknown_flags(mode: &str, args: &[String]) {
+/// The flags that take no value; every other flag a mode reads takes one.
+const SWITCHES: [&str; 3] = ["--hash", "--full", "--ablations"];
+
+/// Exits 2 on an unknown mode, or on the first argument that `mode` does
+/// not read: a flag it does not know, or a positional argument that is
+/// neither the value of the flag before it nor `figures scenario`'s FILE
+/// in first place. So a typo or a stray word never runs the defaults.
+fn reject_unread_args(mode: &str, args: &[String]) {
     let Some(known) = mode_flags(mode) else {
         fail(format!(
             "unknown subcommand `{mode}` (sweep | load | net | blame | overload | \
              trace | profile | simbench | scenario | scenario-matrix | figures)"
         ))
     };
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
-        fail(format!("{flag}: unknown flag for `figures {mode}` (it reads {})", known.join(" ")));
+    for (i, arg) in args.iter().enumerate() {
+        if arg.starts_with("--") {
+            if !known.contains(&arg.as_str()) {
+                fail(format!(
+                    "{arg}: unknown flag for `figures {mode}` (it reads {})",
+                    known.join(" ")
+                ));
+            }
+            continue;
+        }
+        let value = i > 0 && args[i - 1].starts_with("--") && !SWITCHES.contains(&args[i - 1].as_str());
+        let scenario_file = mode == "scenario" && i == 0;
+        if !(value || scenario_file) {
+            fail(format!("`{arg}`: unexpected argument for `figures {mode}` (no flag before it takes a value)"));
+        }
     }
 }
 
@@ -762,7 +781,7 @@ fn main() {
         args.remove(0);
     }
     let mode = sub.as_deref().unwrap_or("figures");
-    reject_unknown_flags(mode, &args);
+    reject_unread_args(mode, &args);
     let code = match mode {
         "sweep" => sweep_mode(&args),
         "load" | "net" | "blame" | "overload" => serving_mode(mode, &args),

@@ -21,9 +21,10 @@ use crate::mechanism::Mechanism;
 pub enum ConfigError {
     /// A count field that must be non-zero was zero (the field is named).
     Zero(&'static str),
-    /// A core field is outside what the core model takes: a ROB above
-    /// [`CoreConfig::MAX_ROB_SLOTS`], or a work IPC that is not positive
-    /// and finite (the field is named).
+    /// A field is outside what the models take: a ROB above
+    /// [`CoreConfig::MAX_ROB_SLOTS`], a work IPC that is not positive and
+    /// finite, or a dataset above [`PlatformConfig::MAX_DATASET_BYTES`]
+    /// (the field is named).
     OutOfRange(&'static str),
     /// A software-queue run with a DRAM-backed dataset: software-managed
     /// queues address the device, not DRAM.
@@ -138,7 +139,8 @@ pub struct PlatformConfig {
     /// methodology) or a single phase against an idealized device (false;
     /// faster, for smoke tests).
     pub use_replay_device: bool,
-    /// Dataset address-space capacity in bytes.
+    /// Dataset address-space capacity in bytes: at least 1 and at most
+    /// [`PlatformConfig::MAX_DATASET_BYTES`] (4 GiB). The default is 256 MiB.
     pub dataset_bytes: u64,
     /// Workload RNG seed.
     pub seed: u64,
@@ -227,6 +229,12 @@ impl Default for SwqRecovery {
 }
 
 impl PlatformConfig {
+    /// The largest dataset a run may reserve, 4 GiB. A run allocates its
+    /// whole dataset up front and the host commits only the pages it
+    /// touches, but a request the allocator cannot reserve aborts the
+    /// process, which no sweep can turn into an error row.
+    pub const MAX_DATASET_BYTES: u64 = 4 << 30;
+
     /// The paper's testbed defaults (1 µs device, prefetch mechanism,
     /// single core, one fiber).
     pub fn paper_default() -> PlatformConfig {
@@ -305,6 +313,9 @@ impl PlatformConfig {
         }
         if self.dataset_bytes == 0 {
             return Err(ConfigError::Zero("dataset_bytes"));
+        }
+        if self.dataset_bytes > PlatformConfig::MAX_DATASET_BYTES {
+            return Err(ConfigError::OutOfRange("dataset_bytes"));
         }
         if self.mechanism == Mechanism::SoftwareQueue {
             if self.backing == Backing::Dram {
@@ -623,7 +634,7 @@ mod tests {
         // The builder records whatever it is given; the error surfaces at
         // validate time, named after the offending field.
         let core = CoreConfig::xeon_e5_2670v3();
-        let cases: [(PlatformConfig, ConfigError); 11] = [
+        let cases: [(PlatformConfig, ConfigError); 12] = [
             (PlatformConfig::paper_default().cores(0), ConfigError::Zero("cores")),
             (
                 PlatformConfig::paper_default().fibers_per_core(0),
@@ -631,6 +642,11 @@ mod tests {
             ),
             (PlatformConfig::paper_default().smt(0), ConfigError::Zero("smt")),
             (PlatformConfig::paper_default().dataset_bytes(0), ConfigError::Zero("dataset_bytes")),
+            (
+                PlatformConfig::paper_default()
+                    .dataset_bytes(PlatformConfig::MAX_DATASET_BYTES + 1),
+                ConfigError::OutOfRange("dataset_bytes"),
+            ),
             (
                 PlatformConfig::paper_default()
                     .mechanism(Mechanism::SoftwareQueue)
@@ -670,6 +686,9 @@ mod tests {
         }
         let largest_rob = CoreConfig { rob_slots: CoreConfig::MAX_ROB_SLOTS, ..core };
         assert_eq!(PlatformConfig::paper_default().core(largest_rob).validate(), Ok(()));
+        let largest_dataset =
+            PlatformConfig::paper_default().dataset_bytes(PlatformConfig::MAX_DATASET_BYTES);
+        assert_eq!(largest_dataset.validate(), Ok(()));
     }
 
     #[test]

@@ -90,7 +90,8 @@ pub struct PlatformSpec {
     pub ctx_switch: Option<Span>,
     /// Whether the record/replay device is used (false = single-phase).
     pub use_replay_device: Option<bool>,
-    /// Dataset size in bytes.
+    /// Dataset size in bytes (at most `PlatformConfig::MAX_DATASET_BYTES`,
+    /// 4 GiB; `None` = the 256 MiB default).
     pub dataset_bytes: Option<u64>,
     /// SWQ ring capacity.
     pub swq_ring_capacity: Option<usize>,

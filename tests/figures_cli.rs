@@ -1,8 +1,10 @@
 //! The `figures` binary's input handling, end to end:
 //!
-//! 1. **No silent defaults** — a flag with no value, or a flag the mode
-//!    does not read, exits 2 with a diagnostic instead of running the
-//!    defaults; `--help` prints the usage and runs nothing.
+//! 1. **No silent defaults** — a flag with no value, a flag the mode does
+//!    not read, a stray positional argument or a dataset the host cannot
+//!    reserve exits 2 with a diagnostic instead of running the defaults;
+//!    `--help` prints the usage and runs nothing; every `figures` command
+//!    in the docs parses against the real CLI.
 //! 2. **Accurate diagnostics** — an invalid serving spec (a zero-width
 //!    fan-out, a zero-capacity queue) is reported as a serving-spec error
 //!    in the cell's error row, not as a fault-plan error.
@@ -48,6 +50,102 @@ fn an_unknown_flag_exits_2() {
         assert!(err.starts_with(&diagnostic), "{err}");
         assert!(out.stdout.is_empty(), "{args:?} must not run anything");
     }
+}
+
+#[test]
+fn a_stray_positional_argument_exits_2() {
+    let cases = [
+        (&["trace", "--hash", "extra"][..], "extra", "trace"),
+        (&["--full", "fig3"], "fig3", "figures"),
+        (&["sweep", "--jobs", "4", "5"], "5", "sweep"),
+        (&["scenario", "a.toml", "b.toml"], "b.toml", "scenario"),
+    ];
+    for (args, arg, mode) in cases {
+        let out = figures(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        let diagnostic = format!("`{arg}`: unexpected argument for `figures {mode}`");
+        assert!(err.starts_with(&diagnostic), "{err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+    }
+}
+
+#[test]
+fn a_dataset_the_host_cannot_reserve_exits_2() {
+    let toml = scratch("huge-dataset.toml");
+    std::fs::write(
+        &toml,
+        "name = \"huge\"\n[traffic]\narrival = \"poisson\"\nrate_rps = 2.0e5\nrequests = 20\n\
+         [platform]\ndataset_bytes = 1099511627776\n",
+    )
+    .expect("write scenario");
+    let out = figures(&["scenario", "--file", toml.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("platform") && err.contains("dataset_bytes"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+/// Every command in a fenced code block of `doc` that runs the `figures`
+/// binary, with `\` continuations joined: the arguments after `--bin
+/// figures --`.
+fn doc_commands(doc: &str) -> Vec<Vec<String>> {
+    let mut commands = Vec::new();
+    let (mut fenced, mut line) = (false, String::new());
+    for l in doc.lines() {
+        if l.trim_start().starts_with("```") {
+            fenced = !fenced;
+            line.clear();
+            continue;
+        }
+        if !fenced {
+            continue;
+        }
+        line = line + " " + l.trim();
+        if let Some(head) = line.strip_suffix('\\') {
+            line = head.to_string();
+            continue;
+        }
+        let command = std::mem::take(&mut line);
+        let command = command.split(" #").next().unwrap_or_default();
+        if let Some((_, args)) = command.split_once("--bin figures") {
+            let args = args.trim_start().strip_prefix("--").unwrap_or(args);
+            commands.push(args.split_whitespace().map(String::from).collect());
+        }
+    }
+    commands
+}
+
+/// The docs' `figures` commands pass the real CLI: each is run with an
+/// unknown sentinel flag appended, so nothing runs, and the diagnostic
+/// must name the sentinel, which the parser reaches only when every
+/// argument before it is one the mode reads.
+#[test]
+fn every_documented_figures_command_parses() {
+    let docs = [
+        ("README.md", include_str!("../README.md")),
+        ("EXPERIMENTS.md", include_str!("../EXPERIMENTS.md")),
+        ("DESIGN.md", include_str!("../DESIGN.md")),
+        ("SKILL.md", include_str!("../.claude/skills/verify/SKILL.md")),
+    ];
+    let sentinel = "--no-such-flag-sentinel";
+    let mut checked = 0;
+    let mut broken = Vec::new();
+    for (name, text) in docs {
+        for mut args in doc_commands(text) {
+            args.push(sentinel.into());
+            let out = Command::new(env!("CARGO_BIN_EXE_figures")).args(&args).output().expect("figures runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            if out.status.code() != Some(2) || !err.starts_with(sentinel) {
+                broken.push(format!("{name}: figures {}: {}", args.join(" "), err.trim()));
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked >= 20, "found only {checked} documented commands");
+    assert!(broken.is_empty(), "documented commands the CLI rejects:\n{}", broken.join("\n"));
 }
 
 #[test]
