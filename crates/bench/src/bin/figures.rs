@@ -203,14 +203,12 @@ fn reject_unread_args(mode: &str, args: &[String]) {
     for (i, arg) in args.iter().enumerate() {
         if arg.starts_with("--") {
             if !known.contains(&arg.as_str()) {
-                fail(format!(
-                    "{arg}: unknown flag for `figures {mode}` (it reads {})",
-                    known.join(" ")
-                ));
+                fail(format!("{arg}: unknown flag for `figures {mode}` (it reads {})", known.join(" ")));
             }
             continue;
         }
-        let value = i > 0 && args[i - 1].starts_with("--") && !SWITCHES.contains(&args[i - 1].as_str());
+        let flag = i.checked_sub(1).map(|p| args[p].as_str());
+        let value = flag.is_some_and(|f| f.starts_with("--") && !SWITCHES.contains(&f));
         let scenario_file = mode == "scenario" && i == 0;
         if !(value || scenario_file) {
             fail(format!("`{arg}`: unexpected argument for `figures {mode}` (no flag before it takes a value)"));

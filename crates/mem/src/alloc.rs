@@ -84,7 +84,8 @@ impl BumpAllocator {
     ///
     /// Returns [`OutOfMemory`] if the allocation does not fit.
     pub fn alloc_lines(&mut self, lines: u64) -> Result<Addr, OutOfMemory> {
-        self.alloc(lines * crate::addr::LINE_BYTES, crate::addr::LINE_BYTES)
+        // A count past the address space saturates, and so cannot fit.
+        self.alloc(lines.saturating_mul(crate::addr::LINE_BYTES), crate::addr::LINE_BYTES)
     }
 
     /// Bytes remaining (from the current unaligned cursor).
@@ -116,6 +117,7 @@ mod tests {
     fn a_size_past_the_address_space_does_not_fit() {
         let mut a = BumpAllocator::new(Addr::new(64), 1000);
         assert!(a.alloc(u64::MAX - 8, 1).is_err());
+        assert!(a.alloc_lines(u64::MAX / 32).is_err());
         assert_eq!(a.remaining(), 1000);
     }
 

@@ -166,11 +166,8 @@ impl Workload for MemcachedWorkload {
         // Value bodies: item `j` owns the `value_lines` lines after item
         // `j - 1`'s, and every word is a pure function of its key, so the
         // values are one generated range that no build writes.
-        let value_lines = cfg
-            .n_items
-            .checked_mul(cfg.value_lines)
-            .filter(|lines| lines.checked_mul(LINE_BYTES).is_some())
-            .expect("dataset too small for values");
+        let value_lines =
+            cfg.n_items.checked_mul(cfg.value_lines).expect("dataset too small for values");
         let values = data.alloc_lines(value_lines).expect("dataset too small for values");
         let item_words = cfg.value_lines * (LINE_BYTES / 8);
         data.generate(values, value_lines * LINE_BYTES, move |i| {
