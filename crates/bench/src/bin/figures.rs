@@ -41,7 +41,7 @@
 //!   Prints each run's text dashboard, writes the suite's profile JSON
 //!   to out.json (byte-identical across --jobs values and repeated
 //!   same-seed runs — CI diffs it), and with --speedscope writes one
-//!   speedscope flamegraph per run to STEM-<name>.speedscope.json.
+//!   speedscope flamegraph per run to STEM-NAME.speedscope.json.
 //!   Exits non-zero when any run misses its expected verdict.
 //!
 //! The serving presets `figures load|net|blame|overload` share one

@@ -7,7 +7,7 @@
 //!
 //! [`bench_stats`] returns the measurements as a [`BenchStats`] value so
 //! callers can compute derived quantities (the sweep-speedup bench divides
-//! two medians); [`bench`] keeps the original print-only behaviour.
+//! two medians); [`bench()`] keeps the original print-only behaviour.
 
 use std::fmt;
 use std::time::Instant;

@@ -6,7 +6,7 @@
 //! fails the whole run, which is exactly what CI wants — and each
 //! scenario becomes one serving run per mechanism, so a single table
 //! answers "which mechanism survives which world". Cells execute on
-//! [`run_cells`](crate::sweep::run_cells) and every emitter is
+//! [`run_cells`] and every emitter is
 //! byte-identical across `--jobs` values (locked down by
 //! `tests/scenario_matrix.rs`).
 

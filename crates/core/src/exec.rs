@@ -30,7 +30,7 @@ use kus_fiber::{yield_now, Fiber, FiberId, OneShot, PollOutcome, SchedPolicy, Wa
 use kus_mem::{Addr, ByteStore};
 use kus_sim::event::EventFn;
 use kus_sim::stats::Counter;
-use kus_sim::trace::{Category, TraceClass};
+use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{Sim, Span, Time, Tracer};
 use kus_swq::descriptor::Descriptor;
 use kus_swq::ring::QueuePair;
@@ -102,12 +102,12 @@ struct FiberBook {
     sleeping: bool,
 }
 
-/// Causal tag carried by a tagged device read: the [`Category::Load`]
-/// `Complete` span emitted when the value becomes available. Emission-only —
-/// a tagged read schedules exactly what an untagged one does.
+/// Causal tag carried by a tagged device read: the `Complete` span emitted
+/// when the value becomes available. Emission-only — a tagged read
+/// schedules exactly what an untagged one does.
 #[derive(Debug, Clone, Copy)]
 struct CausalSpan {
-    name: &'static str,
+    name: EventName,
     a0: u64,
     start: Time,
 }
@@ -485,7 +485,7 @@ impl ExecInner {
             let mut x = this.borrow_mut();
             x.switching = true;
             x.switches.incr();
-            x.tracer.instant(Category::Fiber, "fiber.switch", x.track, next as u64, x.switches.get());
+            x.tracer.instant(EventName::FiberSwitch, x.track, next as u64, x.switches.get());
             x.switch_cost
         };
         let this2 = this.clone();
@@ -499,7 +499,7 @@ impl ExecInner {
                     let mut x = this2.borrow_mut();
                     x.switching = false;
                     if x.tracer.wants(TraceClass::Profile) {
-                        x.tracer.complete_since(Category::Cpu, "cpu.ctx", x.track, start, next as u64);
+                        x.tracer.complete_since(EventName::CpuCtx, x.track, start, next as u64);
                     }
                 }
                 ExecInner::run_or_park(&this2, sim, next);
@@ -544,7 +544,7 @@ impl ExecInner {
                         x.parked_on = None;
                         if let Some(since) = x.park_since.take() {
                             if x.tracer.wants(TraceClass::Profile) {
-                                x.tracer.complete_since(Category::Cpu, "cpu.park", x.track, since, id as u64);
+                                x.tracer.complete_since(EventName::CpuPark, x.track, since, id as u64);
                             }
                         }
                         resume = Some(id);
@@ -576,7 +576,7 @@ impl ExecInner {
                 x.parked_on = None;
                 if let Some(since) = x.park_since.take() {
                     if x.tracer.wants(TraceClass::Profile) {
-                        x.tracer.complete_since(Category::Cpu, "cpu.park", x.track, since, id as u64);
+                        x.tracer.complete_since(EventName::CpuPark, x.track, since, id as u64);
                     }
                 }
                 x.idle = false;
@@ -688,9 +688,9 @@ impl ExecInner {
                 // path already resolved. The host still pays to scan and
                 // discard the entry, but nothing is delivered twice.
                 swq.stale_completions.incr();
-                x.tracer.instant(Category::Swq, "swq.stale", x.track, tag, 0);
+                x.tracer.instant(EventName::SwqStale, x.track, tag, 0);
                 drop(x);
-                Core::emit(&core, sim, Op::new(OpKind::SoftWork { span: cost }).profiled("cpu.poll"));
+                Core::emit(&core, sim, Op::new(OpKind::SoftWork { span: cost }).profiled(EventName::CpuPoll));
                 return;
             };
             // Real progress: after a quiet period, restore the optimized
@@ -701,9 +701,9 @@ impl ExecInner {
                 }
             }
             let value = dataset.borrow().read_u64(p.addr);
-            x.tracer.instant(Category::Swq, "swq.deliver", x.track, tag, p.fiber as u64);
+            x.tracer.instant(EventName::SwqDeliver, x.track, tag, p.fiber as u64);
             if let Some(c) = p.causal {
-                x.tracer.complete_span(Category::Load, c.name, x.track, c.start, now, c.a0);
+                x.tracer.complete_span(c.name, x.track, c.start, now, c.a0);
             }
             (core, cost, p.slot, p.fiber, value)
         };
@@ -712,7 +712,7 @@ impl ExecInner {
         Core::emit(
             &core,
             sim,
-            Op::new(OpKind::SoftWork { span: cost }).profiled("cpu.poll").on_complete(move |sim| {
+            Op::new(OpKind::SoftWork { span: cost }).profiled(EventName::CpuPoll).on_complete(move |sim| {
                 slot.set(value);
                 ExecInner::wake(&this2, sim, fiber);
             }),
@@ -765,13 +765,13 @@ impl ExecInner {
             for tag in expired {
                 swq.timeouts.incr();
                 let p = swq.pending.get_mut(&tag).expect("expired tag is pending");
-                tracer.instant(Category::Exec, "req.timeout", track, tag, p.retries as u64);
+                tracer.instant(EventName::ReqTimeout, track, tag, p.retries as u64);
                 if p.retries >= cfg.max_retries {
                     let p = swq.pending.remove(&tag).expect("expired tag is pending");
                     swq.failed.incr();
-                    tracer.instant(Category::Exec, "req.failover", track, tag, p.retries as u64);
+                    tracer.instant(EventName::ReqFailover, track, tag, p.retries as u64);
                     if let Some(c) = p.causal {
-                        tracer.complete_span(Category::Load, c.name, track, c.start, now, c.a0);
+                        tracer.complete_span(c.name, track, c.start, now, c.a0);
                     }
                     // Fail over to the host's coherent copy of the line so
                     // the fiber completes instead of wedging the run.
@@ -782,7 +782,7 @@ impl ExecInner {
                     // Exponential backoff on the next deadline.
                     p.deadline = now + cfg.timeout * (1u64 << p.retries.min(16));
                     swq.retries_performed.incr();
-                    tracer.instant(Category::Exec, "req.retry", track, tag, p.retries as u64);
+                    tracer.instant(EventName::ReqRetry, track, tag, p.retries as u64);
                     retried += 1;
                     // Re-enqueue; if the ring is full the next scan round
                     // simply tries again. A duplicate service of the
@@ -807,7 +807,7 @@ impl ExecInner {
             Core::emit(
                 &core,
                 sim,
-                Op::new(OpKind::SoftWork { span: cost }).profiled("cpu.poll").on_complete(move |sim| {
+                Op::new(OpKind::SoftWork { span: cost }).profiled(EventName::CpuPoll).on_complete(move |sim| {
                     f.slot.set(f.value);
                     ExecInner::wake(&this2, sim, f.fiber);
                 }),
@@ -817,7 +817,7 @@ impl ExecInner {
             // The host pays for the re-enqueues and rings the doorbell
             // unconditionally once per round: if the fetcher's parked-state
             // flag write was lost, only an explicit ring restarts it.
-            tracer.instant(Category::Exec, "req.force_doorbell", track, retried, 0);
+            tracer.instant(EventName::ReqForceDoorbell, track, retried, 0);
             Core::emit(&core, sim, Op::new(OpKind::SoftWork { span: costs.enqueue_first * retried }));
             Core::emit(
                 &core,
@@ -926,27 +926,27 @@ impl MemCtx {
         fut
     }
 
-    /// Emits an application-level [`Category::Load`] instant event on this
-    /// core's track. No-op when tracing is off.
-    pub fn trace_instant(&self, name: &'static str, a0: u64, a1: u64) {
+    /// Emits an application-level instant event (a `load.*`, `net.*` or
+    /// `rpc.*` name) on this core's track. No-op when tracing is off.
+    pub fn trace_instant(&self, name: EventName, a0: u64, a1: u64) {
         let x = self.exec.borrow();
-        x.tracer.instant(Category::Load, name, x.track, a0, a1);
+        x.tracer.instant(name, x.track, a0, a1);
     }
 
-    /// Emits an application-level [`Category::Load`] complete-span event
-    /// that started at `start` and ends now. No-op when tracing is off.
-    pub fn trace_complete_since(&self, name: &'static str, start: Time, a0: u64) {
+    /// Emits an application-level complete-span event that started at
+    /// `start` and ends now. No-op when tracing is off.
+    pub fn trace_complete_since(&self, name: EventName, start: Time, a0: u64) {
         let x = self.exec.borrow();
-        x.tracer.complete_since(Category::Load, name, x.track, start, a0);
+        x.tracer.complete_since(name, x.track, start, a0);
     }
 
-    /// Emits an application-level [`Category::Load`] complete-span event
-    /// over an explicit `[start, end]` interval (the end may lie in the
-    /// simulated future, e.g. an egress span covering wire time that is
-    /// still draining). No-op when tracing is off.
-    pub fn trace_complete_span(&self, name: &'static str, start: Time, end: Time, a0: u64) {
+    /// Emits an application-level complete-span event over an explicit
+    /// `[start, end]` interval (the end may lie in the simulated future,
+    /// e.g. an egress span covering wire time that is still draining).
+    /// No-op when tracing is off.
+    pub fn trace_complete_span(&self, name: EventName, start: Time, end: Time, a0: u64) {
         let x = self.exec.borrow();
-        x.tracer.complete_span(Category::Load, name, x.track, start, end, a0);
+        x.tracer.complete_span(name, x.track, start, end, a0);
     }
 
     /// Whether this run records `class` (see [`Tracer::wants`]).
@@ -969,7 +969,7 @@ impl MemCtx {
     }
 
     /// Fault hook: this fiber crashes and respawns. The scheduling policy
-    /// records the crash, a [`Category::Fiber`] `fiber.crash` event marks
+    /// records the crash, a `fiber.crash` event marks
     /// the instant, and the returned future resolves once the respawn
     /// window `cost` has elapsed — the fiber sits off the run ring (as a
     /// timer-waiter) for the duration, exactly like a worker process
@@ -980,7 +980,7 @@ impl MemCtx {
             let mut x = self.exec.borrow_mut();
             x.policy.on_crash(self.fiber);
             let (track, fiber) = (x.track, self.fiber as u64);
-            x.tracer.instant(Category::Fiber, "fiber.crash", track, fiber, cost.as_ps());
+            x.tracer.instant(EventName::FiberCrash, track, fiber, cost.as_ps());
             x.clock.get() + cost
         };
         self.sleep_until(deadline)
@@ -995,7 +995,7 @@ impl MemCtx {
         x.accesses.incr();
         // Deep event class: per-access volume.
         if x.tracer.wants(TraceClass::Deep) {
-            x.tracer.instant(Category::Exec, "load.issue", x.track, addr.line().index(), self.fiber as u64);
+            x.tracer.instant(EventName::LoadIssue, x.track, addr.line().index(), self.fiber as u64);
         }
         let d = x.emit.push(OpKind::Load { line: addr.line() }, [], None);
         x.fibers[self.fiber].last_reads.push(d);
@@ -1049,7 +1049,7 @@ impl MemCtx {
         let mut x = self.exec.borrow_mut();
         let d = x.emit.push(OpKind::Load { line: addr.line() }, [], None);
         if x.tracer.wants(TraceClass::Deep) {
-            x.tracer.instant(Category::Exec, "l1.read", x.track, addr.line().index(), self.fiber as u64);
+            x.tracer.instant(EventName::L1Read, x.track, addr.line().index(), self.fiber as u64);
         }
         x.fibers[self.fiber].last_reads.push(d);
         let v = x.dataset.borrow().read_u64(addr);
@@ -1077,18 +1077,18 @@ impl MemCtx {
     /// completion callback for callback-completing paths; the observing
     /// load for an already-filled prefetch line). Scheduling is identical
     /// to the untagged batch in every mechanism — the tag only emits.
-    pub async fn dev_read_batch_spans(&self, addrs: &[Addr], name: &'static str, a0_base: u64) -> Vec<u64> {
+    pub async fn dev_read_batch_spans(&self, addrs: &[Addr], name: EventName, a0_base: u64) -> Vec<u64> {
         let causal = self.wants(TraceClass::Causal);
         self.dev_read_batch_inner(addrs, causal.then_some((name, a0_base))).await
     }
 
-    async fn dev_read_batch_inner(&self, addrs: &[Addr], causal: Option<(&'static str, u64)>) -> Vec<u64> {
+    async fn dev_read_batch_inner(&self, addrs: &[Addr], causal: Option<(EventName, u64)>) -> Vec<u64> {
         let mechanism = {
             let mut x = self.exec.borrow_mut();
             x.accesses.add(addrs.len() as u64);
             if x.tracer.wants(TraceClass::Deep) {
                 let first = addrs.first().map_or(0, |a| a.line().index());
-                x.tracer.instant(Category::Exec, "dev_read.batch", x.track, first, addrs.len() as u64);
+                x.tracer.instant(EventName::DevReadBatch, x.track, first, addrs.len() as u64);
             }
             x.mechanism
         };
@@ -1145,7 +1145,7 @@ impl MemCtx {
                 let value = {
                     let x = exec.borrow();
                     if let Some(c) = causal {
-                        x.tracer.complete_span(Category::Load, c.name, x.track, c.start, sim.now(), c.a0);
+                        x.tracer.complete_span(c.name, x.track, c.start, sim.now(), c.a0);
                     }
                     let v = x.dataset.borrow().read_u64(addr);
                     v
@@ -1177,7 +1177,7 @@ impl MemCtx {
             x.fibers[self.fiber].last_reads.push(d);
             if let Some(c) = causal {
                 let now = x.clock.get();
-                x.tracer.complete_span(Category::Load, c.name, x.track, c.start, now, c.a0);
+                x.tracer.complete_span(c.name, x.track, c.start, now, c.a0);
             }
             let value = x.dataset.borrow().read_u64(addr);
             value
@@ -1203,7 +1203,7 @@ impl MemCtx {
                 SwqPending { slot, fiber, addr, causal, deadline: Time::MAX, retries: 0 },
             );
             let cost = if first_of_batch { swq.costs.enqueue_first } else { swq.costs.enqueue_next };
-            x.tracer.instant(Category::Swq, "swq.issue", x.track, tag, fiber as u64);
+            x.tracer.instant(EventName::SwqIssue, x.track, tag, fiber as u64);
             (tag, cost)
         };
         let exec = self.exec.clone();
@@ -1239,9 +1239,9 @@ impl MemCtx {
                     .borrow_mut()
                     .enqueue(Descriptor { read_addr: addr, tag })
                     .expect("request ring full: raise swq_ring_capacity");
-                tracer.instant(Category::Swq, "swq.enqueue", track, tag, qp.borrow().pending_requests() as u64);
+                tracer.instant(EventName::SwqEnqueue, track, tag, qp.borrow().pending_requests() as u64);
                 if rang {
-                    tracer.instant(Category::Swq, "swq.doorbell", track, tag, 0);
+                    tracer.instant(EventName::SwqDoorbell, track, tag, 0);
                     // The MMIO doorbell write: expensive, uncached, and then
                     // the write reaches the device's doorbell register.
                     Core::emit(

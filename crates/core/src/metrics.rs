@@ -250,7 +250,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kus_sim::trace::{Category, Phase};
+    use kus_sim::trace::{Category, EventName, Phase};
     use kus_sim::Time;
 
     fn report(work: u64, elapsed_ns: u64) -> RunReport {
@@ -320,7 +320,7 @@ mod tests {
         let events = vec![TraceEvent {
             at: Time::ZERO,
             cat: Category::Mem,
-            name: "lfb.alloc",
+            name: EventName::LfbAlloc,
             phase: Phase::Instant,
             track: 0,
             a0: 1,

@@ -29,7 +29,7 @@ use kus_mem::uncore::CreditQueue;
 use kus_mem::LineAddr;
 use kus_sim::event::EventFn;
 use kus_sim::stats::Counter;
-use kus_sim::trace::{Category, TraceClass};
+use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{Clock, Sim, Span, Time};
 
 use crate::ops::{Op, OpId, OpKind};
@@ -157,7 +157,7 @@ struct OpState {
     dependents: EdgeList,
     done: bool,
     counted: bool,
-    profile: Option<&'static str>,
+    profile: Option<EventName>,
 }
 
 /// One modelled core.
@@ -404,7 +404,7 @@ impl Core {
             }
         };
         if let Some(h) = hook {
-            sim.schedule_now(h);
+            sim.schedule_boxed_at(sim.now(), h);
         }
     }
 
@@ -546,7 +546,7 @@ impl Core {
                     {
                         let c = this2.borrow();
                         if c.tracer.wants(TraceClass::Profile) {
-                            c.tracer.complete_since(Category::Cpu, "cpu.work", c.id as u32, start, insts as u64);
+                            c.tracer.complete_since(EventName::CpuWork, c.id as u32, start, insts as u64);
                         }
                     }
                     Core::complete_op(&this2, sim, id);
@@ -565,8 +565,8 @@ impl Core {
                     {
                         let c = this2.borrow();
                         if c.tracer.wants(TraceClass::Profile) {
-                            let name = c.op(id).profile.unwrap_or("cpu.soft");
-                            c.tracer.complete_since(Category::Cpu, name, c.id as u32, start, 0);
+                            let name = c.op(id).profile.unwrap_or(EventName::CpuSoft);
+                            c.tracer.complete_since(name, c.id as u32, start, 0);
                         }
                     }
                     Core::complete_op(&this2, sim, id);
@@ -643,7 +643,7 @@ impl Core {
             if !matches!(route, Route::NeedSlot) {
                 let c = this.borrow();
                 if c.tracer.wants(TraceClass::Profile) {
-                    c.tracer.complete_since(Category::Cpu, "cpu.lfbwait", c.id as u32, since, line.index());
+                    c.tracer.complete_since(EventName::CpuLfbWait, c.id as u32, since, line.index());
                 }
             }
         }

@@ -8,7 +8,7 @@
 //!
 //! - [`ops`]: the micro-op vocabulary (work chunks, loads, prefetches,
 //!   runtime software, MMIO writes).
-//! - [`core`]: the pipeline itself and its [`FillPath`](core::FillPath)
+//! - [`core`]: the pipeline itself and its [`FillPath`]
 //!   injection point.
 
 #![forbid(unsafe_code)]

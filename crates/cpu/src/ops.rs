@@ -19,6 +19,7 @@
 
 use kus_mem::LineAddr;
 use kus_sim::event::EventFn;
+use kus_sim::trace::EventName;
 use kus_sim::Span;
 
 /// Identifies an op within one core (monotone per core).
@@ -86,9 +87,9 @@ pub struct Op {
     /// values, ring doorbells, and wake fibers.
     pub on_complete: Option<EventFn>,
     /// Cycle-accounting label for the profiler's busy span (e.g.
-    /// `"cpu.poll"` for SWQ completion scans). `None` means the generic
-    /// `"cpu.soft"` class; `Work` ops always account as `"cpu.work"`.
-    pub profile: Option<&'static str>,
+    /// [`EventName::CpuPoll`] for SWQ completion scans). `None` means the
+    /// generic `cpu.soft` class; `Work` ops always account as `cpu.work`.
+    pub profile: Option<EventName>,
 }
 
 impl std::fmt::Debug for Op {
@@ -113,7 +114,7 @@ impl Op {
     }
 
     /// Labels the op's busy span for the cycle-accounting profiler.
-    pub fn profiled(mut self, name: &'static str) -> Op {
+    pub fn profiled(mut self, name: EventName) -> Op {
         self.profile = Some(name);
         self
     }
@@ -166,7 +167,7 @@ mod tests {
         let op = Op::new(OpKind::Work { insts: 1 }).on_complete(|_| {});
         assert!(op.on_complete.is_some());
         assert_eq!(op.profile, None);
-        let op = Op::new(OpKind::SoftWork { span: Span::from_ns(10) }).profiled("cpu.poll");
-        assert_eq!(op.profile, Some("cpu.poll"));
+        let op = Op::new(OpKind::SoftWork { span: Span::from_ns(10) }).profiled(EventName::CpuPoll);
+        assert_eq!(op.profile, Some(EventName::CpuPoll));
     }
 }

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use kus_mem::station::{Station, StationConfig};
 use kus_mem::{ByteStore, LineAddr, LINE_BYTES};
 use kus_sim::stats::Counter;
-use kus_sim::trace::Category;
+use kus_sim::trace::EventName;
 use kus_sim::{FaultInjector, Sim, Span, Tracer};
 
 use crate::ondemand::OnDemandModule;
@@ -330,8 +330,7 @@ impl DeviceCore {
                 }
             }
             d.tracer.instant(
-                Category::Device,
-                "dev.req",
+                EventName::DevReq,
                 200 + core as u32,
                 line.index(),
                 matches!(outcome, MatchOutcome::Replayed { .. }) as u64,
@@ -347,8 +346,7 @@ impl DeviceCore {
                 if sim.now() > deadline {
                     d.deadline_misses.incr();
                     d.tracer.instant(
-                        Category::Device,
-                        "dev.deadline_miss",
+                        EventName::DevDeadlineMiss,
                         200 + core as u32,
                         line.index(),
                         (sim.now() - deadline).as_ps(),
@@ -360,7 +358,7 @@ impl DeviceCore {
             };
             let release = deadline.max(sim.now());
             sim.schedule_at(release, move |sim| {
-                tracer.complete_since(Category::Device, "dev.resp", 200 + core as u32, arrival, line.index());
+                tracer.complete_since(EventName::DevResp, 200 + core as u32, arrival, line.index());
                 respond(sim, data)
             });
         };

@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use kus_pcie::dma::DmaEngine;
 use kus_sim::stats::Counter;
-use kus_sim::trace::Category;
+use kus_sim::trace::EventName;
 use kus_sim::{FaultInjector, Sim, Tracer};
 use kus_swq::descriptor::{Completion, Descriptor, COMPLETION_BYTES, DESCRIPTOR_BYTES};
 use kus_swq::ring::QueuePair;
@@ -130,7 +130,7 @@ impl RequestFetcher {
         {
             let mut f = this.borrow_mut();
             f.doorbells.incr();
-            f.tracer.instant(Category::Device, "fetch.doorbell", f.track(), f.doorbells.get(), f.running as u64);
+            f.tracer.instant(EventName::FetchDoorbell, f.track(), f.doorbells.get(), f.running as u64);
             if f.running {
                 // The host raced our parking flag write; remember to re-run.
                 f.doorbell_while_running = true;
@@ -171,7 +171,7 @@ impl RequestFetcher {
             let mut f = this.borrow_mut();
             f.burst_reads.incr();
             f.bursts_in_flight += 1;
-            f.tracer.instant(Category::Device, "fetch.burst", f.track(), f.burst_reads.get(), f.bursts_in_flight as u64);
+            f.tracer.instant(EventName::FetchBurst, f.track(), f.burst_reads.get(), f.bursts_in_flight as u64);
             f.dma.clone()
         };
         dma.borrow_mut().count_read();
@@ -222,7 +222,7 @@ impl RequestFetcher {
                     f.consecutive_empty = 0;
                     let rerun = std::mem::take(&mut f.doorbell_while_running);
                     let dma = f.dma.clone();
-                    f.tracer.instant(Category::Device, "fetch.park", f.track(), rerun as u64, 0);
+                    f.tracer.instant(EventName::FetchPark, f.track(), rerun as u64, 0);
                     // Injected stall: the flag write is lost in transit, so
                     // the host never learns it must ring — the queue is dead
                     // until the watchdog forces doorbells back on.
@@ -256,8 +256,7 @@ impl RequestFetcher {
             let mut f = this.borrow_mut();
             f.served.incr();
             f.tracer.instant(
-                Category::Swq,
-                "swq.fetch",
+                EventName::SwqFetch,
                 f.host_core as u32,
                 desc.tag,
                 f.qp.borrow().pending_requests() as u64,
@@ -282,7 +281,7 @@ impl RequestFetcher {
                 // writes on the same link direction, so order is preserved
                 // ("the device ensures that writes to the Completion Queue
                 // are performed after writes to the response address").
-                tracer.instant(Category::Swq, "swq.serve", host_core as u32, desc.tag, 0);
+                tracer.instant(EventName::SwqServe, host_core as u32, desc.tag, 0);
                 dma.borrow_mut().count_write();
                 dma.borrow().write(sim, kus_mem::LINE_BYTES, Box::new(|_| {}));
                 // Injected faults on the completion entry itself: a dropped
@@ -318,10 +317,10 @@ impl RequestFetcher {
                             // as real hardware would; the host's timeout path
                             // recovers the request, so don't run the hook.
                             if qp.borrow_mut().post_completion(Completion { tag: desc.tag }) {
-                                tracer.instant(Category::Swq, "swq.complete", host_core as u32, desc.tag, 0);
+                                tracer.instant(EventName::SwqComplete, host_core as u32, desc.tag, 0);
                                 hook(sim, Completion { tag: desc.tag }, data);
                             } else {
-                                tracer.instant(Category::Swq, "swq.cpl_overflow", host_core as u32, desc.tag, 0);
+                                tracer.instant(EventName::SwqCplOverflow, host_core as u32, desc.tag, 0);
                             }
                         }),
                     );

@@ -132,7 +132,7 @@ impl ReplayStreamer {
                 ready
             };
             for f in ready {
-                sim.schedule_now(f);
+                sim.schedule_boxed_at(sim.now(), f);
             }
             ReplayStreamer::pump(&this2, sim);
         });
@@ -160,6 +160,7 @@ impl ReplayStreamer {
         index: usize,
         f: impl FnOnce(&mut Sim) + 'static,
     ) {
+        let f: EventFn = Box::new(f);
         let ready = {
             let mut s = this.borrow_mut();
             assert!(index < s.trace_len, "trace index {index} out of range");
@@ -168,12 +169,12 @@ impl ReplayStreamer {
                 Some(f)
             } else {
                 s.stalls.incr();
-                s.waiters.push((index, Box::new(f)));
+                s.waiters.push((index, f));
                 None
             }
         };
         if let Some(f) = ready {
-            sim.schedule_now(f);
+            sim.schedule_boxed_at(sim.now(), f);
         }
         // Consumption may have opened buffer space; keep the pump primed.
         ReplayStreamer::pump(this, sim);

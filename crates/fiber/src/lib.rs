@@ -5,12 +5,12 @@
 //! costs are charged explicitly by the execution layer (20–50 ns in the
 //! reproduced system), and scheduling policy is pluggable.
 //!
-//! - [`fiber`]: the [`Fiber`](fiber::Fiber) wrapper, poll outcomes, and the
+//! - [`fiber`]: the [`Fiber`] wrapper, poll outcomes, and the
 //!   cooperative-yield flag.
 //! - [`primitives`]: one-shot value futures (how load values reach a fiber)
-//!   and [`yield_now`](primitives::yield_now).
-//! - [`sched`]: [`RoundRobin`](sched::RoundRobin) (prefetch mechanism) and
-//!   [`Fifo`](sched::Fifo) (software-managed queues) policies.
+//!   and [`yield_now`].
+//! - [`sched`]: [`RoundRobin`] (prefetch mechanism) and
+//!   [`Fifo`] (software-managed queues) policies.
 //! - [`watchdog`]: stall detection and doorbell-mode degradation for the
 //!   software-managed-queue access path.
 //!

@@ -13,7 +13,7 @@
 //! is deterministic and trivially testable.
 
 use kus_sim::stats::Counter;
-use kus_sim::trace::Category;
+use kus_sim::trace::EventName;
 use kus_sim::{Span, Time, Tracer};
 
 /// Doorbell operating mode chosen by the watchdog.
@@ -96,7 +96,7 @@ impl Watchdog {
         }
         self.mode = DoorbellMode::Degraded;
         self.degradations.incr();
-        self.tracer.instant(Category::Fiber, "watchdog.degrade", self.track, self.degradations.get(), 0);
+        self.tracer.instant(EventName::WatchdogDegrade, self.track, self.degradations.get(), 0);
         true
     }
 
@@ -112,7 +112,7 @@ impl Watchdog {
         }
         self.mode = DoorbellMode::Optimized;
         self.restorations.incr();
-        self.tracer.instant(Category::Fiber, "watchdog.restore", self.track, self.restorations.get(), 0);
+        self.tracer.instant(EventName::WatchdogRestore, self.track, self.restorations.get(), 0);
         true
     }
 }

@@ -28,7 +28,7 @@
 //!   completions whose worst sojourn beats the SLO p99 grows the in-flight
 //!   limit by one; a window that violates it halves the limit.
 
-use kus_sim::{Span, Time};
+use kus_sim::{EventName, Span, Time};
 
 use crate::report::SloSpec;
 
@@ -51,11 +51,11 @@ impl ShedCause {
     /// The trace-event name this cause stamps. `QueueFull` keeps the
     /// pre-policy name `load.shed` so a Static run's trace is
     /// bit-identical to the old hard-coded queue.
-    pub fn event_name(self) -> &'static str {
+    pub fn event_name(self) -> EventName {
         match self {
-            ShedCause::QueueFull => "load.shed",
-            ShedCause::DeadlineExceeded => "load.shed.deadline",
-            ShedCause::AdmissionRejected => "load.shed.admission",
+            ShedCause::QueueFull => EventName::LoadShed,
+            ShedCause::DeadlineExceeded => EventName::LoadShedDeadline,
+            ShedCause::AdmissionRejected => EventName::LoadShedAdmission,
         }
     }
 }
@@ -419,8 +419,8 @@ mod tests {
 
     #[test]
     fn shed_causes_map_to_event_names() {
-        assert_eq!(ShedCause::QueueFull.event_name(), "load.shed");
-        assert_eq!(ShedCause::DeadlineExceeded.event_name(), "load.shed.deadline");
-        assert_eq!(ShedCause::AdmissionRejected.event_name(), "load.shed.admission");
+        assert_eq!(ShedCause::QueueFull.event_name(), EventName::LoadShed);
+        assert_eq!(ShedCause::DeadlineExceeded.event_name(), EventName::LoadShedDeadline);
+        assert_eq!(ShedCause::AdmissionRejected.event_name(), EventName::LoadShedAdmission);
     }
 }

@@ -37,7 +37,7 @@ use std::ops::Range;
 
 use kus_core::prelude::RunReport;
 use kus_sim::stats::HdrHistogram;
-use kus_sim::{Category, FlowArrow, Span, Time, TraceEvent};
+use kus_sim::{Category, EventName, FlowArrow, Span, Time, TraceEvent};
 
 use crate::by_id::sort_by_id;
 use crate::report::Percentiles;
@@ -161,22 +161,22 @@ enum Mark {
 }
 
 impl Mark {
-    fn of(name: &str) -> Option<Mark> {
+    fn of(name: EventName) -> Option<Mark> {
         Some(match name {
-            "net.arrival" => Mark::Arrival,
-            "net.wire" => Mark::Wire,
-            "net.rxwait" => Mark::RxWait,
-            "net.nic" => Mark::Nic,
-            "net.steer" => Mark::Steer,
-            "net.tx" => Mark::Tx,
-            "load.dispatch" => Mark::Dispatch,
-            "load.complete" => Mark::Complete,
-            "load.shed" | "load.shed.deadline" | "load.shed.admission" => Mark::Shed,
-            "rpc.hop" => Mark::Child,
-            "rpc.front" => Mark::Anchor(0),
-            "rpc.fanout" => Mark::Anchor(1),
-            "rpc.service" => Mark::Anchor(2),
-            "rpc.reply" => Mark::Anchor(3),
+            EventName::NetArrival => Mark::Arrival,
+            EventName::NetWire => Mark::Wire,
+            EventName::NetRxWait => Mark::RxWait,
+            EventName::NetNic => Mark::Nic,
+            EventName::NetSteer => Mark::Steer,
+            EventName::NetTx => Mark::Tx,
+            EventName::LoadDispatch => Mark::Dispatch,
+            EventName::LoadComplete => Mark::Complete,
+            EventName::LoadShed | EventName::LoadShedDeadline | EventName::LoadShedAdmission => Mark::Shed,
+            EventName::RpcHop => Mark::Child,
+            EventName::RpcFront => Mark::Anchor(0),
+            EventName::RpcFanout => Mark::Anchor(1),
+            EventName::RpcService => Mark::Anchor(2),
+            EventName::RpcReply => Mark::Anchor(3),
             _ => return None,
         })
     }
@@ -706,7 +706,7 @@ mod tests {
     use kus_sim::Phase;
     use std::collections::BTreeMap;
 
-    fn ev(name: &'static str, phase: Phase, at_ps: u64, a0: u64, a1: u64) -> TraceEvent {
+    fn ev(name: EventName, phase: Phase, at_ps: u64, a0: u64, a1: u64) -> TraceEvent {
         TraceEvent {
             at: Time::from_ps(at_ps),
             cat: Category::Load,
@@ -718,11 +718,11 @@ mod tests {
         }
     }
 
-    fn instant(name: &'static str, at_ps: u64, a0: u64, a1: u64) -> TraceEvent {
+    fn instant(name: EventName, at_ps: u64, a0: u64, a1: u64) -> TraceEvent {
         ev(name, Phase::Instant, at_ps, a0, a1)
     }
 
-    fn span(name: &'static str, at_ps: u64, a0: u64, dur_ps: u64) -> TraceEvent {
+    fn span(name: EventName, at_ps: u64, a0: u64, dur_ps: u64) -> TraceEvent {
         ev(name, Phase::Complete, at_ps, a0, dur_ps)
     }
 
@@ -731,16 +731,16 @@ mod tests {
     /// join 500, service 1500, reply 300, host 200, tx 700 = 8200 ps.
     fn fanout_events() -> Vec<TraceEvent> {
         vec![
-            instant("load.dispatch", 2_000, 0, 1_000),
-            span("rpc.front", 2_000, 0, 500),
-            span("rpc.hop", 2_500, 0, 1_500),          // shard0: ends 4000
-            span("rpc.hop", 2_600, 1, 3_400),          // shard1: ends 6000
-            span("rpc.hop", 2_700, 2, 2_300),          // shard2: ends 5000
-            span("rpc.fanout", 2_500, 0, 4_000),       // ends 6500
-            span("rpc.service", 6_500, 0, 1_500),      // ends 8000
-            span("rpc.reply", 8_000, 0, 300),          // ends 8300
-            instant("load.complete", 8_500, 0, 1_000),
-            instant("net.tx", 8_500, 0, 700),
+            instant(EventName::LoadDispatch, 2_000, 0, 1_000),
+            span(EventName::RpcFront, 2_000, 0, 500),
+            span(EventName::RpcHop, 2_500, 0, 1_500),          // shard0: ends 4000
+            span(EventName::RpcHop, 2_600, 1, 3_400),          // shard1: ends 6000
+            span(EventName::RpcHop, 2_700, 2, 2_300),          // shard2: ends 5000
+            span(EventName::RpcFanout, 2_500, 0, 4_000),       // ends 6500
+            span(EventName::RpcService, 6_500, 0, 1_500),      // ends 8000
+            span(EventName::RpcReply, 8_000, 0, 300),          // ends 8300
+            instant(EventName::LoadComplete, 8_500, 0, 1_000),
+            instant(EventName::NetTx, 8_500, 0, 700),
         ]
     }
 
@@ -783,7 +783,7 @@ mod tests {
         let mut events = fanout_events();
         // Request 1 arrives at 4000 and is shed at 5000: a 1000 ps DAG
         // ending in `cut`.
-        events.push(instant("load.shed", 5_000, 1, 4_000));
+        events.push(instant(EventName::LoadShed, 5_000, 1, 4_000));
         let r = BlameReport::from_events(&events).expect("two requests");
         assert_eq!(r.requests, 2);
         assert_eq!(r.completed, 1);
@@ -797,14 +797,14 @@ mod tests {
     #[test]
     fn net_stages_chain_ahead_of_the_queue() {
         let events = vec![
-            instant("net.arrival", 0, 7, 0),
-            instant("net.wire", 0, 7, 20_000),
-            instant("net.rxwait", 0, 7, 0),
-            instant("net.nic", 0, 7, 400_000),
-            instant("net.steer", 0, 7, 40_000),
-            instant("load.dispatch", 3_000_000, 7, 460_000),
-            instant("load.complete", 5_000_000, 7, 460_000),
-            instant("net.tx", 5_000_000, 7, 500_000),
+            instant(EventName::NetArrival, 0, 7, 0),
+            instant(EventName::NetWire, 0, 7, 20_000),
+            instant(EventName::NetRxWait, 0, 7, 0),
+            instant(EventName::NetNic, 0, 7, 400_000),
+            instant(EventName::NetSteer, 0, 7, 40_000),
+            instant(EventName::LoadDispatch, 3_000_000, 7, 460_000),
+            instant(EventName::LoadComplete, 5_000_000, 7, 460_000),
+            instant(EventName::NetTx, 5_000_000, 7, 500_000),
         ];
         let r = BlameReport::from_events(&events).expect("one request");
         assert_eq!(r.overall.critical, Span::from_ps(5_500_000));

@@ -17,7 +17,7 @@ use std::fmt;
 
 use kus_core::prelude::RunReport;
 use kus_sim::stats::HdrHistogram;
-use kus_sim::{Category, Span, Time, TraceEvent};
+use kus_sim::{Category, EventName, Span, Time, TraceEvent};
 
 use crate::by_id::{last_per_id, lookup};
 use crate::report::Percentiles;
@@ -84,35 +84,37 @@ impl NetReport {
         let mut hop_hists: [HdrHistogram; HOP_NAMES.len()] = Default::default();
         for ev in events.iter().filter(|e| e.cat == Category::Load) {
             let hop = match ev.name {
-                "net.arrival" => {
+                EventName::NetArrival => {
                     arrivals.push((ev.a0, ev.a1));
                     continue;
                 }
-                "net.wire" => &mut wire,
-                "net.rxwait" => &mut rx_wait,
-                "net.nic" => &mut nic,
-                "net.steer" => &mut steer,
-                "net.route" => {
+                EventName::NetWire => &mut wire,
+                EventName::NetRxWait => &mut rx_wait,
+                EventName::NetNic => &mut nic,
+                EventName::NetSteer => &mut steer,
+                EventName::NetRoute => {
                     *queue_load.entry((ev.a1 >> 32) as u32).or_default() += 1;
                     *core_load.entry(ev.a1 as u32).or_default() += 1;
                     continue;
                 }
-                "net.tx" => {
+                EventName::NetTx => {
                     tx_ps.push((ev.a0, ev.a1));
                     &mut tx
                 }
-                "load.dispatch" => {
+                EventName::LoadDispatch => {
                     dispatches.push((ev.a0, (ev.at, Time::from_ps(ev.a1))));
                     continue;
                 }
-                "load.complete" => {
+                EventName::LoadComplete => {
                     completions.push((ev.a0, ev.at));
                     continue;
                 }
-                name => match HOP_NAMES.iter().position(|&n| n == name) {
-                    Some(i) => &mut hop_hists[i],
-                    None => continue,
-                },
+                // The tier spans, in HOP_NAMES order.
+                EventName::RpcFront => &mut hop_hists[0],
+                EventName::RpcFanout => &mut hop_hists[1],
+                EventName::RpcService => &mut hop_hists[2],
+                EventName::RpcReply => &mut hop_hists[3],
+                _ => continue,
             };
             hop.record(Span::from_ps(ev.a1));
         }
@@ -253,7 +255,7 @@ impl NetReport {
 mod tests {
     use super::*;
 
-    fn instant(name: &'static str, at_us: u64, a0: u64, a1: u64) -> TraceEvent {
+    fn instant(name: EventName, at_us: u64, a0: u64, a1: u64) -> TraceEvent {
         TraceEvent {
             at: Time::from_ps(at_us * 1_000_000),
             cat: Category::Load,
@@ -267,7 +269,7 @@ mod tests {
 
     #[test]
     fn absent_net_events_mean_no_report() {
-        let events = vec![instant("load.dispatch", 10, 0, 5_000)];
+        let events = vec![instant(EventName::LoadDispatch, 10, 0, 5_000)];
         assert!(NetReport::from_events(&events).is_none());
     }
 
@@ -276,15 +278,15 @@ mod tests {
         // One request: wire arrival at 0, delivered at 1µs, dispatched at
         // 3µs, completed at 5µs, 500ns of response serialization.
         let events = vec![
-            instant("net.arrival", 0, 7, 0),
-            instant("net.wire", 0, 7, 20_000),
-            instant("net.rxwait", 0, 7, 0),
-            instant("net.nic", 0, 7, 400_000),
-            instant("net.steer", 0, 7, 40_000),
-            instant("net.route", 0, 7, (3 << 32) | 1),
-            instant("load.dispatch", 3, 7, 1_000_000),
-            instant("load.complete", 5, 7, 1_000_000),
-            instant("net.tx", 5, 7, 500_000),
+            instant(EventName::NetArrival, 0, 7, 0),
+            instant(EventName::NetWire, 0, 7, 20_000),
+            instant(EventName::NetRxWait, 0, 7, 0),
+            instant(EventName::NetNic, 0, 7, 400_000),
+            instant(EventName::NetSteer, 0, 7, 40_000),
+            instant(EventName::NetRoute, 0, 7, (3 << 32) | 1),
+            instant(EventName::LoadDispatch, 3, 7, 1_000_000),
+            instant(EventName::LoadComplete, 5, 7, 1_000_000),
+            instant(EventName::NetTx, 5, 7, 500_000),
         ];
         let r = NetReport::from_events(&events).expect("net events present");
         assert_eq!(r.packets, 1);

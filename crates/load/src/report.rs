@@ -19,7 +19,7 @@ use std::fmt;
 
 use kus_core::prelude::RunReport;
 use kus_sim::stats::{rate_per_sec, HdrHistogram};
-use kus_sim::{Category, Span, Time, TraceEvent};
+use kus_sim::{Category, EventName, Span, Time, TraceEvent};
 
 use crate::by_id::{last_per_id, lookup};
 
@@ -229,27 +229,27 @@ impl LoadReport {
         for ev in events.iter().filter(|e| e.cat == Category::Load) {
             let arrival = Time::from_ps(ev.a1);
             match ev.name {
-                "load.dispatch" => dispatches.push((ev.a0, (arrival, ev.at))),
-                "load.complete" => completions.push((ev.a0, (arrival, ev.at))),
-                "load.shed" => {
+                EventName::LoadDispatch => dispatches.push((ev.a0, (arrival, ev.at))),
+                EventName::LoadComplete => completions.push((ev.a0, (arrival, ev.at))),
+                EventName::LoadShed => {
                     shed_queue_full += 1;
                     shed_times.push(ev.at);
                 }
-                "load.shed.deadline" => {
+                EventName::LoadShedDeadline => {
                     shed_deadline += 1;
                     shed_times.push(ev.at);
                 }
-                "load.shed.admission" => {
+                EventName::LoadShedAdmission => {
                     shed_admission += 1;
                     shed_times.push(ev.at);
                 }
-                "load.retry" => retries += 1,
-                "load.timeout" => client_timeouts += 1,
-                "load.hedge" => hedges += 1,
-                "load.crash" => crashes += 1,
-                "load.stall" => dispatcher_stalls += 1,
-                "load.window.start" => windows.entry(ev.a0).or_default().0 = Some(ev.a1),
-                "load.window.end" => windows.entry(ev.a0).or_default().1 = Some(ev.a1),
+                EventName::LoadRetry => retries += 1,
+                EventName::LoadTimeout => client_timeouts += 1,
+                EventName::LoadHedge => hedges += 1,
+                EventName::LoadCrash => crashes += 1,
+                EventName::LoadStall => dispatcher_stalls += 1,
+                EventName::LoadWindowStart => windows.entry(ev.a0).or_default().0 = Some(ev.a1),
+                EventName::LoadWindowEnd => windows.entry(ev.a0).or_default().1 = Some(ev.a1),
                 _ => {}
             }
         }
@@ -894,7 +894,7 @@ mod tests {
     use super::*;
     use kus_sim::Phase;
 
-    fn ev(name: &'static str, at_ns: u64, track: u32, a0: u64, a1_ns: u64) -> TraceEvent {
+    fn ev(name: EventName, at_ns: u64, track: u32, a0: u64, a1_ns: u64) -> TraceEvent {
         TraceEvent {
             at: Time::ZERO + Span::from_ns(at_ns),
             cat: Category::Load,
@@ -911,11 +911,11 @@ mod tests {
     /// req 1: arrive 50, dispatch 150 ns, complete 2150 ns (sojourn 2100).
     fn sample_events() -> Vec<TraceEvent> {
         vec![
-            ev("load.dispatch", 100, 0, 0, 0),
-            ev("load.dispatch", 150, 1, 1, 50),
-            ev("load.shed", 60, 0, 2, 60),
-            ev("load.complete", 1100, 0, 0, 0),
-            ev("load.complete", 2150, 1, 1, 50),
+            ev(EventName::LoadDispatch, 100, 0, 0, 0),
+            ev(EventName::LoadDispatch, 150, 1, 1, 50),
+            ev(EventName::LoadShed, 60, 0, 2, 60),
+            ev(EventName::LoadComplete, 1100, 0, 0, 0),
+            ev(EventName::LoadComplete, 2150, 1, 1, 50),
         ]
     }
 
@@ -944,8 +944,8 @@ mod tests {
     #[test]
     fn queue_dominated_tail_is_blamed_on_the_queue() {
         let mut events = sample_events();
-        events.push(ev("load.dispatch", 3200, 0, 3, 200));
-        events.push(ev("load.complete", 4200, 0, 3, 200));
+        events.push(ev(EventName::LoadDispatch, 3200, 0, 3, 200));
+        events.push(ev(EventName::LoadComplete, 4200, 0, 3, 200));
         let r = LoadReport::from_events(&events).expect("events present");
         assert_eq!((r.blamed_queue, r.blamed_service), (1, 2));
         assert_eq!((r.tail_blamed_queue, r.tail_blamed_service), (1, 0));
@@ -969,7 +969,7 @@ mod tests {
         let foreign = TraceEvent {
             at: Time::ZERO,
             cat: Category::Sim,
-            name: "load.dispatch",
+            name: EventName::LoadDispatch,
             phase: Phase::Instant,
             track: 0,
             a0: 0,
@@ -981,16 +981,16 @@ mod tests {
     #[test]
     fn per_cause_sheds_client_counters_and_windows() {
         let mut events = sample_events();
-        events.push(ev("load.shed.deadline", 70, 0, 3, 70));
-        events.push(ev("load.shed.admission", 80, 0, 4, 80));
-        events.push(ev("load.retry", 90, 2, 0, 1));
-        events.push(ev("load.timeout", 90, 2, 0, 1));
-        events.push(ev("load.hedge", 95, 2, 1, 1));
-        events.push(ev("load.crash", 100, 0, 5, 100));
-        events.push(ev("load.stall", 110, 0, 6, 110));
-        events.push(ev("load.window.start", 500, 0, 1, 500));
-        events.push(ev("load.window.end", 700, 0, 1, 700));
-        events.push(ev("load.window.start", 1900, 0, 2, 1900));
+        events.push(ev(EventName::LoadShedDeadline, 70, 0, 3, 70));
+        events.push(ev(EventName::LoadShedAdmission, 80, 0, 4, 80));
+        events.push(ev(EventName::LoadRetry, 90, 2, 0, 1));
+        events.push(ev(EventName::LoadTimeout, 90, 2, 0, 1));
+        events.push(ev(EventName::LoadHedge, 95, 2, 1, 1));
+        events.push(ev(EventName::LoadCrash, 100, 0, 5, 100));
+        events.push(ev(EventName::LoadStall, 110, 0, 6, 110));
+        events.push(ev(EventName::LoadWindowStart, 500, 0, 1, 500));
+        events.push(ev(EventName::LoadWindowEnd, 700, 0, 1, 700));
+        events.push(ev(EventName::LoadWindowStart, 1900, 0, 2, 1900));
         let r = LoadReport::from_events(&events).expect("events present");
         assert_eq!(
             (r.shed_queue_full, r.shed_deadline, r.shed_admission),

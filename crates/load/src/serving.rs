@@ -22,7 +22,7 @@
 //! # Overload control
 //!
 //! Both admission and dispatch consult the spec's
-//! [`AdmissionControl`](crate::admission::AdmissionControl) policy
+//! [`AdmissionControl`] policy
 //! (arrival shedding, in-flight gating, dispatch-time head drops), and
 //! closed-loop users run the spec's [`RetryPolicy`] (client timeouts,
 //! budgeted retries with jittered exponential backoff, optional hedging).
@@ -54,7 +54,7 @@ use kus_core::prelude::{
 use kus_net::{NetConfig, NetTimeline};
 use kus_sim::fault::{FaultInjector, FaultPlan};
 use kus_sim::rng::SimRng;
-use kus_sim::{Span, Time, TraceClass};
+use kus_sim::{EventName, Span, Time, TraceClass};
 
 use crate::admission::{AdmissionControl, AdmissionDecision, AdmissionPolicy};
 use crate::arrival::ArrivalProcess;
@@ -280,7 +280,7 @@ impl LoadRuntime {
         while started < k_now {
             started += 1;
             let at = t0 + Span::from_ps(started * period);
-            ctx.trace_instant("load.window.start", started, at.as_ps());
+            ctx.trace_instant(EventName::LoadWindowStart, started, at.as_ps());
         }
         self.windows_started.set(started);
         let len = plan.freeze_len.as_ps();
@@ -288,7 +288,7 @@ impl LoadRuntime {
         while ended < started && since >= (ended + 1) * period + len {
             ended += 1;
             let at = t0 + Span::from_ps(ended * period + len);
-            ctx.trace_instant("load.window.end", ended, at.as_ps());
+            ctx.trace_instant(EventName::LoadWindowEnd, ended, at.as_ps());
         }
         self.windows_ended.set(ended);
     }
@@ -316,12 +316,12 @@ impl LoadRuntime {
             }
             let id = next as u64;
             if let Some(p) = net.packets.get(next) {
-                ctx.trace_instant("net.arrival", id, (t0 + p.arrival).as_ps());
-                ctx.trace_instant("net.wire", id, p.wire.as_ps());
-                ctx.trace_instant("net.rxwait", id, p.rx_wait.as_ps());
-                ctx.trace_instant("net.nic", id, p.nic.as_ps());
-                ctx.trace_instant("net.steer", id, p.steer.as_ps());
-                ctx.trace_instant("net.route", id, (u64::from(p.queue) << 32) | u64::from(p.core));
+                ctx.trace_instant(EventName::NetArrival, id, (t0 + p.arrival).as_ps());
+                ctx.trace_instant(EventName::NetWire, id, p.wire.as_ps());
+                ctx.trace_instant(EventName::NetRxWait, id, p.rx_wait.as_ps());
+                ctx.trace_instant(EventName::NetNic, id, p.nic.as_ps());
+                ctx.trace_instant(EventName::NetSteer, id, p.steer.as_ps());
+                ctx.trace_instant(EventName::NetRoute, id, (u64::from(p.queue) << 32) | u64::from(p.core));
             }
             let decision = {
                 let mut q = self.queue.borrow_mut();
@@ -479,7 +479,7 @@ impl Workload for ServingWorkload {
                         // No queue: a closed-loop request dispatches the
                         // instant its user stops thinking.
                         let start = ctx.now();
-                        ctx.trace_instant("load.dispatch", id, start.as_ps());
+                        ctx.trace_instant(EventName::LoadDispatch, id, start.as_ps());
                         let mut attempt = 0u32;
                         loop {
                             attempt += 1;
@@ -493,7 +493,7 @@ impl Workload for ServingWorkload {
                                 // Judge against history *before* recording
                                 // this sample, as a live client would.
                                 if hedge.delay(q).is_some_and(|d| latency > d) {
-                                    ctx.trace_instant("load.hedge", id, attempt as u64);
+                                    ctx.trace_instant(EventName::LoadHedge, id, attempt as u64);
                                     // Conservative hedging model: the hedge
                                     // costs a full extra serve and is never
                                     // credited with a latency win.
@@ -505,18 +505,18 @@ impl Workload for ServingWorkload {
                             if latency <= timeout {
                                 break;
                             }
-                            ctx.trace_instant("load.timeout", id, attempt as u64);
+                            ctx.trace_instant(EventName::LoadTimeout, id, attempt as u64);
                             if !retry.may_retry(attempt, rt.issued.get(), rt.retries.get()) {
                                 // Budget or attempt cap: accept the stale
                                 // answer rather than amplify further.
                                 break;
                             }
                             rt.retries.set(rt.retries.get() + 1);
-                            ctx.trace_instant("load.retry", id, attempt as u64);
+                            ctx.trace_instant(EventName::LoadRetry, id, attempt as u64);
                             let backoff = retry.retry_backoff(attempt, &mut rng);
                             ctx.sleep_until(ctx.now() + backoff).await;
                         }
-                        ctx.trace_instant("load.complete", id, start.as_ps());
+                        ctx.trace_instant(EventName::LoadComplete, id, start.as_ps());
                     }
                 })
             }
@@ -576,7 +576,7 @@ impl Workload for ServingWorkload {
                                 // back at the head, pay the respawn window
                                 // off the run ring, then rejoin the loop.
                                 rt.queue.borrow_mut().push_front((id, arrival));
-                                ctx.trace_instant("load.crash", id, arrival.as_ps());
+                                ctx.trace_instant(EventName::LoadCrash, id, arrival.as_ps());
                                 ctx.crash_respawn(respawn).await;
                                 continue;
                             }
@@ -584,25 +584,25 @@ impl Workload for ServingWorkload {
                                 ctx.host_work(spec.dispatch_overhead);
                             }
                             if let Some(extra) = stall {
-                                ctx.trace_instant("load.stall", id, extra.as_ps());
+                                ctx.trace_instant(EventName::LoadStall, id, extra.as_ps());
                                 ctx.host_work(extra);
                             }
                             if let Some(extra) = freeze {
                                 ctx.host_work(extra);
                             }
-                            ctx.trace_instant("load.dispatch", id, arrival.as_ps());
+                            ctx.trace_instant(EventName::LoadDispatch, id, arrival.as_ps());
                             rt.in_flight.set(rt.in_flight.get() + 1);
                             let _ = service.serve(id, &ctx).await;
                             rt.in_flight.set(rt.in_flight.get() - 1);
                             let end = ctx.now();
-                            ctx.trace_instant("load.complete", id, arrival.as_ps());
+                            ctx.trace_instant(EventName::LoadComplete, id, arrival.as_ps());
                             if let Some(tx) = tx_cost {
-                                ctx.trace_instant("net.tx", id, tx.as_ps());
+                                ctx.trace_instant(EventName::NetTx, id, tx.as_ps());
                                 if ctx.wants(TraceClass::Causal) {
                                     // Egress span: the TX path covers
                                     // [completion, completion + tx) — no
                                     // longer a flat, invisible tail.
-                                    ctx.trace_complete_span("rpc.tx", end, end + tx, id);
+                                    ctx.trace_complete_span(EventName::RpcTx, end, end + tx, id);
                                 }
                             }
                             rt.policy

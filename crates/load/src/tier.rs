@@ -16,7 +16,7 @@
 //! events, bit-identical to the pre-tier serving path.
 
 use kus_core::prelude::{Addr, Dataset, MemCtx};
-use kus_sim::Span;
+use kus_sim::{EventName, Span};
 
 use crate::service::{generate_tagged_lines, ServeFuture, Service};
 
@@ -173,7 +173,7 @@ impl Service for TieredService {
         Box::pin(async move {
             let t = ctx.now();
             ctx.host_work(spec.front_overhead);
-            ctx.trace_complete_since("rpc.front", t, req);
+            ctx.trace_complete_since(EventName::RpcFront, t, req);
             if let Some(base) = hops {
                 // Each backend hop is its own µs-scale access; the batch
                 // overlaps them, so the stage costs ~one hop plus whatever
@@ -187,15 +187,15 @@ impl Service for TieredService {
                 // span with a0 = req * MAX_FANOUT + i, closed at the instant
                 // its value became available — the raw material for exact
                 // fan-in join resolution (critical child = max end).
-                let _ = ctx.dev_read_batch_spans(&addrs, "rpc.hop", req * u64::from(MAX_FANOUT)).await;
-                ctx.trace_complete_since("rpc.fanout", t, req);
+                let _ = ctx.dev_read_batch_spans(&addrs, EventName::RpcHop, req * u64::from(MAX_FANOUT)).await;
+                ctx.trace_complete_since(EventName::RpcFanout, t, req);
             }
             let t = ctx.now();
             let v = self.inner.serve(req, ctx).await;
-            ctx.trace_complete_since("rpc.service", t, req);
+            ctx.trace_complete_since(EventName::RpcService, t, req);
             let t = ctx.now();
             ctx.host_work(spec.reply_overhead);
-            ctx.trace_complete_since("rpc.reply", t, req);
+            ctx.trace_complete_since(EventName::RpcReply, t, req);
             v
         })
     }

@@ -7,7 +7,7 @@
 
 use crate::addr::LineAddr;
 use kus_sim::stats::Counter;
-use kus_sim::trace::Category;
+use kus_sim::trace::EventName;
 use kus_sim::Tracer;
 
 /// Per-way metadata.
@@ -135,7 +135,7 @@ impl SetAssocCache {
         let evicted = victim.valid.then_some(victim.tag);
         if let Some(old) = evicted {
             self.evictions.incr();
-            self.tracer.instant(Category::Mem, "l1.evict", self.track, old.index(), line.index());
+            self.tracer.instant(EventName::L1Evict, self.track, old.index(), line.index());
         }
         *victim = Way { tag: line, valid: true, lru: stamp };
         evicted

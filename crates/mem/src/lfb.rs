@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use kus_sim::event::EventFn;
 use kus_sim::stats::{Counter, Gauge};
-use kus_sim::trace::{Category, TraceClass};
+use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{Sim, Time, Tracer};
 
 use crate::addr::LineAddr;
@@ -156,13 +156,13 @@ impl LfbPool {
         assert!(!self.is_pending(line), "line {line} already pending; use merge");
         if self.entries.len() == self.capacity {
             self.full_rejections.incr();
-            self.tracer.instant(Category::Mem, "lfb.full", self.track, line.index(), self.capacity as u64);
+            self.tracer.instant(EventName::LfbFull, self.track, line.index(), self.capacity as u64);
             return Err(LfbFull);
         }
         self.entries.push(Entry { line, tokens: token.into_iter().collect() });
         self.allocations.incr();
         self.occupancy.set(now, self.entries.len() as u64);
-        self.tracer.instant(Category::Mem, "lfb.alloc", self.track, line.index(), self.entries.len() as u64);
+        self.tracer.instant(EventName::LfbAlloc, self.track, line.index(), self.entries.len() as u64);
         Ok(())
     }
 
@@ -172,7 +172,7 @@ impl LfbPool {
         if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
             e.tokens.push(token);
             self.merges.incr();
-            self.tracer.instant(Category::Mem, "lfb.merge", self.track, line.index(), self.entries.len() as u64);
+            self.tracer.instant(EventName::LfbMerge, self.track, line.index(), self.entries.len() as u64);
             true
         } else {
             false
@@ -199,9 +199,9 @@ impl LfbPool {
             .unwrap_or_else(|| panic!("completing non-pending line {line}"));
         let entry = self.entries.swap_remove(idx);
         self.occupancy.set(sim.now(), self.entries.len() as u64);
-        self.tracer.instant(Category::Mem, "lfb.fill", self.track, line.index(), self.entries.len() as u64);
+        self.tracer.instant(EventName::LfbFill, self.track, line.index(), self.entries.len() as u64);
         for w in self.slot_waiters.drain(..) {
-            sim.schedule_now(w);
+            sim.schedule_boxed_at(sim.now(), w);
         }
         entry.tokens
     }
@@ -214,7 +214,7 @@ impl LfbPool {
     pub fn wait_for_slot(&mut self, f: impl FnOnce(&mut Sim) + 'static) {
         self.slot_waiters.push_back(Box::new(f));
         if self.tracer.wants(TraceClass::Profile) {
-            self.tracer.instant(Category::Mem, "lfb.wait", self.track, 0, self.slot_waiters.len() as u64);
+            self.tracer.instant(EventName::LfbWait, self.track, 0, self.slot_waiters.len() as u64);
         }
     }
 

@@ -4,7 +4,7 @@
 //! paper's analysis turns on, plus the dataset plumbing applications use:
 //!
 //! - [`addr`]: dataset addresses, 64-byte cache-line geometry, and the
-//!   device-vs-DRAM [`Backing`](addr::Backing) switch.
+//!   device-vs-DRAM [`Backing`] switch.
 //! - [`store`]: the dataset *contents* (timing and contents are separated).
 //! - [`alloc`] / [`layout`]: bump allocation and typed array/bit-array views.
 //! - [`cache`]: a set-associative LRU L1 model (prefetch installs lines here).

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use kus_sim::event::EventFn;
 use kus_sim::stats::{Counter, Gauge, SpanHistogram};
-use kus_sim::trace::{Category, TraceClass};
+use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{Sim, Span, Time, Tracer};
 
 /// Configuration for a [`Station`].
@@ -187,7 +187,7 @@ impl Station {
             let level = s.in_service as u64;
             s.occupancy.set(now, level);
             if s.tracer.wants(TraceClass::Profile) {
-                s.tracer.counter(Category::Mem, "station.occ", s.track, level);
+                s.tracer.counter(EventName::StationOcc, s.track, level);
             }
             let start_at = now.max(s.busy_until);
             s.busy_until = start_at + s.config.service;

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use kus_sim::event::EventFn;
 use kus_sim::stats::{Counter, Gauge};
-use kus_sim::trace::{Category, TraceClass};
+use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{Sim, Time, Tracer};
 
 /// A shared occupancy-limited credit pool with FIFO retry notification.
@@ -129,7 +129,7 @@ impl CreditQueue {
         self.grants.incr();
         self.occupancy.set(now, self.in_use as u64);
         if self.tracer.wants(TraceClass::Profile) {
-            self.tracer.counter(Category::Mem, "credit.occ", self.track, self.in_use as u64);
+            self.tracer.counter(EventName::CreditOcc, self.track, self.in_use as u64);
         }
         true
     }
@@ -144,7 +144,7 @@ impl CreditQueue {
         self.in_use -= 1;
         self.occupancy.set(sim.now(), self.in_use as u64);
         if let Some(w) = self.waiters.pop_front() {
-            sim.schedule_now(w);
+            sim.schedule_boxed_at(sim.now(), w);
         }
     }
 

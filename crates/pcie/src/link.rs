@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use kus_sim::event::EventFn;
 use kus_sim::stats::Counter;
-use kus_sim::trace::{Category, TraceClass};
+use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{FaultInjector, Sim, Span, Time, Tracer};
 
 use crate::tlp::Tlp;
@@ -164,9 +164,9 @@ impl PcieLink {
                 LinkDir::HostToDev => 300,
                 LinkDir::DevToHost => 301,
             };
-            self.tracer.instant(Category::Pcie, "tlp.send", track, tlp.wire_bytes(), tlp.payload_bytes());
+            self.tracer.instant(EventName::TlpSend, track, tlp.wire_bytes(), tlp.payload_bytes());
             if replays > 0 {
-                self.tracer.instant(Category::Pcie, "tlp.replay", track, tlp.wire_bytes(), replays);
+                self.tracer.instant(EventName::TlpReplay, track, tlp.wire_bytes(), replays);
             }
             if self.tracer.wants(TraceClass::Profile) {
                 // Time this packet will sit behind earlier traffic on the
@@ -174,12 +174,12 @@ impl PcieLink {
                 let queued = self.dir(dir).busy_until;
                 let now = sim.now();
                 if queued > now {
-                    self.tracer.instant(Category::Pcie, "tlp.queue", track, (queued - now).as_ps(), 0);
+                    self.tracer.instant(EventName::TlpQueue, track, (queued - now).as_ps(), 0);
                 }
             }
         }
         let at = self.dir(dir).send(sim.now(), tlp, replays);
-        sim.schedule_at(at, on_arrive);
+        sim.schedule_boxed_at(at, on_arrive);
     }
 
     /// Per-direction accounting.

@@ -16,7 +16,7 @@
 //! invariant `ProfileReport::build` asserts.
 
 use kus_sim::time::{Span, Time};
-use kus_sim::trace::{Category, Phase, TraceEvent};
+use kus_sim::trace::{Category, EventName, Phase, TraceEvent};
 
 /// The six accounting classes, in **priority order**: when span classes
 /// overlap, the earlier class claims the interval.
@@ -109,11 +109,11 @@ pub(crate) fn classify(events: &[TraceEvent], cores: usize, window: (Time, Time)
             continue;
         }
         let class = match e.name {
-            "cpu.ctx" => CLASS_CTX,
-            "cpu.poll" => CLASS_POLL,
-            "cpu.work" | "cpu.soft" => CLASS_COMPUTE,
-            "cpu.lfbwait" => CLASS_LFB,
-            "cpu.park" => CLASS_BLOCKED,
+            EventName::CpuCtx => CLASS_CTX,
+            EventName::CpuPoll => CLASS_POLL,
+            EventName::CpuWork | EventName::CpuSoft => CLASS_COMPUTE,
+            EventName::CpuLfbWait => CLASS_LFB,
+            EventName::CpuPark => CLASS_BLOCKED,
             _ => continue,
         };
         let Some(by_class) = spans.get_mut(e.track as usize) else { continue };
@@ -183,7 +183,7 @@ fn covers(merged: &[(u64, u64)], at: u64) -> bool {
 mod tests {
     use super::*;
 
-    fn span_ev(name: &'static str, track: u32, start_ps: u64, dur_ps: u64) -> TraceEvent {
+    fn span_ev(name: EventName, track: u32, start_ps: u64, dur_ps: u64) -> TraceEvent {
         TraceEvent {
             at: Time::from_ps(start_ps),
             cat: Category::Cpu,
@@ -214,7 +214,7 @@ mod tests {
     fn priority_resolves_overlap() {
         // A park [0,1000) overlapped by a work span [200,500): compute wins
         // the overlap, the park keeps the exposed remainder.
-        let evs = vec![span_ev("cpu.park", 0, 0, 1000), span_ev("cpu.work", 0, 200, 300)];
+        let evs = vec![span_ev(EventName::CpuPark, 0, 0, 1000), span_ev(EventName::CpuWork, 0, 200, 300)];
         let tl = classify(&evs, 1, window(1000));
         let a = tl[0].account;
         assert_eq!(a.compute, Span::from_ps(300));
@@ -236,9 +236,9 @@ mod tests {
         // Span starts before the window and ends after it; overlapping work
         // spans within one class union rather than double-count.
         let evs = vec![
-            span_ev("cpu.work", 0, 0, 400),
-            span_ev("cpu.work", 0, 300, 500),
-            span_ev("cpu.ctx", 0, 700, 600),
+            span_ev(EventName::CpuWork, 0, 0, 400),
+            span_ev(EventName::CpuWork, 0, 300, 500),
+            span_ev(EventName::CpuCtx, 0, 700, 600),
         ];
         let w = (Time::from_ps(100), Time::from_ps(900));
         let tl = classify(&evs, 1, w);
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn tracks_outside_core_range_are_ignored() {
-        let evs = vec![span_ev("cpu.work", 7, 0, 100)];
+        let evs = vec![span_ev(EventName::CpuWork, 7, 0, 100)];
         let tl = classify(&evs, 1, window(100));
         assert_eq!(tl[0].account.compute, Span::ZERO);
         assert_eq!(tl[0].account.idle, Span::from_ps(100));
@@ -262,9 +262,9 @@ mod tests {
     #[test]
     fn segments_tile_the_window() {
         let evs = vec![
-            span_ev("cpu.poll", 1, 100, 50),
-            span_ev("cpu.soft", 1, 150, 100),
-            span_ev("cpu.lfbwait", 1, 400, 100),
+            span_ev(EventName::CpuPoll, 1, 100, 50),
+            span_ev(EventName::CpuSoft, 1, 150, 100),
+            span_ev(EventName::CpuLfbWait, 1, 400, 100),
         ];
         let tl = classify(&evs, 2, window(600));
         let segs = &tl[1].segments;

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use kus_sim::time::Span;
-use kus_sim::trace::{Category, TraceEvent};
+use kus_sim::trace::{Category, EventName, TraceEvent};
 
 /// The blameable segments, in chain order. Ties go to the earlier segment.
 pub const SEGMENTS: [&str; 6] =
@@ -108,13 +108,13 @@ pub(crate) fn extract(events: &[TraceEvent]) -> (BlameTable, BlameTable) {
         let at = e.at.as_ps();
         let st = tags.entry(e.a0).or_default();
         match e.name {
-            "swq.issue" => first(&mut st.issue, at),
-            "swq.enqueue" => first(&mut st.enqueue, at),
-            "swq.doorbell" => first(&mut st.doorbell, at),
-            "swq.fetch" => first(&mut st.fetch, at),
-            "swq.serve" => first(&mut st.serve, at),
-            "swq.complete" => first(&mut st.complete, at),
-            "swq.deliver" => first(&mut st.deliver, at),
+            EventName::SwqIssue => first(&mut st.issue, at),
+            EventName::SwqEnqueue => first(&mut st.enqueue, at),
+            EventName::SwqDoorbell => first(&mut st.doorbell, at),
+            EventName::SwqFetch => first(&mut st.fetch, at),
+            EventName::SwqServe => first(&mut st.serve, at),
+            EventName::SwqComplete => first(&mut st.complete, at),
+            EventName::SwqDeliver => first(&mut st.deliver, at),
             _ => {}
         }
     }
@@ -174,7 +174,7 @@ mod tests {
     use kus_sim::time::Time;
     use kus_sim::trace::Phase;
 
-    fn ev(name: &'static str, at_ps: u64, tag: u64) -> TraceEvent {
+    fn ev(name: EventName, at_ps: u64, tag: u64) -> TraceEvent {
         TraceEvent {
             at: Time::from_ps(at_ps),
             cat: Category::Swq,
@@ -187,8 +187,15 @@ mod tests {
     }
 
     fn chain(tag: u64, stamps: [u64; 7]) -> Vec<TraceEvent> {
-        let names =
-            ["swq.issue", "swq.enqueue", "swq.doorbell", "swq.fetch", "swq.serve", "swq.complete", "swq.deliver"];
+        let names = [
+            EventName::SwqIssue,
+            EventName::SwqEnqueue,
+            EventName::SwqDoorbell,
+            EventName::SwqFetch,
+            EventName::SwqServe,
+            EventName::SwqComplete,
+            EventName::SwqDeliver,
+        ];
         names.iter().zip(stamps).map(|(&n, at)| ev(n, at, tag)).collect()
     }
 
@@ -220,7 +227,7 @@ mod tests {
     #[test]
     fn incomplete_chains_are_skipped() {
         let mut evs = chain(1, [0, 10, 20, 100, 1100, 1150, 1200]);
-        evs.extend(vec![ev("swq.issue", 0, 2), ev("swq.enqueue", 10, 2)]); // never delivered
+        evs.extend(vec![ev(EventName::SwqIssue, 0, 2), ev(EventName::SwqEnqueue, 10, 2)]); // never delivered
         let (all, _) = extract(&evs);
         assert_eq!(all.requests, 1);
     }
@@ -228,7 +235,14 @@ mod tests {
     #[test]
     fn missing_doorbell_charges_ring_wait() {
         // Batched tag: no doorbell event; enqueue→fetch gap all ring_wait.
-        let names = ["swq.issue", "swq.enqueue", "swq.fetch", "swq.serve", "swq.complete", "swq.deliver"];
+        let names = [
+            EventName::SwqIssue,
+            EventName::SwqEnqueue,
+            EventName::SwqFetch,
+            EventName::SwqServe,
+            EventName::SwqComplete,
+            EventName::SwqDeliver,
+        ];
         let stamps = [0u64, 10, 2000, 2100, 2150, 2200];
         let evs: Vec<_> = names.iter().zip(stamps).map(|(&n, at)| ev(n, at, 3)).collect();
         let (all, _) = extract(&evs);

@@ -160,14 +160,14 @@ mod tests {
     use super::*;
     use crate::ProfileContext;
     use kus_sim::time::{Span, Time};
-    use kus_sim::trace::{Category, Phase, TraceEvent};
+    use kus_sim::trace::{Category, EventName, Phase, TraceEvent};
 
     fn sample_report() -> ProfileReport {
         let evs = vec![
             TraceEvent {
                 at: Time::from_ps(100),
                 cat: Category::Cpu,
-                name: "cpu.work",
+                name: EventName::CpuWork,
                 phase: Phase::Complete,
                 track: 0,
                 a0: 0,
@@ -176,7 +176,7 @@ mod tests {
             TraceEvent {
                 at: Time::from_ps(600),
                 cat: Category::Cpu,
-                name: "cpu.park",
+                name: EventName::CpuPark,
                 phase: Phase::Complete,
                 track: 0,
                 a0: 0,

@@ -266,9 +266,9 @@ pub(crate) fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kus_sim::trace::{Category, Phase};
+    use kus_sim::trace::{Category, EventName, Phase};
 
-    fn cpu(name: &'static str, track: u32, start: u64, dur: u64) -> TraceEvent {
+    fn cpu(name: EventName, track: u32, start: u64, dur: u64) -> TraceEvent {
         TraceEvent {
             at: Time::from_ps(start),
             cat: Category::Cpu,
@@ -298,9 +298,9 @@ mod tests {
     #[test]
     fn build_sums_to_wall_time_per_core() {
         let evs = vec![
-            cpu("cpu.work", 0, 0, 300),
-            cpu("cpu.ctx", 0, 250, 200),
-            cpu("cpu.park", 1, 100, 900),
+            cpu(EventName::CpuWork, 0, 0, 300),
+            cpu(EventName::CpuCtx, 0, 250, 200),
+            cpu(EventName::CpuPark, 1, 100, 900),
         ];
         let r = ProfileReport::build(&evs, ctx(2, 1000));
         for tl in &r.timelines {
@@ -314,7 +314,7 @@ mod tests {
 
     #[test]
     fn json_is_deterministic_and_balanced() {
-        let evs = vec![cpu("cpu.work", 0, 0, 500)];
+        let evs = vec![cpu(EventName::CpuWork, 0, 0, 500)];
         let a = ProfileReport::build(&evs, ctx(1, 1000)).to_json();
         let b = ProfileReport::build(&evs, ctx(1, 1000)).to_json();
         assert_eq!(a, b);

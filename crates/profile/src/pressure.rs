@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use kus_sim::stats::HdrHistogram;
 use kus_sim::time::Span;
-use kus_sim::trace::{Category, TraceEvent};
+use kus_sim::trace::{Category, EventName, TraceEvent};
 
 /// Trace track the platform assigns the chip-level device-path credit queue.
 pub const TRACK_DEVICE_CREDITS: u32 = 400;
@@ -94,23 +94,23 @@ pub(crate) fn build(events: &[TraceEvent]) -> PressureReport {
     let mut p = PressureReport::default();
     for e in events {
         match (e.cat, e.name) {
-            (Category::Mem, "lfb.alloc" | "lfb.merge" | "lfb.fill") => {
+            (Category::Mem, EventName::LfbAlloc | EventName::LfbMerge | EventName::LfbFill) => {
                 record_level(&mut lfb, e.track, e.a1)
             }
-            (Category::Mem, "lfb.full") => p.lfb_full_events += 1,
-            (Category::Mem, "lfb.wait") => p.lfb_waits += 1,
-            (Category::Mem, "credit.occ") if e.track == TRACK_DEVICE_CREDITS => {
+            (Category::Mem, EventName::LfbFull) => p.lfb_full_events += 1,
+            (Category::Mem, EventName::LfbWait) => p.lfb_waits += 1,
+            (Category::Mem, EventName::CreditOcc) if e.track == TRACK_DEVICE_CREDITS => {
                 record_level(&mut chip, e.track, e.a0)
             }
-            (Category::Mem, "station.occ") => record_level(&mut station, e.track, e.a0),
-            (Category::Pcie, "tlp.queue") => record_level(&mut link, e.track, e.a0),
-            (Category::Swq, "swq.enqueue") => {
+            (Category::Mem, EventName::StationOcc) => record_level(&mut station, e.track, e.a0),
+            (Category::Pcie, EventName::TlpQueue) => record_level(&mut link, e.track, e.a0),
+            (Category::Swq, EventName::SwqEnqueue) => {
                 p.enqueues += 1;
                 record_level(&mut ring, e.track, e.a1);
             }
-            (Category::Swq, "swq.doorbell") => p.doorbells += 1,
-            (Category::Swq, "swq.fetch") => p.fetched += 1,
-            (Category::Device, "fetch.burst") => p.fetch_bursts += 1,
+            (Category::Swq, EventName::SwqDoorbell) => p.doorbells += 1,
+            (Category::Swq, EventName::SwqFetch) => p.fetched += 1,
+            (Category::Device, EventName::FetchBurst) => p.fetch_bursts += 1,
             _ => {}
         }
     }
@@ -128,25 +128,25 @@ mod tests {
     use kus_sim::time::Time;
     use kus_sim::trace::Phase;
 
-    fn ev(cat: Category, name: &'static str, track: u32, a0: u64, a1: u64) -> TraceEvent {
+    fn ev(cat: Category, name: EventName, track: u32, a0: u64, a1: u64) -> TraceEvent {
         TraceEvent { at: Time::ZERO, cat, name, phase: Phase::Instant, track, a0, a1 }
     }
 
     #[test]
     fn histograms_and_factors() {
         let evs = vec![
-            ev(Category::Mem, "lfb.alloc", 0, 5, 1),
-            ev(Category::Mem, "lfb.alloc", 1, 6, 3),
-            ev(Category::Mem, "lfb.full", 0, 7, 10),
-            ev(Category::Mem, "lfb.wait", 0, 7, 1),
-            ev(Category::Mem, "credit.occ", TRACK_DEVICE_CREDITS, 14, 0),
-            ev(Category::Mem, "credit.occ", TRACK_DRAM_CREDITS, 40, 0), // not the chip queue
-            ev(Category::Swq, "swq.enqueue", 0, 1, 4),
-            ev(Category::Swq, "swq.enqueue", 0, 2, 5),
-            ev(Category::Swq, "swq.doorbell", 0, 1, 0),
-            ev(Category::Swq, "swq.fetch", 100, 1, 1),
-            ev(Category::Swq, "swq.fetch", 100, 2, 0),
-            ev(Category::Device, "fetch.burst", 100, 1, 1),
+            ev(Category::Mem, EventName::LfbAlloc, 0, 5, 1),
+            ev(Category::Mem, EventName::LfbAlloc, 1, 6, 3),
+            ev(Category::Mem, EventName::LfbFull, 0, 7, 10),
+            ev(Category::Mem, EventName::LfbWait, 0, 7, 1),
+            ev(Category::Mem, EventName::CreditOcc, TRACK_DEVICE_CREDITS, 14, 0),
+            ev(Category::Mem, EventName::CreditOcc, TRACK_DRAM_CREDITS, 40, 0), // not the chip queue
+            ev(Category::Swq, EventName::SwqEnqueue, 0, 1, 4),
+            ev(Category::Swq, EventName::SwqEnqueue, 0, 2, 5),
+            ev(Category::Swq, EventName::SwqDoorbell, 0, 1, 0),
+            ev(Category::Swq, EventName::SwqFetch, 100, 1, 1),
+            ev(Category::Swq, EventName::SwqFetch, 100, 2, 0),
+            ev(Category::Device, EventName::FetchBurst, 100, 1, 1),
         ];
         let p = build(&evs);
         assert_eq!(p.lfb_occupancy.count(), 2);
@@ -174,12 +174,12 @@ mod tests {
         // The same samples attributed to different tracks merge to the same
         // histogram — the property that makes profiles `--jobs`-stable.
         let a = build(&[
-            ev(Category::Mem, "lfb.alloc", 0, 0, 7),
-            ev(Category::Mem, "lfb.alloc", 3, 0, 2),
+            ev(Category::Mem, EventName::LfbAlloc, 0, 0, 7),
+            ev(Category::Mem, EventName::LfbAlloc, 3, 0, 2),
         ]);
         let b = build(&[
-            ev(Category::Mem, "lfb.alloc", 3, 0, 2),
-            ev(Category::Mem, "lfb.alloc", 0, 0, 7),
+            ev(Category::Mem, EventName::LfbAlloc, 3, 0, 2),
+            ev(Category::Mem, EventName::LfbAlloc, 0, 0, 7),
         ]);
         assert_eq!(a.lfb_occupancy.count(), b.lfb_occupancy.count());
         assert_eq!(a.lfb_occupancy.quantile(0.5), b.lfb_occupancy.quantile(0.5));

@@ -40,7 +40,7 @@
 //! Note on crate layering: `kus-scenario` sits *above* `kus-core` (it
 //! depends on core, load, and workloads), so core's prelude cannot
 //! re-export these types without a dependency cycle. Use
-//! [`prelude`](crate::prelude) here instead — it includes everything
+//! [`prelude`] here instead — it includes everything
 //! `kus_core::prelude` has, plus the load-generation and scenario types.
 
 #![warn(missing_docs)]

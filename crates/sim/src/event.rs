@@ -5,10 +5,10 @@
 //! every run bit-deterministic. Since the timing-wheel rewrite the machinery
 //! behind that contract is:
 //!
-//! - a **hierarchical timing wheel** ([`wheel`](crate::wheel)) instead of a
+//! - a **hierarchical timing wheel** (`wheel`) instead of a
 //!   binary heap: O(1) insert, O(1)-amortized pop, far-future deadlines held
 //!   in coarse calendar buckets that cascade down as the clock approaches;
-//! - a **slab event allocator** ([`slab`](crate::slab)): events live in
+//! - a **slab event allocator** (`slab`): events live in
 //!   freelist-recycled fixed-size slots threaded intrusively through the
 //!   wheel's buckets, so scheduling allocates nothing beyond the payload
 //!   (and nothing at all for the [`schedule_fn_at`](Sim::schedule_fn_at)
@@ -214,6 +214,17 @@ impl Sim {
     /// Panics if `at` is in the past.
     pub fn schedule_at(&mut self, at: Time, f: impl FnOnce(&mut Sim) + 'static) {
         self.push(at, Payload::Boxed(Box::new(f)));
+    }
+
+    /// [`schedule_at`](Sim::schedule_at) for a callback that is already
+    /// boxed (a stored waiter or completion hook): the box becomes the
+    /// event's payload as it is, where `schedule_at` would box it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn schedule_boxed_at(&mut self, at: Time, f: EventFn) {
+        self.push(at, Payload::Boxed(f));
     }
 
     /// Schedules `f` to run `delay` after the current time.
@@ -499,6 +510,26 @@ mod tests {
         // Closure fired second; fn events first and third.
         assert_eq!(*log.borrow(), vec![2]);
         LOG.with(|l| assert_eq!(*l.borrow(), vec![1, 3]));
+    }
+
+    /// An already-boxed callback takes its `(time, seq)` slot exactly as
+    /// the same closure passed to `schedule_at` would.
+    #[test]
+    fn boxed_events_keep_their_seq_order() {
+        let mut sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let push = |v: u32| -> EventFn {
+            let log = log.clone();
+            Box::new(move |_| log.borrow_mut().push(v))
+        };
+        let at = Time::ZERO + Span::from_ns(5);
+        sim.schedule_boxed_at(at, push(1));
+        sim.schedule_at(at, push(2));
+        sim.schedule_boxed_at(at, push(3));
+        sim.schedule_boxed_at(Time::ZERO + Span::from_ns(2), push(0));
+        sim.run();
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+        assert_eq!(sim.now(), at);
     }
 
     // ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] describes *what* can go wrong and how often; a
 //! [`FaultInjector`] turns the plan into concrete yes/no decisions drawn
-//! from labeled [`SimRng`](crate::rng::SimRng) sub-streams, one per
+//! from labeled [`SimRng`] sub-streams, one per
 //! injection site. Because each site owns its own stream, adding or
 //! removing one fault class never perturbs the draws of another — the
 //! same seed and plan always produce the same fault schedule.

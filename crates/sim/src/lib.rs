@@ -5,9 +5,9 @@
 //! hardware or software component on top of this kernel.
 //!
 //! - [`time`]: integer-picosecond [`Time`]/[`Span`] newtypes and a cycle
-//!   [`Clock`](time::Clock).
+//!   [`Clock`].
 //! - [`event`]: the [`Sim`] driver — a hierarchical timing-wheel scheduler
-//!   ([`wheel`]) over slab-allocated events ([`slab`]) with batched
+//!   (`wheel`) over slab-allocated events (`slab`) with batched
 //!   same-instant dispatch and deterministic `(time, seq)` ordering.
 //! - [`heap_ref`]: the pre-wheel `BinaryHeap` core, retained as the
 //!   reference model for differential tests and benchmark baselines.
@@ -51,4 +51,4 @@ pub use event::{RunOutcome, Sim};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use rng::SimRng;
 pub use time::{Clock, Span, Time};
-pub use trace::{Category, FlowArrow, Phase, TraceClass, TraceEvent, Tracer};
+pub use trace::{Category, EventName, FlowArrow, Phase, TraceClass, TraceEvent, Tracer};

@@ -120,7 +120,201 @@ impl Phase {
     }
 }
 
-/// One trace event. `name` is a static string (e.g. `"swq.enqueue"`);
+/// Declares [`EventName`] from one table: each variant with its dotted
+/// name, grouped under the one [`Category`] it is emitted under.
+macro_rules! event_names {
+    ($($cat:ident { $($(#[$doc:meta])* $variant:ident = $name:literal,)* })*) => {
+        /// Every event name the simulator emits: the one registry of the
+        /// trace taxonomy (DESIGN.md §8b). An event stores its name as one
+        /// byte; the dotted string ([`as_str`](EventName::as_str)) is what
+        /// the hash, the binary log, the Chrome export and the golden
+        /// rendering write. Each doc line gives the `a0`, `a1` arguments.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum EventName {
+            $($($(#[$doc])* $variant,)*)*
+        }
+
+        impl EventName {
+            /// Every name, grouped by category in [`Category`] order.
+            pub const ALL: &'static [EventName] = &[$($(EventName::$variant,)*)*];
+
+            /// The dotted name, e.g. `"swq.enqueue"`.
+            pub const fn as_str(self) -> &'static str {
+                match self {
+                    $($(EventName::$variant => $name,)*)*
+                }
+            }
+
+            /// The category every event of this name is emitted under.
+            pub const fn category(self) -> Category {
+                match self {
+                    $($(EventName::$variant => Category::$cat,)*)*
+                }
+            }
+        }
+    };
+}
+
+event_names! {
+    Mem {
+        /// A line-fill buffer taken: line, buffers in use after.
+        LfbAlloc = "lfb.alloc",
+        /// A miss merged into a pending fill: line, buffers in use.
+        LfbMerge = "lfb.merge",
+        /// A fill arrived and freed its buffer: line, buffers in use after.
+        LfbFill = "lfb.fill",
+        /// A miss found every buffer busy: line, capacity.
+        LfbFull = "lfb.full",
+        /// A request queued for a free buffer (profile class): 0, waiters.
+        LfbWait = "lfb.wait",
+        /// An L1 eviction: victim line, newcomer line.
+        L1Evict = "l1.evict",
+        /// Credit-queue occupancy sample (profile class): credits in use.
+        CreditOcc = "credit.occ",
+        /// Memory-station occupancy sample (profile class): requests in
+        /// service.
+        StationOcc = "station.occ",
+    }
+    Pcie {
+        /// A TLP on the wire: wire bytes, payload bytes.
+        TlpSend = "tlp.send",
+        /// A TLP replayed by an injected fault: wire bytes, replays.
+        TlpReplay = "tlp.replay",
+        /// Wait behind earlier traffic on the direction (profile class):
+        /// delay in ps, 0.
+        TlpQueue = "tlp.queue",
+    }
+    Device {
+        /// A fetcher doorbell: doorbells so far, fetcher running.
+        FetchDoorbell = "fetch.doorbell",
+        /// A descriptor burst read: burst reads so far, bursts in flight.
+        FetchBurst = "fetch.burst",
+        /// The fetcher parks: rerun pending, 0.
+        FetchPark = "fetch.park",
+        /// A device request: line, replayed.
+        DevReq = "dev.req",
+        /// A device response span, arrival to release: line.
+        DevResp = "dev.resp",
+        /// A response past its deadline: line, lateness in ps.
+        DevDeadlineMiss = "dev.deadline_miss",
+    }
+    Swq {
+        /// A descriptor issued: tag, fiber.
+        SwqIssue = "swq.issue",
+        /// A descriptor on the ring: tag, ring depth.
+        SwqEnqueue = "swq.enqueue",
+        /// A doorbell rung: tag, 0.
+        SwqDoorbell = "swq.doorbell",
+        /// A descriptor fetched by the device: tag, pending.
+        SwqFetch = "swq.fetch",
+        /// The device served the read: tag, 0.
+        SwqServe = "swq.serve",
+        /// A completion entry written: tag, 0.
+        SwqComplete = "swq.complete",
+        /// A completion dropped on a full ring: tag, 0.
+        SwqCplOverflow = "swq.cpl_overflow",
+        /// The value delivered to its fiber: tag, fiber.
+        SwqDeliver = "swq.deliver",
+        /// A duplicate completion deduplicated: tag, 0.
+        SwqStale = "swq.stale",
+    }
+    Fiber {
+        /// A fiber switch: next fiber, switches so far.
+        FiberSwitch = "fiber.switch",
+        /// An injected fiber crash: fiber, recovery cost in ps.
+        FiberCrash = "fiber.crash",
+        /// The watchdog degraded doorbell mode: degradations so far, 0.
+        WatchdogDegrade = "watchdog.degrade",
+        /// The watchdog restored doorbell mode: restorations so far, 0.
+        WatchdogRestore = "watchdog.restore",
+    }
+    Exec {
+        /// A device read timed out: tag, retries.
+        ReqTimeout = "req.timeout",
+        /// A timed-out read re-enqueued: tag, retries.
+        ReqRetry = "req.retry",
+        /// A read failed over after its last retry: tag, retries.
+        ReqFailover = "req.failover",
+        /// A forced doorbell for retried reads: retried reads, 0.
+        ReqForceDoorbell = "req.force_doorbell",
+        /// A batched device read (deep class): first line, reads.
+        DevReadBatch = "dev_read.batch",
+        /// A load issued (deep class): line, fiber.
+        LoadIssue = "load.issue",
+        /// An L1 read (deep class): line, fiber.
+        L1Read = "l1.read",
+    }
+    Load {
+        /// A request dispatched to a core: id, arrival in ps.
+        LoadDispatch = "load.dispatch",
+        /// A request completed: id, arrival in ps.
+        LoadComplete = "load.complete",
+        /// An arrival shed on a full queue: id, arrival in ps.
+        LoadShed = "load.shed",
+        /// A request shed past its deadline: id, arrival in ps.
+        LoadShedDeadline = "load.shed.deadline",
+        /// An arrival rejected by admission control: id, arrival in ps.
+        LoadShedAdmission = "load.shed.admission",
+        /// A client retry: id, attempt.
+        LoadRetry = "load.retry",
+        /// A client timeout: id, attempt.
+        LoadTimeout = "load.timeout",
+        /// A hedged request: id, attempt.
+        LoadHedge = "load.hedge",
+        /// A request lost to a crashed worker: id, arrival in ps.
+        LoadCrash = "load.crash",
+        /// A dispatcher stall: id, stall in ps.
+        LoadStall = "load.stall",
+        /// A freeze window opens: window index, time in ps.
+        LoadWindowStart = "load.window.start",
+        /// A freeze window closes: window index, time in ps.
+        LoadWindowEnd = "load.window.end",
+        /// A packet at the wire: id, wire arrival in ps.
+        NetArrival = "net.arrival",
+        /// Link serialization: id, ps.
+        NetWire = "net.wire",
+        /// Wait in the RX queue: id, ps.
+        NetRxWait = "net.rxwait",
+        /// NIC processing: id, ps.
+        NetNic = "net.nic",
+        /// Steering to a core: id, ps.
+        NetSteer = "net.steer",
+        /// The steering decision: id, RX queue << 32 | core.
+        NetRoute = "net.route",
+        /// Response serialization: id, ps.
+        NetTx = "net.tx",
+        /// Front-tier span: request.
+        RpcFront = "rpc.front",
+        /// Fan-out stage span: request.
+        RpcFanout = "rpc.fanout",
+        /// One fan-out child's span (causal class): request × fan-out +
+        /// shard.
+        RpcHop = "rpc.hop",
+        /// Service-tier span: request.
+        RpcService = "rpc.service",
+        /// Reply-tier span: request.
+        RpcReply = "rpc.reply",
+        /// Egress span (causal class): request.
+        RpcTx = "rpc.tx",
+    }
+    Cpu {
+        /// Work instructions retired (span): instructions.
+        CpuWork = "cpu.work",
+        /// Generic host software (span): 0.
+        CpuSoft = "cpu.soft",
+        /// SWQ completion polling (span): 0.
+        CpuPoll = "cpu.poll",
+        /// A context switch (span): next fiber.
+        CpuCtx = "cpu.ctx",
+        /// A core with every fiber blocked (span): fiber.
+        CpuPark = "cpu.park",
+        /// A load waiting for a free line-fill buffer (span): line.
+        CpuLfbWait = "cpu.lfbwait",
+    }
+}
+
+/// One trace event: 32 bytes. `name` is a registry [`EventName`];
 /// `track` selects the timeline row (host core, fetcher, link direction…);
 /// `a0`/`a1` carry event-specific arguments (tags, occupancy levels,
 /// durations) per the conventions documented in DESIGN.md §9.
@@ -128,10 +322,10 @@ impl Phase {
 pub struct TraceEvent {
     /// Simulated timestamp of the event (span start for [`Phase::Complete`]).
     pub at: Time,
-    /// Emitting subsystem.
+    /// Emitting subsystem: `name.category()` for every emitted event.
     pub cat: Category,
     /// Event name, dot-namespaced within the category.
-    pub name: &'static str,
+    pub name: EventName,
     /// Event shape.
     pub phase: Phase,
     /// Timeline row (see DESIGN.md §9 for the track-id scheme).
@@ -142,11 +336,14 @@ pub struct TraceEvent {
     pub a1: u64,
 }
 
+// A held stream costs this much per event.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 32);
+
 impl TraceEvent {
     /// Canonical single-line rendering, shared by the golden-trace snapshots
     /// and failure diffs. Stable: changing this format invalidates goldens.
     pub fn render(&self) -> String {
-        render_line(self.at, self.cat, self.name, self.phase, self.track, self.a0, self.a1)
+        render_line(self.at, self.cat, self.name.as_str(), self.phase, self.track, self.a0, self.a1)
     }
 }
 
@@ -216,8 +413,9 @@ fn canonical_bytes(e: &TraceEvent, mut put: impl FnMut(&[u8])) {
     put(&e.at.as_ps().to_le_bytes());
     put(&[e.cat as u8, e.phase as u8]);
     put(&e.track.to_le_bytes());
-    put(&(e.name.len() as u16).to_le_bytes());
-    put(e.name.as_bytes());
+    let name = e.name.as_str();
+    put(&(name.len() as u16).to_le_bytes());
+    put(name.as_bytes());
     put(&e.a0.to_le_bytes());
     put(&e.a1.to_le_bytes());
 }
@@ -245,6 +443,7 @@ struct TracerInner {
     /// The enabled [`TraceClass`]es, one bit each.
     classes: u8,
 }
+
 
 /// Handle to the (possibly disabled) trace sink. Clone freely: all clones
 /// share one buffer. `Tracer::default()` is the disabled tracer.
@@ -289,29 +488,30 @@ impl Tracer {
         self.inner.as_ref().is_some_and(|i| i.classes & class as u8 != 0)
     }
 
-    /// Records one event at the current simulated time. No-op when disabled.
-    pub fn emit(&self, cat: Category, name: &'static str, phase: Phase, track: u32, a0: u64, a1: u64) {
+    /// Records one event at the current simulated time, under
+    /// `name.category()`. No-op when disabled.
+    pub fn emit(&self, name: EventName, phase: Phase, track: u32, a0: u64, a1: u64) {
         let Some(inner) = &self.inner else { return };
         let at = inner.clock.get();
-        inner.events.borrow_mut().push(TraceEvent { at, cat, name, phase, track, a0, a1 });
+        inner.events.borrow_mut().push(TraceEvent { at, cat: name.category(), name, phase, track, a0, a1 });
     }
 
     /// Emits an [`Phase::Instant`] event.
-    pub fn instant(&self, cat: Category, name: &'static str, track: u32, a0: u64, a1: u64) {
-        self.emit(cat, name, Phase::Instant, track, a0, a1);
+    pub fn instant(&self, name: EventName, track: u32, a0: u64, a1: u64) {
+        self.emit(name, Phase::Instant, track, a0, a1);
     }
 
     /// Emits a [`Phase::Counter`] sample of `value`.
-    pub fn counter(&self, cat: Category, name: &'static str, track: u32, value: u64) {
-        self.emit(cat, name, Phase::Counter, track, value, 0);
+    pub fn counter(&self, name: EventName, track: u32, value: u64) {
+        self.emit(name, Phase::Counter, track, value, 0);
     }
 
     /// Emits a [`Phase::Complete`] span that started at `start` and ends now.
     /// The duration lands in `a1` (picoseconds).
-    pub fn complete_since(&self, cat: Category, name: &'static str, track: u32, start: Time, a0: u64) {
+    pub fn complete_since(&self, name: EventName, track: u32, start: Time, a0: u64) {
         let Some(inner) = &self.inner else { return };
         let dur = (inner.clock.get() - start).as_ps();
-        let e = TraceEvent { at: start, cat, name, phase: Phase::Complete, track, a0, a1: dur };
+        let e = TraceEvent { at: start, cat: name.category(), name, phase: Phase::Complete, track, a0, a1: dur };
         inner.events.borrow_mut().push(e);
     }
 
@@ -320,10 +520,10 @@ impl Tracer {
     /// is not "now" at emission time: a child completion recorded from a
     /// device callback, or an egress span that extends past the emitting
     /// instant. `end` earlier than `start` records a zero-length span.
-    pub fn complete_span(&self, cat: Category, name: &'static str, track: u32, start: Time, end: Time, a0: u64) {
+    pub fn complete_span(&self, name: EventName, track: u32, start: Time, end: Time, a0: u64) {
         let Some(inner) = &self.inner else { return };
         let dur = if end > start { (end - start).as_ps() } else { 0 };
-        let e = TraceEvent { at: start, cat, name, phase: Phase::Complete, track, a0, a1: dur };
+        let e = TraceEvent { at: start, cat: name.category(), name, phase: Phase::Complete, track, a0, a1: dur };
         inner.events.borrow_mut().push(e);
     }
 
@@ -484,14 +684,18 @@ const MAX_COMPLETE_LINE: usize = 152;
 const MAX_FLOW_PAIR: usize = 239;
 
 /// An upper bound on the document's length: the longest line of each
-/// shape, with every name byte escaped to six.
+/// shape, with every event name at its length (a registry name needs no
+/// escape) and every flow-name byte escaped to six.
 fn chrome_len_bound(events: &[TraceEvent], flows: &[FlowArrow]) -> usize {
     let events: usize = events
         .iter()
-        .map(|e| match e.phase {
-            Phase::Instant => MAX_INSTANT_LINE + 6 * e.name.len(),
-            Phase::Counter => MAX_COUNTER_LINE + 12 * e.name.len(),
-            Phase::Complete => MAX_COMPLETE_LINE + 6 * e.name.len(),
+        .map(|e| {
+            let name = e.name.as_str().len();
+            match e.phase {
+                Phase::Instant => MAX_INSTANT_LINE + name,
+                Phase::Counter => MAX_COUNTER_LINE + 2 * name,
+                Phase::Complete => MAX_COMPLETE_LINE + name,
+            }
         })
         .sum();
     let flows: usize = flows.iter().map(|f| MAX_FLOW_PAIR + 12 * f.name.len()).sum();
@@ -520,11 +724,12 @@ impl ChromeWriter<'_> {
         self.len += s.len();
     }
 
-    /// A name as the body of a JSON string, escaped byte by byte: `"` and
-    /// `\` get a backslash, other control bytes a `\u00XX` escape. Every
-    /// byte that needs escaping is ASCII, so the bytes of a multi-byte
-    /// character pass through unchanged.
-    fn name(&mut self, name: &str) {
+    /// A flow name as the body of a JSON string, escaped byte by byte: `"`
+    /// and `\` get a backslash, other control bytes a `\u00XX` escape.
+    /// Every byte that needs escaping is ASCII, so the bytes of a
+    /// multi-byte character pass through unchanged. Event names are
+    /// registry names, which need no escape.
+    fn escaped(&mut self, name: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         for &b in name.as_bytes() {
             match b {
@@ -578,7 +783,7 @@ impl ChromeWriter<'_> {
 
     fn event(&mut self, e: &TraceEvent) {
         self.put(b"{\"name\":\"");
-        self.name(e.name);
+        self.put(e.name.as_str().as_bytes());
         self.put(b"\",\"cat\":\"");
         self.put(e.cat.label().as_bytes());
         self.put(match e.phase {
@@ -598,7 +803,7 @@ impl ChromeWriter<'_> {
             }
             Phase::Counter => {
                 self.put(b",\"args\":{\"");
-                self.name(e.name);
+                self.put(e.name.as_str().as_bytes());
                 self.put(b"\":");
                 self.uint(e.a0);
             }
@@ -615,7 +820,7 @@ impl ChromeWriter<'_> {
     /// One arrow as its start (`ph:"s"`) and finish (`ph:"f"`) halves.
     fn flow(&mut self, f: &FlowArrow) {
         self.put(b"{\"name\":\"");
-        self.name(f.name);
+        self.escaped(f.name);
         self.put(b"\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":");
         self.uint(f.id);
         self.put(b",\"ts\":");
@@ -623,7 +828,7 @@ impl ChromeWriter<'_> {
         self.put(b",\"pid\":0,\"tid\":");
         self.uint(u64::from(f.from_track));
         self.put(b"},\n{\"name\":\"");
-        self.name(f.name);
+        self.escaped(f.name);
         self.put(b"\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\",\"id\":");
         self.uint(f.id);
         self.put(b",\"ts\":");
@@ -639,10 +844,10 @@ mod tests {
     use super::*;
     use crate::{Sim, SimRng, Span};
 
-    fn ev(at_ns: u64, name: &'static str, a0: u64) -> TraceEvent {
+    fn ev(at_ns: u64, name: EventName, a0: u64) -> TraceEvent {
         TraceEvent {
             at: Time::ZERO + Span::from_ns(at_ns),
-            cat: Category::Swq,
+            cat: name.category(),
             name,
             phase: Phase::Instant,
             track: 0,
@@ -654,7 +859,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::off();
-        t.instant(Category::Sim, "x", 0, 1, 2);
+        t.instant(EventName::FiberSwitch, 0, 1, 2);
         assert!(!t.is_on());
         assert!(t.take_events().is_empty());
         assert_eq!(hash_events(&[]), FNV_OFFSET);
@@ -665,48 +870,69 @@ mod tests {
         let mut sim = Sim::new();
         let t = Tracer::new(sim.now_handle(), &[]);
         let t2 = t.clone();
-        sim.schedule_in(Span::from_ns(42), move |_| t2.instant(Category::Mem, "probe", 3, 7, 9));
+        sim.schedule_in(Span::from_ns(42), move |_| t2.instant(EventName::L1Evict, 3, 7, 9));
         sim.run();
         let evs = t.take_events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].at.as_ns(), 42);
-        assert_eq!((evs[0].track, evs[0].a0, evs[0].a1), (3, 7, 9));
+        assert_eq!((evs[0].cat, evs[0].track, evs[0].a0, evs[0].a1), (Category::Mem, 3, 7, 9));
     }
 
     #[test]
     fn hash_matches_recomputation_and_is_order_sensitive() {
-        let a = vec![ev(1, "a", 1), ev(2, "b", 2)];
-        let b = vec![ev(2, "b", 2), ev(1, "a", 1)];
-        assert_ne!(hash_events(&a), hash_events(&b));
+        let (a, b) = (EventName::SwqIssue, EventName::SwqEnqueue);
+        let fwd = vec![ev(1, a, 1), ev(2, b, 2)];
+        let rev = vec![ev(2, b, 2), ev(1, a, 1)];
+        assert_ne!(hash_events(&fwd), hash_events(&rev));
         // The hash is defined over exactly the records the binary log holds.
-        assert_eq!(hash_events(&a), fnv1a(FNV_OFFSET, &encode(&a)[16..]));
+        assert_eq!(hash_events(&fwd), fnv1a(FNV_OFFSET, &encode(&fwd)[16..]));
 
         let sim = Sim::new();
         let t = Tracer::new(sim.now_handle(), &[]);
-        t.instant(Category::Swq, "a", 0, 1, 0);
-        t.instant(Category::Swq, "b", 0, 2, 0);
+        t.instant(a, 0, 1, 0);
+        t.instant(b, 0, 2, 0);
         let evs = t.take_events();
         assert_eq!(evs.len(), 2);
-        assert_eq!(hash_events(&evs), hash_events(&[ev(0, "a", 1), ev(0, "b", 2)]));
+        assert_eq!(hash_events(&evs), hash_events(&[ev(0, a, 1), ev(0, b, 2)]));
         assert!(t.take_events().is_empty(), "taking the events moves them out");
     }
 
     #[test]
     fn binary_roundtrip_preserves_events() {
-        let evs = vec![ev(5, "swq.enqueue", 17), ev(9, "swq.deliver", 17)];
+        let evs = vec![ev(5, EventName::SwqEnqueue, 17), ev(9, EventName::SwqDeliver, 17)];
         let bytes = encode(&evs);
         let decoded = decode(&bytes).unwrap();
         assert_eq!(decoded.len(), 2);
         for (d, e) in decoded.iter().zip(&evs) {
             assert_eq!(d.render(), e.render());
             assert_eq!((d.at, d.cat, d.phase, d.track, d.a0, d.a1), (e.at, e.cat, e.phase, e.track, e.a0, e.a1));
-            assert_eq!(d.name, e.name);
+            assert_eq!(d.name, e.name.as_str());
         }
+    }
+
+    /// The registry is the whole taxonomy: names are unique, need no JSON
+    /// escape, and survive the binary log with their category.
+    #[test]
+    fn every_registry_name_is_unique_plain_and_round_trips() {
+        let mut seen = std::collections::BTreeSet::new();
+        for &name in EventName::ALL {
+            let s = name.as_str();
+            assert!(seen.insert(s), "{s} registered twice");
+            assert!(
+                !s.is_empty() && s.bytes().all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_' | b'.')),
+                "{s} is not [a-z0-9_.]+"
+            );
+            let e = TraceEvent { phase: Phase::Complete, track: 7, a1: 9, ..ev(3, name, 5) };
+            let d = decode(&encode(&[e])).expect("a registry event decodes");
+            assert_eq!((d[0].name.as_str(), d[0].cat), (s, name.category()));
+            assert_eq!(d[0].render(), e.render());
+        }
+        assert!(EventName::ALL.windows(2).all(|w| w[0].category() <= w[1].category()), "ALL is grouped");
     }
 
     #[test]
     fn decode_rejects_corruption() {
-        let evs = vec![ev(5, "x", 1)];
+        let evs = vec![ev(5, EventName::SwqStale, 1)];
         let mut bytes = encode(&evs);
         assert!(decode(&bytes[..10]).is_err(), "truncated header");
         bytes[0] = b'Z';
@@ -722,11 +948,11 @@ mod tests {
     #[test]
     fn chrome_json_is_parseable_shape() {
         let evs = vec![
-            ev(1, "swq.enqueue", 3),
+            ev(1, EventName::SwqEnqueue, 3),
             TraceEvent {
                 at: Time::from_ps(1_500_000),
                 cat: Category::Device,
-                name: "dev.resp",
+                name: EventName::DevResp,
                 phase: Phase::Complete,
                 track: 200,
                 a0: 4,
@@ -735,7 +961,7 @@ mod tests {
             TraceEvent {
                 at: Time::from_ps(2_000_000),
                 cat: Category::Mem,
-                name: "lfb.occ",
+                name: EventName::CreditOcc,
                 phase: Phase::Counter,
                 track: 0,
                 a0: 6,
@@ -749,26 +975,27 @@ mod tests {
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"ts\":1.500000"));
         assert!(json.contains("\"dur\":2.000000"));
+        assert!(json.contains(r#"{"name":"credit.occ","cat":"mem","ph":"C","ts":2.000000,"pid":0,"tid":0,"args":{"credit.occ":6}}"#));
         assert!(json.trim_end().ends_with("]}"));
         // Balanced braces/brackets (cheap well-formedness check, no JSON dep).
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
 
-        // Names are escaped in place: quote, backslash, control character.
-        let odd = [ev(3, "q\"b\\c\u{1}", 5)];
+        // Flow names are escaped in place: quote, backslash, control
+        // character.
         let flows = [FlowArrow {
             id: 1,
-            name: "f\"\\\u{1}",
+            name: "q\"b\\c\u{1}",
             from: Time::ZERO,
             from_track: 0,
             to: Time::from_ps(1),
             to_track: 1,
         }];
-        let json = chrome_json_with_flows(&odd, &flows);
-        assert!(json.contains(r#"{"name":"q\"b\\c\u0001","cat":"swq","ph":"i""#), "{json}");
-        assert!(json.contains(r#"{"name":"f\"\\\u0001","cat":"causal","ph":"s""#), "{json}");
-        assert!(json.contains(r#"{"name":"f\"\\\u0001","cat":"causal","ph":"f""#), "{json}");
+        let json = chrome_json_with_flows(&evs[..1], &flows);
+        assert!(json.contains(r#"{"name":"swq.enqueue","cat":"swq","ph":"i""#), "{json}");
+        assert!(json.contains(r#"{"name":"q\"b\\c\u0001","cat":"causal","ph":"s""#), "{json}");
+        assert!(json.contains(r#"{"name":"q\"b\\c\u0001","cat":"causal","ph":"f""#), "{json}");
     }
 
     /// The `write!`-based exporter that the byte writer replaced, kept as
@@ -827,7 +1054,7 @@ mod tests {
                 if i > 0 {
                     out.push_str(",\n");
                 }
-                let name = JsonStr(e.name);
+                let name = JsonStr(e.name.as_str());
                 write!(
                     out,
                     "{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":0,\"tid\":{}",
@@ -873,13 +1100,15 @@ mod tests {
     }
 
     /// The byte writer reproduces the reference exporter on seeded random
-    /// streams: every category and phase, names that need every kind of
-    /// escape (and one longer than a stack-buffer chunk), boundary and
-    /// random values, flows with and without events, and empty inputs.
+    /// streams: every category and phase, every registry event name, flow
+    /// names that need every kind of escape (and one longer than a
+    /// stack-buffer chunk), boundary and random values, flows with and
+    /// without events, and empty inputs.
     #[test]
     fn chrome_writer_matches_the_reference_exporter() {
         let long: &'static str = Box::leak("x\"\\\u{1}é".repeat(40).into_boxed_str());
         let names = ["swq.enqueue", "q\"b", "back\\slash", "\u{1}", "\u{1f}", "héllo→世界", "", long];
+        let registry = EventName::ALL;
         let pick = |rng: &mut SimRng| match rng.below(6) {
             0 => 0,
             1 => 999_999,
@@ -906,7 +1135,7 @@ mod tests {
                 events.push(TraceEvent {
                     at: Time::from_ps(pick(&mut rng)),
                     cat: Category::from_u8(cat).expect("a category"),
-                    name: names[rng.below(names.len() as u64) as usize],
+                    name: registry[rng.below(registry.len() as u64) as usize],
                     phase: Phase::from_u8(phase).expect("a phase"),
                     track: track(&mut rng),
                     a0: pick(&mut rng),
@@ -933,24 +1162,27 @@ mod tests {
     }
 
     /// The capacity bound is exact for a line of each shape at its longest
-    /// values and a name that escapes to six bytes per byte.
+    /// values, with every registry event name, and for a flow name that
+    /// escapes to six bytes per byte.
     #[test]
     fn chrome_len_bound_is_tight_at_extreme_values() {
         // The bound allows 64 bytes for the 44-byte document head and tail,
         // and a separator before the first line, which has none.
         const SLACK: usize = 64 - 44 + 2;
         for phase in [Phase::Instant, Phase::Counter, Phase::Complete] {
-            let e = TraceEvent {
-                at: Time::from_ps(u64::MAX),
-                cat: Category::Device,
-                name: "\u{1}",
-                phase,
-                track: u32::MAX,
-                a0: u64::MAX,
-                a1: u64::MAX,
-            };
-            let json = chrome_json(&[e, e]);
-            assert_eq!(chrome_len_bound(&[e, e], &[]) - json.len(), SLACK, "{phase:?}");
+            for &name in EventName::ALL {
+                let e = TraceEvent {
+                    at: Time::from_ps(u64::MAX),
+                    cat: Category::Device,
+                    name,
+                    phase,
+                    track: u32::MAX,
+                    a0: u64::MAX,
+                    a1: u64::MAX,
+                };
+                let json = chrome_json(&[e, e]);
+                assert_eq!(chrome_len_bound(&[e, e], &[]) - json.len(), SLACK, "{phase:?} {name:?}");
+            }
         }
         let f = FlowArrow {
             id: u64::MAX,
@@ -1008,19 +1240,19 @@ mod tests {
         let t = Tracer::new(sim.now_handle(), &[]);
         let start = Time::from_ps(1_000);
         let end = Time::from_ps(4_500);
-        t.complete_span(Category::Load, "rpc.hop", 3, start, end, 42);
+        t.complete_span(EventName::RpcHop, 3, start, end, 42);
         // Inverted interval: zero-length span, never a panic or underflow.
-        t.complete_span(Category::Load, "rpc.hop", 3, end, start, 43);
+        t.complete_span(EventName::RpcHop, 3, end, start, 43);
         let evs = t.take_events();
         assert_eq!(evs.len(), 2);
         assert_eq!((evs[0].at, evs[0].a0, evs[0].a1), (start, 42, 3_500));
-        assert_eq!(evs[0].phase, Phase::Complete);
+        assert_eq!((evs[0].phase, evs[0].cat), (Phase::Complete, Category::Load));
         assert_eq!((evs[1].at, evs[1].a1), (end, 0));
     }
 
     #[test]
     fn flow_export_extends_chrome_json_without_perturbing_it() {
-        let evs = vec![ev(1, "swq.enqueue", 3)];
+        let evs = vec![ev(1, EventName::SwqEnqueue, 3)];
         assert_eq!(chrome_json(&evs), chrome_json_with_flows(&evs, &[]));
         let flows = vec![FlowArrow {
             id: 7,

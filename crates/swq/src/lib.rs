@@ -6,7 +6,7 @@
 //! descriptor reads of eight.
 //!
 //! - [`descriptor`]: request/completion descriptor formats and sizes.
-//! - [`ring`]: the per-core [`QueuePair`](ring::QueuePair) and the doorbell
+//! - [`ring`]: the per-core [`QueuePair`] and the doorbell
 //!   protocol.
 //! - [`cost`]: the host-side software costs the mechanism pays per access.
 //!

@@ -28,7 +28,7 @@ use kus_load::{
     LoadReport, LoadSpec, NetReport, TierSpec,
 };
 use kus_scenario::Scenario;
-use kus_sim::trace::chrome_json_with_flows;
+use kus_sim::trace::{chrome_json_with_flows, EventName};
 
 const MECHANISMS: [Mechanism; 3] =
     [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
@@ -172,7 +172,7 @@ fn disabled_causality_is_bitwise_inert_under_every_mechanism() {
         let stripped: Vec<_> = ct
             .events
             .iter()
-            .filter(|e| e.name != "rpc.hop" && e.name != "rpc.tx")
+            .filter(|e| !matches!(e.name, EventName::RpcHop | EventName::RpcTx))
             .copied()
             .collect();
         assert_eq!(

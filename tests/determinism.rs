@@ -10,7 +10,7 @@
 use kus_core::prelude::*;
 use kus_load::{load_experiment, ArrivalProcess, LoadReport, LoadSpec, ServingWorkload};
 use kus_scenario::Scenario;
-use kus_sim::trace::hash_events;
+use kus_sim::trace::{hash_events, EventName};
 use kus_workloads::bloom::{BloomConfig, BloomWorkload};
 use kus_workloads::microbench::{Microbench, MicrobenchConfig};
 use kus_workloads::trace_scenarios::{run_trace_scenario, run_trace_scenario_opts, trace_scenarios};
@@ -113,12 +113,12 @@ fn cpu_path_fingerprints_pinned_in_source() {
     for &(name, hash, count) in PINNED {
         let r = run_cpu_path(name);
         let t = r.trace.as_ref().expect("profiled run carries a TraceReport");
-        let has = |event: &str| t.events.iter().any(|e| e.name == event);
+        let has = |event: EventName| t.events.iter().any(|e| e.name == event);
         match name {
             "ondemand-stores" => assert!(r.writes > 0, "{name}: no posted store ran"),
             "smt2-prefetch" | "prefetch-lfb-pressure" => {
-                assert!(has("lfb.full"), "{name}: the LFB pool never filled");
-                assert!(has("cpu.lfbwait"), "{name}: no load waited for an LFB");
+                assert!(has(EventName::LfbFull), "{name}: the LFB pool never filled");
+                assert!(has(EventName::CpuLfbWait), "{name}: no load waited for an LFB");
             }
             _ => {}
         }
@@ -371,7 +371,7 @@ fn hash_recomputes_and_log_round_trips() {
     assert_eq!(decoded.len(), t.events.len());
     for (d, e) in decoded.iter().zip(&t.events) {
         assert_eq!(d.at, e.at);
-        assert_eq!(d.name, e.name);
+        assert_eq!(d.name, e.name.as_str());
         assert_eq!((d.track, d.a0, d.a1), (e.track, e.a0, e.a1));
     }
 }

@@ -13,10 +13,11 @@
 //!
 //! and review the golden diff like any other code change.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use kus_sim::trace::chrome_json;
+use kus_sim::trace::{chrome_json, EventName};
 use kus_workloads::trace_scenarios::{
     run_trace_scenario, run_trace_scenario_opts, trace_scenario_experiment, trace_scenarios,
 };
@@ -179,4 +180,32 @@ fn all_scenarios_are_pinned() {
             s.name
         );
     }
+}
+
+/// DESIGN.md §8b's taxonomy table lists exactly the registry: per
+/// category row, the backticked names equal `EventName::ALL` grouped by
+/// `category()`, so a name added, renamed or moved to another category
+/// must be documented where it lands.
+#[test]
+fn design_taxonomy_lists_every_event_name() {
+    let design = include_str!("../DESIGN.md");
+    let table = design
+        .split_once("**Event taxonomy**")
+        .and_then(|(_, rest)| rest.split_once("| Category | Events |"))
+        .expect("DESIGN.md has the event taxonomy table")
+        .1;
+    let mut documented: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for row in table.lines().skip(2).take_while(|l| l.starts_with('|')) {
+        let (cat, events) = row[1..].split_once('|').expect("a two-column row");
+        let names = documented.entry(cat.trim().trim_matches('`').to_string()).or_default();
+        for name in events.split('`').skip(1).step_by(2) {
+            assert!(names.insert(name.to_string()), "{name} listed twice in its row");
+        }
+    }
+    let mut registry: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for &name in EventName::ALL {
+        let cat = name.category().label().to_string();
+        registry.entry(cat).or_default().insert(name.as_str().to_string());
+    }
+    assert_eq!(documented, registry, "DESIGN.md §8b taxonomy and EventName::ALL differ");
 }

@@ -470,18 +470,18 @@ fn profile_accounting_sums_to_wall_and_is_inert() {
 fn every_trace_class_subset_is_additive() {
     use kus_core::{Mechanism, Platform, PlatformConfig, RunReport};
     use kus_load::{load_experiment, service_factory, ArrivalProcess, EchoService, LoadSpec, TierSpec};
-    use kus_sim::trace::{Category, TraceEvent};
+    use kus_sim::trace::{Category, EventName as N, TraceEvent};
     use kus_workloads::{Microbench, MicrobenchConfig};
 
     type Class = (&'static str, fn(PlatformConfig) -> PlatformConfig, fn(&TraceEvent) -> bool);
     const CLASSES: [Class; 3] = [
         ("profile", PlatformConfig::profiled, |e| {
             e.cat == Category::Cpu
-                || matches!(e.name, "credit.occ" | "station.occ" | "lfb.wait" | "tlp.queue")
+                || matches!(e.name, N::CreditOcc | N::StationOcc | N::LfbWait | N::TlpQueue)
         }),
-        ("causal", PlatformConfig::causal, |e| matches!(e.name, "rpc.hop" | "rpc.tx")),
+        ("causal", PlatformConfig::causal, |e| matches!(e.name, N::RpcHop | N::RpcTx)),
         ("deep", PlatformConfig::trace_deep, |e| {
-            matches!(e.name, "load.issue" | "l1.read" | "dev_read.batch")
+            matches!(e.name, N::LoadIssue | N::L1Read | N::DevReadBatch)
         }),
     ];
     let microbench = |cfg: PlatformConfig| {
