@@ -45,14 +45,17 @@
 //!   Exits non-zero when any run misses its expected verdict.
 //!
 //! The serving presets `figures load|net|blame|overload` share one
-//! base-flag parser: `--service echo|memcached|bloom`, `--requests N`,
-//! `--queue-cap N`, `--cores N`, `--fibers N`, `--slo-p99`/`--slo-p999`
-//! (ns/us suffixes), `--full`, `--faults plan.toml` and the NIC knobs
-//! `--rx-queues --flows --link-gbps --net-jitter`. Rates accept k/m
-//! suffixes. Each preset reads its own axis flags and ignores base flags
-//! it has no use for (`--slo-p999` outside `load`, SLOs in `blame`,
-//! `--faults` in `overload`); --json/--csv emit the full per-cell reports,
-//! byte-identical across --jobs values.
+//! base-flag parser, and each rejects a flag it does not read. All four
+//! read `--service echo|memcached|bloom`, `--requests N`, `--queue-cap N`,
+//! `--cores N`, `--fibers N`, `--rates` (k/m suffixes) and `--full`;
+//! besides those:
+//!   load      --faults plan.toml --slo-p99 --slo-p999 --mech
+//!   net       --faults plan.toml --slo-p99 --nics --topos and the NIC
+//!             knobs --rx-queues --flows --link-gbps --net-jitter
+//!   blame     --faults plan.toml --mech --topos --trace
+//!   overload  --slo-p99 --policies (its fault plans are an axis)
+//! SLOs and --net-jitter take ns/us suffixes. --json/--csv emit the full
+//! per-cell reports, byte-identical across --jobs values.
 //!
 //! `figures load` (mechanism × offered Poisson rate):
 //!   figures load --service memcached --mech ondemand,prefetch,swq \
@@ -83,7 +86,7 @@
 //! `figures overload` (admission policy × fault plan × offered rate, plus
 //! the budgeted/unbudgeted retry pair):
 //!   figures overload --policies static,deadline,adaptive --rates 1m,3m \
-//!           --jobs 4 --json overload.json --bench BENCH_overload.json
+//!           --jobs 4 --json overload.json --csv overload.csv
 //!   --policies is any of static | deadline | adaptive. Prints the
 //!   degradation matrix (goodput/shed/p99 and a graceful/brownout/collapse
 //!   verdict per cell).
@@ -102,7 +105,7 @@
 //!
 //! `figures scenario` (one declarative TOML world, compiled and run):
 //!   figures scenario scenarios/calm-poisson.toml [--jobs N] \
-//!           [--json out.json] [--csv out.csv] [--bench BENCH.json]
+//!           [--json out.json] [--csv out.csv]
 //!   Compiles the file through kus-scenario and runs it. A scenario
 //!   carrying a `[matrix]` section runs the `overload` preset over the
 //!   scenario's base and emits exactly the `figures overload` artifacts; a
@@ -158,32 +161,41 @@ fn fail(msg: String) -> ! {
     std::process::exit(2);
 }
 
-/// The flags `mode` reads; `None` for an unknown mode. The serving
-/// presets share one list: a base flag that a preset has no use for is
-/// tolerated (see the module docs).
-fn mode_flags(mode: &str) -> Option<&'static [&'static str]> {
-    Some(match mode {
+/// The flags every serving preset reads.
+const SERVING_FLAGS: [&str; 11] = [
+    "--jobs", "--seed", "--json", "--csv", "--full", "--service", "--requests", "--queue-cap",
+    "--cores", "--fibers", "--rates",
+];
+
+/// The flags `mode` reads; `None` for an unknown mode. A serving preset
+/// reads [`SERVING_FLAGS`] plus the flags its `ServingFlags::preset`
+/// constructor uses (see the module docs).
+fn mode_flags(mode: &str) -> Option<Vec<&'static str>> {
+    let own: &[&str] = match mode {
         "sweep" => &[
             "--jobs", "--seed", "--json", "--csv", "--full", "--faults", "--work", "--mech",
             "--lat", "--cores", "--fibers", "--smt", "--lfbs", "--credits", "--ring", "--burst",
             "--ctx", "--seeds",
         ],
-        "load" | "net" | "blame" | "overload" => &[
-            "--jobs", "--seed", "--json", "--csv", "--full", "--faults", "--service",
-            "--requests", "--queue-cap", "--cores", "--fibers", "--slo-p99", "--slo-p999",
-            "--rx-queues", "--flows", "--link-gbps", "--net-jitter", "--mech", "--rates",
-            "--nics", "--topos", "--policies", "--bench", "--trace",
+        "load" => &["--faults", "--slo-p99", "--slo-p999", "--mech"],
+        "net" => &[
+            "--faults", "--slo-p99", "--rx-queues", "--flows", "--link-gbps", "--net-jitter",
+            "--nics", "--topos",
         ],
+        "blame" => &["--faults", "--mech", "--topos", "--trace"],
+        "overload" => &["--slo-p99", "--policies"],
         "trace" => &["--out", "--hash", "--canonical", "--seed"],
         "profile" => &["--out", "--speedscope", "--seed", "--jobs"],
         "simbench" => &["--samples", "--label", "--bench", "--check"],
-        "scenario" => &["--file", "--jobs", "--seed", "--json", "--csv", "--bench"],
+        "scenario" => &["--file", "--jobs", "--seed", "--json", "--csv"],
         "scenario-matrix" => &["--dir", "--mech", "--jobs", "--json", "--csv"],
         "figures" => {
             &["--jobs", "--seed", "--json", "--csv", "--full", "--faults", "--fig", "--ablations"]
         }
         _ => return None,
-    })
+    };
+    let serving = matches!(mode, "load" | "net" | "blame" | "overload");
+    Some([if serving { &SERVING_FLAGS[..] } else { &[] }, own].concat())
 }
 
 /// The flags that take no value; every other flag a mode reads takes one.
@@ -342,7 +354,7 @@ fn quality(args: &[String], com: &Common) -> Quality {
     if let Some(path) = flag_value(args, "--faults") {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| fail(format!("--faults: cannot read {path}: {e}")));
-        q.faults = FaultPlan::parse_toml(&text)
+        q.faults = kus_scenario::fault::parse_plan(&text)
             .unwrap_or_else(|e| fail(format!("--faults: invalid plan in {path}: {e}")));
     }
     q.seed = com.seed.or(q.seed);
@@ -516,25 +528,17 @@ fn serving_flags(args: &[String], com: &Common) -> ServingFlags {
 }
 
 /// `figures load|net|blame|overload`: a serving preset over the shared
-/// base flags.
+/// base flags (only `blame` reads `--trace`).
 fn serving_mode(name: &str, args: &[String]) -> i32 {
     let com = common(args);
     let preset = serving_flags(args, &com).preset(name).unwrap_or_else(|e| fail(e));
-    // `--bench` belongs to overload and `--trace` to blame; the other
-    // presets never read them.
-    let only = |owner: &str, flag: &str| (name == owner).then(|| flag_value(args, flag)).flatten();
-    run_preset(&preset, &com, only("overload", "--bench"), only("blame", "--trace"))
+    run_preset(&preset, &com, flag_value(args, "--trace"))
 }
 
-/// Runs a serving preset, prints its table, and writes `--json`, `--csv`,
-/// the wall-clock `bench` record, and a Chrome `trace` (with causal flow
-/// arrows) of the preset's traced run.
-fn run_preset(
-    preset: &Preset,
-    com: &Common,
-    bench: Option<String>,
-    trace: Option<String>,
-) -> i32 {
+/// Runs a serving preset, prints its table, and writes `--json`, `--csv`
+/// and a Chrome `trace` (with causal flow arrows) of the preset's traced
+/// run.
+fn run_preset(preset: &Preset, com: &Common, trace: Option<String>) -> i32 {
     let opts = com.opts();
     eprintln!("# {} sweep: {} cells, jobs={}", preset.name(), preset.cell_count(), opts.jobs);
     let results = preset.run(&opts);
@@ -546,12 +550,6 @@ fn run_preset(
     }
     if let Some(path) = &com.csv {
         write_artifact("--csv", path, &results.to_csv(), cells);
-    }
-    if let Some(path) = bench {
-        if let Err(e) = std::fs::write(&path, results.bench_json()) {
-            fail(format!("--bench: cannot write {path}: {e}"));
-        }
-        eprintln!("# wrote {path}");
     }
     if let Some((path, exp)) = trace.zip(preset.trace_run()) {
         let run = exp.unwrap_or_else(|e| fail(format!("--trace: {e}"))).run();
@@ -594,7 +592,7 @@ fn scenario_mode(args: &[String]) -> i32 {
         // A matrix scenario IS the overload preset over the scenario's
         // base: same engine, same artifacts, byte-for-byte.
         let preset = Preset::overload(ServingMatrix::of(&sc), m);
-        return run_preset(&preset, &com, flag_value(args, "--bench"), None);
+        return run_preset(&preset, &com, None);
     }
 
     // A plain scenario is a matrix with no axes: one cell, the same harvest.

@@ -1,4 +1,4 @@
-//! # kus-bench — benchmark harness and the parallel sweep engine
+//! # kus-bench — the `figures` binary and the parallel sweep engine
 //!
 //! The `figures` binary is subcommand-only; shared
 //! `--jobs/--seed/--json/--csv` flags parse uniformly across modes:
@@ -34,14 +34,13 @@
 //! - `figures profile --out out.json` runs the [`profile`] acceptance
 //!   suite — the paper's §4 diagnoses as profiled scenarios — printing
 //!   each text dashboard and writing the byte-deterministic profile JSON.
-//! - `cargo bench -p kus-bench` runs the wall-clock benchmarks: one scaled-
-//!   down configuration per paper figure (so regressions in any modelled
-//!   path show up as timing changes) plus microbenchmarks of the simulator
-//!   substrate itself.
+//!
+//! The host cost of the workloads users run is measured by the separate
+//! `kusbench` package under `benchmark/`; `figures simbench` times only
+//! the event core.
 
 #![forbid(unsafe_code)]
 
-pub mod harness;
 pub mod profile;
 pub mod scenario;
 pub mod serving;

@@ -400,8 +400,6 @@ pub struct ServingResults {
     pub spec: LoadSpec,
     /// Per-cell results.
     pub cells: Vec<ServingCell>,
-    /// Simulator events executed across all cells.
-    pub sim_events: u64,
     facet_keys: Vec<&'static str>,
     baseline_axis: Option<usize>,
 }
@@ -420,7 +418,6 @@ pub fn run_serving(ms: &[&ServingMatrix], opts: &SweepOptions) -> (Vec<ServingRe
     let results = run_cells(cells, opts);
     let mut done = results.cells.into_iter().zip(keys);
     let runs = ms.iter().map(|m| {
-        let mut sim_events = 0;
         let cells = (&mut done)
             .take(m.cell_count())
             .enumerate()
@@ -429,17 +426,13 @@ pub fn run_serving(ms: &[&ServingMatrix], opts: &SweepOptions) -> (Vec<ServingRe
                 label: c.label,
                 point: k.point,
                 facets: k.facets,
-                outcome: c.outcome.and_then(|r| {
-                    sim_events += r.sim_events;
-                    harvest(&r, k.nic, k.causal)
-                }),
+                outcome: c.outcome.and_then(|r| harvest(&r, k.nic, k.causal)),
             })
             .collect();
         ServingResults {
             service: m.service_name.clone(),
             spec: m.spec,
             cells,
-            sim_events,
             facet_keys: m.facet_keys(),
             baseline_axis: m.baseline_axis,
         }
@@ -1081,20 +1074,6 @@ impl PresetResults {
         }
         (json, lines)
     }
-
-    /// The `BENCH_<preset>.json` performance record: cell count, total
-    /// simulator events, wall-clock, and events/second. Unlike the other
-    /// emitters this is *not* byte-deterministic (it carries wall-clock).
-    pub fn bench_json(&self) -> String {
-        let all = std::iter::once(&self.main).chain(&self.retry);
-        let (cells, events) = all.fold((0, 0), |(c, e), r| (c + r.cells.len(), e + r.sim_events));
-        let wall = self.wall_seconds;
-        let eps = if wall > 0.0 { events as f64 / wall } else { 0.0 };
-        format!(
-            "{{\"suite\":\"{}\",\"cells\":{cells},\"sim_events\":{events},\"wall_seconds\":{wall:.3},\"events_per_sec\":{eps:.0}}}\n",
-            self.view.name,
-        )
-    }
 }
 
 fn opt(v: Option<u64>) -> String {
@@ -1193,8 +1172,9 @@ fn service_by_name(name: &str) -> Option<ServiceFactory> {
 /// `--mech`/`--topos`, and `net` carries the NIC knobs `--rx-queues
 /// --flows --link-gbps --net-jitter`). `None` and empty fields keep the
 /// preset's defaults (see [`ServingFlags::preset`]). A preset ignores the
-/// fields it has no use for: only `load` takes `slo_p999`, `blame` takes
-/// no SLO, and `overload` runs without `faults` (its plans are an axis).
+/// fields it has no use for (only `load` takes `slo_p999`, `blame` takes
+/// no SLO, `overload` runs without `faults` because its plans are an
+/// axis), and `figures` rejects the flags behind them.
 #[derive(Debug, Clone, Default)]
 pub struct ServingFlags {
     pub service: Option<String>,

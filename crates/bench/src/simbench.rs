@@ -48,6 +48,7 @@
 //! behind therefore understate both cores equally.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 use kus_core::prelude::*;
@@ -56,7 +57,42 @@ use kus_sim::heap_ref::RefSim;
 use kus_sim::{Sim, Span, Time};
 use kus_workloads::{Microbench, MicrobenchConfig};
 
-use crate::harness::{bench_stats, BenchStats};
+/// One core's timing of one scenario: the median of its timed runs, which
+/// is robust to scheduler noise.
+#[derive(Debug, Clone, Copy)]
+pub struct BenchStats {
+    /// Median wall-clock time per run, in nanoseconds.
+    pub median_ns: u128,
+}
+
+impl BenchStats {
+    /// Median in seconds.
+    pub fn median_secs(&self) -> f64 {
+        self.median_ns as f64 / 1e9
+    }
+
+    /// How many times faster this run is than `other` (>1 means faster).
+    pub fn speedup_over(&self, other: &BenchStats) -> f64 {
+        other.median_ns as f64 / self.median_ns.max(1) as f64
+    }
+}
+
+/// Times `f` over `samples` runs, after one untimed warm-up that fills
+/// caches and lazily allocated arenas. `f` returns what the run observed,
+/// so the optimizer cannot delete the work.
+fn bench_stats<T>(samples: u32, mut f: impl FnMut() -> T) -> BenchStats {
+    assert!(samples > 0);
+    black_box(f());
+    let mut times: Vec<u128> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_nanos()
+        })
+        .collect();
+    times.sort_unstable();
+    BenchStats { median_ns: times[times.len() / 2] }
+}
 
 /// The operations a scenario needs from an event core, implemented by both
 /// the wheel-based [`Sim`] and the heap-based [`RefSim`]. The fn-pointer
@@ -423,8 +459,8 @@ fn paired(
         "simbench scenario {name}: wheel core and heap reference diverged \
          (events, final_now_ps)"
     );
-    let wheel = bench_stats(name, samples, &run_wheel);
-    let baseline = bench_stats(name, samples, &run_heap);
+    let wheel = bench_stats(samples, &run_wheel);
+    let baseline = bench_stats(samples, &run_heap);
     ScenarioResult { name, events: w.0, final_now_ps: w.1, wheel, baseline: Some(baseline) }
 }
 
@@ -497,7 +533,7 @@ fn serving_mini(samples: u32) -> ScenarioResult {
         (r.sim_events, r.elapsed.as_ps())
     };
     let (events, final_now_ps) = run();
-    let wheel = bench_stats("serving_mini", samples, run);
+    let wheel = bench_stats(samples, run);
     ScenarioResult { name: "serving_mini", events, final_now_ps, wheel, baseline: None }
 }
 
@@ -517,13 +553,30 @@ mod tests {
     }
 
     #[test]
+    fn bench_stats_takes_the_median() {
+        // An untimed 100 ms warm-up, then timed runs of 0, 50 and 5 ms:
+        // the median is the 5 ms run.
+        let mut sleeps = [100, 0, 50, 5].into_iter();
+        let s = bench_stats(3, || {
+            std::thread::sleep(std::time::Duration::from_millis(sleeps.next().unwrap()))
+        });
+        assert!((5_000_000..50_000_000).contains(&s.median_ns), "{s:?}");
+    }
+
+    #[test]
+    fn speedup_is_a_ratio() {
+        let (fast, slow) = (BenchStats { median_ns: 10 }, BenchStats { median_ns: 40 });
+        assert_eq!(fast.speedup_over(&slow), 4.0);
+    }
+
+    #[test]
     fn history_extraction_round_trips() {
         let r = SimbenchResults {
             scenarios: vec![ScenarioResult {
                 name: "t",
                 events: 10,
                 final_now_ps: 99,
-                wheel: crate::harness::bench_stats("t", 1, || 0u64),
+                wheel: BenchStats { median_ns: 1 },
                 baseline: None,
             }],
             wall_seconds: 0.0,
@@ -546,7 +599,7 @@ mod tests {
                     name: "open_loop",
                     events,
                     final_now_ps,
-                    wheel: crate::harness::bench_stats("open_loop", 1, || 0u64),
+                    wheel: BenchStats { median_ns: 1 },
                     baseline: None,
                 }],
                 wall_seconds: 1.23,

@@ -24,7 +24,7 @@
 //!   pool;
 //! - a **progress/ETA line** on stderr and machine-readable
 //!   [JSON](SweepResults::to_json)/[CSV](SweepResults::to_csv) emitters for
-//!   `BENCH_*.json`-style artifacts.
+//!   the `--json`/`--csv` artifacts.
 //!
 //! The figure pipeline ([`run_figures`]) drives the engine through the
 //! [`Runner`] protocol: a collect pass harvests every experiment a figure

@@ -46,6 +46,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use kus_sim::{fnv1a, FNV_OFFSET};
+
 use crate::config::{ConfigError, PlatformConfig};
 use crate::metrics::RunReport;
 use crate::platform::Platform;
@@ -148,19 +150,8 @@ impl Experiment {
     /// deterministic — produce the same report; the sweep engine dedups on
     /// this.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.label.as_bytes());
-        eat(&[0xff]);
-        eat(format!("{:?}", self.config).as_bytes());
-        h
+        let h = fnv1a(fnv1a(FNV_OFFSET, self.label.as_bytes()), &[0xff]);
+        fnv1a(h, format!("{:?}", self.config).as_bytes())
     }
 
     /// Builds a fresh workload instance.

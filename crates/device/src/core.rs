@@ -76,15 +76,6 @@ impl JitterModel {
             }
         }
     }
-
-    /// True when the model cannot perturb any sample — used to prove
-    /// bitwise inertness of degenerate configurations.
-    pub fn is_inert(&self) -> bool {
-        match *self {
-            JitterModel::Uniform => true,
-            JitterModel::Bimodal { tail_prob, tail } => tail_prob == 0.0 || tail.as_ps() == 0,
-        }
-    }
 }
 
 /// Configuration of the emulator internals.

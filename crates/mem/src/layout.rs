@@ -172,11 +172,6 @@ impl BitArray {
         Ok(BitArray { words, bits })
     }
 
-    /// Number of bits.
-    pub fn len_bits(&self) -> u64 {
-        self.bits
-    }
-
     /// The address of the u64 word holding `bit` (the address a timed probe
     /// must load).
     ///

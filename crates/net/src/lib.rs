@@ -36,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use kus_sim::{SimRng, Span};
+use kus_sim::{fnv1a, SimRng, Span, FNV_OFFSET};
 
 /// The per-packet receive-side cost decomposition a NIC model produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,13 +376,7 @@ impl NetConfig {
 /// FNV-1a over the flow key, folded onto the RX queue count — the RSS
 /// indirection function. Deterministic and stable across runs.
 pub fn rss_queue(flow: u64, queues: u32) -> u32 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in flow.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    let h = fnv1a(FNV_OFFSET, &flow.to_le_bytes());
     (h % u64::from(queues.max(1))) as u32
 }
 

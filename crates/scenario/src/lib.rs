@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod fault;
 pub mod scenario;
 pub mod spec;
 pub mod toml;

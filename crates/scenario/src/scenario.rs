@@ -11,6 +11,7 @@
 
 use kus_core::prelude::{ConfigError, Experiment, PlatformConfig};
 use kus_load::{load_experiment, service_factory, EchoService, LoadSpec, ServiceFactory};
+use kus_sim::{fnv1a, FNV_OFFSET};
 use kus_workloads::{BloomConfig, BloomService, MemcachedConfig, MemcachedService};
 
 use crate::error::ScenarioError;
@@ -289,22 +290,10 @@ impl ScenarioSpec {
 }
 
 fn fingerprint_of(spec: &ScenarioSpec, cfg: &PlatformConfig, load: &LoadSpec) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(spec.name.as_bytes());
-    eat(&[0xff]);
-    eat(format!("{spec:?}").as_bytes());
-    eat(&[0xff]);
-    eat(format!("{cfg:?}").as_bytes());
-    eat(&[0xff]);
-    eat(format!("{load:?}").as_bytes());
+    let mut h = fnv1a(FNV_OFFSET, spec.name.as_bytes());
+    for part in [format!("{spec:?}"), format!("{cfg:?}"), format!("{load:?}")] {
+        h = fnv1a(fnv1a(h, &[0xff]), part.as_bytes());
+    }
     h
 }
 

@@ -1050,10 +1050,11 @@ fn parse_retry(t: &Table) -> Result<RetryPolicy, ScenarioError> {
     Ok(policy)
 }
 
-/// Parses a [`FaultPlan`] from a table using the same `_ns`-suffixed key
-/// names as [`FaultPlan::parse_toml`]. Also used for `[[matrix.plans]]`
-/// entries, where the keys sit next to the plan `name`.
-fn parse_faults(t: &Table, section: &str) -> Result<FaultPlan, ScenarioError> {
+/// Parses a [`FaultPlan`] from a table: the `[faults]` section, and the
+/// top level of a plan file ([`parse_plan`](crate::fault::parse_plan)).
+/// Also used for `[[matrix.plans]]` entries, where the keys sit next to
+/// the plan `name`.
+pub(crate) fn parse_faults(t: &Table, section: &str) -> Result<FaultPlan, ScenarioError> {
     let mut r = Reader::new(t, section);
     let plan = parse_faults_fields(&mut r)?;
     r.finish()?;

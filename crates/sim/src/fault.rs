@@ -23,7 +23,7 @@ use crate::time::Span;
 /// Probabilities and magnitudes for every injectable fault class.
 ///
 /// All fields default to "off"; compose a plan with the `with_*` builders
-/// or parse one from TOML with [`FaultPlan::parse_toml`].
+/// or read one from a plan file with `kus_scenario::fault::parse_plan`.
 ///
 /// # Examples
 ///
@@ -228,63 +228,6 @@ impl FaultPlan {
         self.freeze_len = len;
         self.freeze_stall = stall;
         self
-    }
-
-    /// Parses a plan from a minimal TOML subset: one `key = value` per
-    /// line, `#` comments, blank lines. Probabilities are floats; the
-    /// spike magnitude is `latency_spike_ns`, an integer. Unknown keys
-    /// are errors so typos fail loudly.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use kus_sim::fault::FaultPlan;
-    ///
-    /// let plan = FaultPlan::parse_toml(
-    ///     "# chaos plan\nstall_prob = 0.02\nlatency_spike_prob = 0.1\nlatency_spike_ns = 8000\n",
-    /// ).unwrap();
-    /// assert_eq!(plan.stall_prob, 0.02);
-    /// assert_eq!(plan.latency_spike.as_ns(), 8000);
-    /// ```
-    pub fn parse_toml(text: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::none();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let (key, value) = (key.trim(), value.trim());
-            let prob = |v: &str| {
-                v.parse::<f64>()
-                    .map_err(|e| format!("line {}: bad number `{v}`: {e}", lineno + 1))
-            };
-            let ns = |v: &str| {
-                v.parse::<u64>()
-                    .map_err(|e| format!("line {}: bad integer `{v}`: {e}", lineno + 1))
-            };
-            match key {
-                "latency_spike_prob" => plan.latency_spike_prob = prob(value)?,
-                "latency_spike_ns" => plan.latency_spike = Span::from_ns(ns(value)?),
-                "stall_prob" => plan.stall_prob = prob(value)?,
-                "drop_completion_prob" => plan.drop_completion_prob = prob(value)?,
-                "dup_completion_prob" => plan.dup_completion_prob = prob(value)?,
-                "drop_doorbell_prob" => plan.drop_doorbell_prob = prob(value)?,
-                "tlp_replay_prob" => plan.tlp_replay_prob = prob(value)?,
-                "fiber_crash_prob" => plan.fiber_crash_prob = prob(value)?,
-                "fiber_respawn_ns" => plan.fiber_respawn = Span::from_ns(ns(value)?),
-                "dispatcher_stall_prob" => plan.dispatcher_stall_prob = prob(value)?,
-                "dispatcher_stall_ns" => plan.dispatcher_stall = Span::from_ns(ns(value)?),
-                "freeze_period_ns" => plan.freeze_period = Span::from_ns(ns(value)?),
-                "freeze_len_ns" => plan.freeze_len = Span::from_ns(ns(value)?),
-                "freeze_stall_ns" => plan.freeze_stall = Span::from_ns(ns(value)?),
-                other => return Err(format!("line {}: unknown key `{other}`", lineno + 1)),
-            }
-        }
-        plan.validate()?;
-        Ok(plan)
     }
 }
 
@@ -573,24 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_toml_round_trip() {
-        let text = "\n# a comment\nlatency_spike_prob = 0.25 # trailing\nlatency_spike_ns = 4000\ndrop_completion_prob = 0.01\n";
-        let plan = FaultPlan::parse_toml(text).unwrap();
-        assert_eq!(plan.latency_spike_prob, 0.25);
-        assert_eq!(plan.latency_spike, Span::from_ns(4000));
-        assert_eq!(plan.drop_completion_prob, 0.01);
-        assert!(!plan.is_active() || plan.validate().is_ok());
-    }
-
-    #[test]
-    fn parse_toml_rejects_unknown_and_malformed() {
-        assert!(FaultPlan::parse_toml("stall_chance = 0.1\n").is_err());
-        assert!(FaultPlan::parse_toml("stall_prob 0.1\n").is_err());
-        assert!(FaultPlan::parse_toml("stall_prob = lots\n").is_err());
-        assert!(FaultPlan::parse_toml("stall_prob = 2.0\n").is_err(), "validated");
-    }
-
-    #[test]
     fn serving_classes_validate() {
         // Probabilities without magnitudes are rejected.
         let p = FaultPlan { fiber_crash_prob: 0.1, ..FaultPlan::none() };
@@ -612,20 +537,6 @@ mod tests {
             .with_freeze_windows(Span::from_us(500), Span::from_us(100), Span::from_us(20));
         assert!(ok.validate().is_ok());
         assert!(ok.is_active() && ok.serving_active());
-    }
-
-    #[test]
-    fn serving_classes_parse_toml() {
-        let text = "fiber_crash_prob = 0.01\nfiber_respawn_ns = 50000\n\
-                    dispatcher_stall_prob = 0.02\ndispatcher_stall_ns = 10000\n\
-                    freeze_period_ns = 500000\nfreeze_len_ns = 100000\nfreeze_stall_ns = 20000\n";
-        let plan = FaultPlan::parse_toml(text).unwrap();
-        assert_eq!(plan.fiber_crash_prob, 0.01);
-        assert_eq!(plan.fiber_respawn, Span::from_us(50));
-        assert_eq!(plan.dispatcher_stall, Span::from_us(10));
-        assert_eq!(plan.freeze_period, Span::from_us(500));
-        assert_eq!(plan.freeze_len, Span::from_us(100));
-        assert_eq!(plan.freeze_stall, Span::from_us(20));
     }
 
     #[test]

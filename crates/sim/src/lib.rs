@@ -52,3 +52,21 @@ pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use rng::SimRng;
 pub use time::{Clock, Span, Time};
 pub use trace::{Category, EventName, FlowArrow, Phase, TraceClass, TraceEvent, Tracer};
+
+/// The FNV-1a-64 offset basis: the hash of no bytes, where every fold
+/// starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a-64 `hash` (start from [`FNV_OFFSET`]).
+/// Stable across platforms and Rust versions, unlike `DefaultHasher`: the
+/// trace hash, the RNG stream labels, the experiment and scenario
+/// fingerprints and RSS steering are all this fold. Inlined because the
+/// trace hash folds every event and RSS steering runs once per packet.
+#[inline]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}

@@ -13,6 +13,8 @@
 //! Rust versions, and dependency upgrades, which the record/replay
 //! methodology and the fault-injection layer both rely on.
 
+use crate::{fnv1a, FNV_OFFSET};
+
 /// A deterministic random stream.
 ///
 /// # Examples
@@ -133,13 +135,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 fn hash_label(label: &str) -> u64 {
-    // FNV-1a: stable across platforms and Rust versions, unlike DefaultHasher.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in label.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, label.as_bytes())
 }
 
 fn mix(a: u64, b: u64) -> u64 {

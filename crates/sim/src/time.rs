@@ -292,16 +292,6 @@ impl Clock {
         Clock { ps_per_cycle: ps }
     }
 
-    /// Creates a clock from an explicit cycle period in picoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ps` is zero.
-    pub fn from_ps_per_cycle(ps: u64) -> Clock {
-        assert!(ps > 0, "cycle period must be non-zero");
-        Clock { ps_per_cycle: ps }
-    }
-
     /// The period of one cycle.
     pub const fn period(self) -> Span {
         Span(self.ps_per_cycle)

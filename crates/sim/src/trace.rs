@@ -36,6 +36,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::time::Time;
+use crate::{fnv1a, FNV_OFFSET};
 
 /// Subsystem that emitted an event. The discriminant is part of the stable
 /// binary encoding — append new categories, never reorder.
@@ -393,17 +394,6 @@ impl DecodedEvent {
     pub fn render(&self) -> String {
         render_line(self.at, self.cat, &self.name, self.phase, self.track, self.a0, self.a1)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// Writes one event's canonical bytes, field by field, into `put`: the

@@ -14,13 +14,14 @@
 //! ## Execution model
 //!
 //! Every cell a figure needs is described as an [`Experiment`] and obtained
-//! through a [`Runner`], so the same generator code serves three modes:
-//! `figN(q)` runs serially ([`Runner::immediate`], the legacy behaviour);
-//! driven with a collecting runner it *declares* its cells for the
-//! `kus-bench` sweep engine to execute in parallel; and driven with a
-//! cached runner it re-assembles byte-identical figures from the sweep's
-//! results. [`registry`] lists every generator in paper order for such
-//! batch drivers.
+//! through the [`Runner`] each generator takes, so the same code serves
+//! three modes: `figN(&Runner::immediate(), q)` runs serially (the
+//! reference the sweep engine is checked against); driven with a
+//! collecting runner it *declares* its cells for the `kus-bench` sweep
+//! engine to execute in parallel; and driven with a cached runner it
+//! re-assembles byte-identical figures from the sweep's results.
+//! [`registry`] lists every generator in paper order for such batch
+//! runs.
 
 use kus_core::prelude::*;
 use kus_core::RunReport;
@@ -193,12 +194,7 @@ const SWEEP_WORK: u32 = 100;
 const THREADS: [usize; 9] = [1, 2, 4, 6, 8, 10, 12, 14, 16];
 
 /// Fig. 2: on-demand access of the microsecond device, work-count sweep.
-pub fn fig2(q: Quality) -> Figure {
-    fig2_with(&Runner::immediate(), q)
-}
-
-/// [`fig2`] against an explicit runner.
-pub fn fig2_with(r: &Runner, q: Quality) -> Figure {
+pub fn fig2(r: &Runner, q: Quality) -> Figure {
     let works = [50u32, 100, 200, 500, 1000, 2000, 5000];
     let mut series = Vec::new();
     for lat_us in [1u64, 2, 4] {
@@ -228,12 +224,7 @@ pub fn fig2_with(r: &Runner, q: Quality) -> Figure {
 }
 
 /// Fig. 3: prefetch-based access, thread sweep at 1/2/4 µs.
-pub fn fig3(q: Quality) -> Figure {
-    fig3_with(&Runner::immediate(), q)
-}
-
-/// [`fig3`] against an explicit runner.
-pub fn fig3_with(r: &Runner, q: Quality) -> Figure {
+pub fn fig3(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let mut series = Vec::new();
     for lat_us in [1u64, 2, 4] {
@@ -263,12 +254,7 @@ pub fn fig3_with(r: &Runner, q: Quality) -> Figure {
 }
 
 /// Fig. 4: 1 µs prefetch-based access at various work counts.
-pub fn fig4(q: Quality) -> Figure {
-    fig4_with(&Runner::immediate(), q)
-}
-
-/// [`fig4`] against an explicit runner.
-pub fn fig4_with(r: &Runner, q: Quality) -> Figure {
+pub fn fig4(r: &Runner, q: Quality) -> Figure {
     let mut series = Vec::new();
     for w in [50u32, 100, 200, 400, 800] {
         let base = ubench_baseline(r, q, w, 1);
@@ -296,12 +282,7 @@ pub fn fig4_with(r: &Runner, q: Quality) -> Figure {
 
 /// Fig. 5: multicore prefetch-based access (normalized to the single-core
 /// baseline).
-pub fn fig5(q: Quality) -> Figure {
-    fig5_with(&Runner::immediate(), q)
-}
-
-/// [`fig5`] against an explicit runner.
-pub fn fig5_with(r: &Runner, q: Quality) -> Figure {
+pub fn fig5(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let mut series = Vec::new();
     for cores in [1usize, 2, 4, 8] {
@@ -332,12 +313,7 @@ pub fn fig5_with(r: &Runner, q: Quality) -> Figure {
 
 /// Fig. 6: 1 µs prefetch-based access at MLP 1/2/4, each normalized to the
 /// matching-MLP DRAM baseline.
-pub fn fig6(q: Quality) -> Figure {
-    fig6_with(&Runner::immediate(), q)
-}
-
-/// [`fig6`] against an explicit runner.
-pub fn fig6_with(r: &Runner, q: Quality) -> Figure {
+pub fn fig6(r: &Runner, q: Quality) -> Figure {
     let mut series = Vec::new();
     for mlp in [1usize, 2, 4] {
         let base = ubench_baseline(r, q, SWEEP_WORK, mlp);
@@ -364,12 +340,7 @@ pub fn fig6_with(r: &Runner, q: Quality) -> Figure {
 }
 
 /// Fig. 7: application-managed queues vs prefetch, 1 µs and 4 µs.
-pub fn fig7(q: Quality) -> Figure {
-    fig7_with(&Runner::immediate(), q)
-}
-
-/// [`fig7`] against an explicit runner.
-pub fn fig7_with(r: &Runner, q: Quality) -> Figure {
+pub fn fig7(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let threads = [1usize, 2, 4, 8, 10, 12, 16, 20, 24, 28, 32];
     let mut series = Vec::new();
@@ -403,12 +374,7 @@ pub fn fig7_with(r: &Runner, q: Quality) -> Figure {
 
 /// Fig. 8: multicore application-managed queues (24 threads/core),
 /// normalized to the single-core baseline.
-pub fn fig8(q: Quality) -> Figure {
-    fig8_with(&Runner::immediate(), q)
-}
-
-/// [`fig8`] against an explicit runner.
-pub fn fig8_with(r: &Runner, q: Quality) -> Figure {
+pub fn fig8(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let mut series = Vec::new();
     for lat_us in [1u64, 4] {
@@ -439,12 +405,7 @@ pub fn fig8_with(r: &Runner, q: Quality) -> Figure {
 }
 
 /// Fig. 9: MLP impact on software-managed queues, one and four cores.
-pub fn fig9(q: Quality) -> Figure {
-    fig9_with(&Runner::immediate(), q)
-}
-
-/// [`fig9`] against an explicit runner.
-pub fn fig9_with(r: &Runner, q: Quality) -> Figure {
+pub fn fig9(r: &Runner, q: Quality) -> Figure {
     let threads = [1usize, 2, 4, 8, 12, 16, 24, 32];
     let mut series = Vec::new();
     for cores in [1usize, 4] {
@@ -554,12 +515,7 @@ fn app_baseline(r: &Runner, q: Quality, app: &str) -> RunReport {
 /// (d) swq 8-core; each returned as its own [`Figure`] with one series per
 /// application, swept over thread counts, normalized to that application's
 /// own single-core DRAM baseline.
-pub fn fig10(q: Quality) -> Vec<Figure> {
-    fig10_with(&Runner::immediate(), q)
-}
-
-/// [`fig10`] against an explicit runner.
-pub fn fig10_with(r: &Runner, q: Quality) -> Vec<Figure> {
+pub fn fig10(r: &Runner, q: Quality) -> Vec<Figure> {
     let apps = ["bfs", "bloom", "memcached", "ubench-4read"];
     let panels = [
         ("fig10a", "Applications, prefetch, 1 core", Mechanism::Prefetch, 1usize),
@@ -587,12 +543,7 @@ pub fn fig10_with(r: &Runner, q: Quality) -> Vec<Figure> {
 
 /// Ablation: lifting the 10-LFB cap lets even a 4 µs device approach DRAM
 /// (§V-B "Implications": per-core queues should hold ≈20 × latency-in-µs).
-pub fn ablation_lfb(q: Quality) -> Figure {
-    ablation_lfb_with(&Runner::immediate(), q)
-}
-
-/// [`ablation_lfb`] against an explicit runner.
-pub fn ablation_lfb_with(r: &Runner, q: Quality) -> Figure {
+pub fn ablation_lfb(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let mut series = Vec::new();
     for lfbs in [10usize, 20, 40, 80] {
@@ -625,12 +576,7 @@ pub fn ablation_lfb_with(r: &Runner, q: Quality) -> Figure {
 
 /// Ablation: lifting the 14-entry chip-level queue restores multicore
 /// prefetch scaling.
-pub fn ablation_uncore(q: Quality) -> Figure {
-    ablation_uncore_with(&Runner::immediate(), q)
-}
-
-/// [`ablation_uncore`] against an explicit runner.
-pub fn ablation_uncore_with(r: &Runner, q: Quality) -> Figure {
+pub fn ablation_uncore(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let mut series = Vec::new();
     for credits in [14usize, 56, 224] {
@@ -662,12 +608,7 @@ pub fn ablation_uncore_with(r: &Runner, q: Quality) -> Figure {
 
 /// Ablation: the unmodified 2 µs Pth context switch vs the optimized 35 ns
 /// switch.
-pub fn ablation_ctx_switch(q: Quality) -> Figure {
-    ablation_ctx_switch_with(&Runner::immediate(), q)
-}
-
-/// [`ablation_ctx_switch`] against an explicit runner.
-pub fn ablation_ctx_switch_with(r: &Runner, q: Quality) -> Figure {
+pub fn ablation_ctx_switch(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let mut series = Vec::new();
     for (label, ns) in [("35ns switch", 35u64), ("2us switch (stock Pth)", 2000)] {
@@ -698,12 +639,7 @@ pub fn ablation_ctx_switch_with(r: &Runner, q: Quality) -> Figure {
 
 /// Ablation: software-queue designs without the doorbell-request flag or
 /// without burst descriptor reads ("strictly inferior", §III-A).
-pub fn ablation_swq_opts(q: Quality) -> Figure {
-    ablation_swq_opts_with(&Runner::immediate(), q)
-}
-
-/// [`ablation_swq_opts`] against an explicit runner.
-pub fn ablation_swq_opts_with(r: &Runner, q: Quality) -> Figure {
+pub fn ablation_swq_opts(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let variants: [(&str, bool, usize); 3] = [
         ("optimized", false, 8),
@@ -737,12 +673,7 @@ pub fn ablation_swq_opts_with(r: &Runner, q: Quality) -> Figure {
 /// the paper predicts write latency "can be more easily hidden … without
 /// requiring prefetch instructions". The curve should stay essentially
 /// flat as writes are added.
-pub fn ext_writes(q: Quality) -> Figure {
-    ext_writes_with(&Runner::immediate(), q)
-}
-
-/// [`ext_writes`] against an explicit runner.
-pub fn ext_writes_with(r: &Runner, q: Quality) -> Figure {
+pub fn ext_writes(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let mut series = Vec::new();
     for mech in [Mechanism::OnDemand, Mechanism::Prefetch] {
@@ -783,12 +714,7 @@ pub fn ext_writes_with(r: &Runner, q: Quality) -> Figure {
 /// context — "allowing a core to make progress in one context while
 /// another context is blocked on a long-latency access". The paper
 /// measures with hyper-threading disabled; this experiment turns it on.
-pub fn ext_smt(q: Quality) -> Figure {
-    ext_smt_with(&Runner::immediate(), q)
-}
-
-/// [`ext_smt`] against an explicit runner.
-pub fn ext_smt_with(r: &Runner, q: Quality) -> Figure {
+pub fn ext_smt(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let mut series = Vec::new();
     for smt in [1usize, 2] {
@@ -817,12 +743,7 @@ pub fn ext_smt_with(r: &Runner, q: Quality) -> Figure {
 /// uniform jitter the prefetch mechanism needs a few extra threads (late
 /// responses stall their fiber's turn), but the plateau survives — the
 /// paper's conclusions are not an artifact of fixed latency.
-pub fn ext_jitter(q: Quality) -> Figure {
-    ext_jitter_with(&Runner::immediate(), q)
-}
-
-/// [`ext_jitter`] against an explicit runner.
-pub fn ext_jitter_with(r: &Runner, q: Quality) -> Figure {
+pub fn ext_jitter(r: &Runner, q: Quality) -> Figure {
     let base = ubench_baseline(r, q, SWEEP_WORK, 1);
     let mut series = Vec::new();
     // 2 us mean leaves ~1.2 us of internal service time to jitter over.
@@ -848,45 +769,6 @@ pub fn ext_jitter_with(r: &Runner, q: Quality) -> Figure {
     }
 }
 
-/// All figures, in paper order (Fig. 10 expands into its four panels).
-pub fn all_figures(q: Quality) -> Vec<Figure> {
-    all_figures_with(&Runner::immediate(), q)
-}
-
-/// [`all_figures`] against an explicit runner.
-pub fn all_figures_with(r: &Runner, q: Quality) -> Vec<Figure> {
-    let mut figs = vec![
-        fig2_with(r, q),
-        fig3_with(r, q),
-        fig4_with(r, q),
-        fig5_with(r, q),
-        fig6_with(r, q),
-        fig7_with(r, q),
-        fig8_with(r, q),
-        fig9_with(r, q),
-    ];
-    figs.extend(fig10_with(r, q));
-    figs
-}
-
-/// All ablations.
-pub fn all_ablations(q: Quality) -> Vec<Figure> {
-    all_ablations_with(&Runner::immediate(), q)
-}
-
-/// [`all_ablations`] against an explicit runner.
-pub fn all_ablations_with(r: &Runner, q: Quality) -> Vec<Figure> {
-    vec![
-        ablation_lfb_with(r, q),
-        ablation_uncore_with(r, q),
-        ablation_ctx_switch_with(r, q),
-        ablation_swq_opts_with(r, q),
-        ext_writes_with(r, q),
-        ext_smt_with(r, q),
-        ext_jitter_with(r, q),
-    ]
-}
-
 /// A figure generator the batch drivers can call with any [`Runner`].
 pub type FigureThunk = Box<dyn Fn(&Runner, Quality) -> Vec<Figure> + Send + Sync>;
 
@@ -908,24 +790,24 @@ pub fn registry(ablations: bool) -> Vec<RegistryEntry> {
         RegistryEntry { id, thunk: Box::new(move |r, q| vec![f(r, q)]) }
     }
     let mut entries = vec![
-        single("fig2", fig2_with),
-        single("fig3", fig3_with),
-        single("fig4", fig4_with),
-        single("fig5", fig5_with),
-        single("fig6", fig6_with),
-        single("fig7", fig7_with),
-        single("fig8", fig8_with),
-        single("fig9", fig9_with),
-        RegistryEntry { id: "fig10", thunk: Box::new(fig10_with) },
+        single("fig2", fig2),
+        single("fig3", fig3),
+        single("fig4", fig4),
+        single("fig5", fig5),
+        single("fig6", fig6),
+        single("fig7", fig7),
+        single("fig8", fig8),
+        single("fig9", fig9),
+        RegistryEntry { id: "fig10", thunk: Box::new(fig10) },
     ];
     if ablations {
-        entries.push(single("ablation_lfb", ablation_lfb_with));
-        entries.push(single("ablation_uncore", ablation_uncore_with));
-        entries.push(single("ablation_ctx_switch", ablation_ctx_switch_with));
-        entries.push(single("ablation_swq_opts", ablation_swq_opts_with));
-        entries.push(single("ext_writes", ext_writes_with));
-        entries.push(single("ext_smt", ext_smt_with));
-        entries.push(single("ext_jitter", ext_jitter_with));
+        entries.push(single("ablation_lfb", ablation_lfb));
+        entries.push(single("ablation_uncore", ablation_uncore));
+        entries.push(single("ablation_ctx_switch", ablation_ctx_switch));
+        entries.push(single("ablation_swq_opts", ablation_swq_opts));
+        entries.push(single("ext_writes", ext_writes));
+        entries.push(single("ext_smt", ext_smt));
+        entries.push(single("ext_jitter", ext_jitter));
     }
     entries
 }
@@ -978,7 +860,7 @@ mod tests {
         let q = Quality { iters: 20, ..Quality::fast() };
         let fps = |_: ()| {
             let r = Runner::collecting();
-            let _ = fig3_with(&r, q);
+            let _ = fig3(&r, q);
             r.into_cells().iter().map(|e| e.fingerprint()).collect::<Vec<_>>()
         };
         let a = fps(());

@@ -29,6 +29,7 @@ use kus_load::{
 };
 use kus_scenario::Scenario;
 use kus_sim::trace::{chrome_json_with_flows, EventName};
+use kus_sim::{fnv1a, FNV_OFFSET};
 
 const MECHANISMS: [Mechanism; 3] =
     [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
@@ -214,12 +215,6 @@ fn hop_attribution_telescopes_exactly_on_live_runs() {
     }
 }
 
-/// FNV-1a-64 over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
 
 /// The `figures blame --trace` document at the CI smoke flags (`--service
 /// echo --topos fanout4 --rates 250k,1m,2m --requests 200`), built the way
@@ -245,7 +240,7 @@ fn blame_trace_document_is_pinned() {
     assert!(!arrows.is_empty(), "the fan-out trace draws flow arrows");
     let json = chrome_json_with_flows(&t.events, &arrows);
     assert_eq!(
-        (fnv1a(json.as_bytes()), json.len()),
+        (fnv1a(FNV_OFFSET, json.as_bytes()), json.len()),
         (DIGEST, LEN),
         "figures blame --trace document diverged from the source-pinned digest"
     );
@@ -383,7 +378,7 @@ retry-timeout-2us swq load=42dc23061d6a1f3a/3670 net=- blame=1417faf1eb86bc68/53
 /// reach the paths the pins are meant to cover.
 #[test]
 fn causal_harvest_of_the_frozen_worlds_is_pinned() {
-    let pin = |s: &str| format!("{:016x}/{}", fnv1a(s.as_bytes()), s.len());
+    let pin = |s: &str| format!("{:016x}/{}", fnv1a(FNV_OFFSET, s.as_bytes()), s.len());
     let mut got = String::new();
     let (mut arrows, mut truncated, mut retries, mut timeouts, mut crashes) = (0, 0, 0, 0, 0);
     for text in HARVEST_WORLDS {

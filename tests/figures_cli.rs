@@ -1,10 +1,11 @@
 //! The `figures` binary's input handling, end to end:
 //!
 //! 1. **No silent defaults** — a flag with no value, a flag the mode does
-//!    not read, a stray positional argument or a dataset the host cannot
-//!    reserve exits 2 with a diagnostic instead of running the defaults;
-//!    `--help` prints the usage and runs nothing; every `figures` command
-//!    in the docs parses against the real CLI.
+//!    not read (each serving preset has its own list), a stray positional
+//!    argument, a fault plan the scenario grammar rejects or a dataset the
+//!    host cannot reserve exits 2 with a diagnostic instead of running the
+//!    defaults; `--help` prints the usage and runs nothing; every
+//!    `figures` command in the docs parses against the real CLI.
 //! 2. **Accurate diagnostics** — an invalid serving spec (a zero-width
 //!    fan-out, a zero-capacity queue) is reported as a serving-spec error
 //!    in the cell's error row, not as a fault-plan error.
@@ -40,7 +41,12 @@ fn a_flag_without_a_value_exits_2() {
 
 #[test]
 fn an_unknown_flag_exits_2() {
-    let cases = [(&["trace", "--hash", "--bogus"][..], "--bogus"), (&["sweep", "--job", "4"], "--job")];
+    let cases = [
+        (&["trace", "--hash", "--bogus"][..], "--bogus"),
+        (&["sweep", "--job", "4"], "--job"),
+        (&["overload", "--bench", "x"], "--bench"),
+        (&["scenario", "a.toml", "--bench", "x"], "--bench"),
+    ];
     for (args, flag) in cases {
         let out = figures(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -185,21 +191,86 @@ fn invalid_serving_specs_are_reported_as_such() {
     assert!(table.contains("invalid serving spec: queue capacity must be at least 1"), "{table}");
 }
 
+/// The flags each serving preset reads besides the ones all four read:
+/// what its `ServingFlags::preset` constructor uses, nothing more.
+const PRESET_FLAGS: [(&str, &[&str]); 4] = [
+    ("load", &["--faults", "--slo-p99", "--slo-p999", "--mech"]),
+    (
+        "net",
+        &[
+            "--faults", "--slo-p99", "--rx-queues", "--flows", "--link-gbps", "--net-jitter",
+            "--nics", "--topos",
+        ],
+    ),
+    ("blame", &["--faults", "--mech", "--topos", "--trace"]),
+    ("overload", &["--slo-p99", "--policies"]),
+];
+
+/// Each serving preset reads the shared flags and its own, and exits 2
+/// naming any flag of the other presets that it does not read (`--trace`
+/// outside `blame` among them); `blame --trace` writes its trace.
 #[test]
-fn only_blame_traces_and_only_overload_benches() {
-    let small = ["--mech", "swq", "--rates", "250k", "--requests", "20", "--topos", "rpc"];
-    for preset in ["load", "blame"] {
-        let (trace, bench) =
-            (scratch(&format!("{preset}.trace")), scratch(&format!("{preset}.bench")));
-        let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&bench));
-        let mut args = vec![preset, "--trace", trace.to_str().unwrap()];
-        args.extend(["--bench", bench.to_str().unwrap()]);
-        args.extend(small);
-        let out = figures(&args);
-        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-        assert_eq!(trace.exists(), preset == "blame", "{preset} --trace");
-        assert!(!bench.exists(), "{preset} --bench");
+fn each_serving_preset_rejects_the_flags_it_does_not_read() {
+    let shared = [
+        "--jobs", "--seed", "--json", "--csv", "--service", "--requests", "--queue-cap", "--cores",
+        "--fibers", "--rates",
+    ];
+    let sentinel = "--no-such-flag-sentinel";
+    for (preset, own) in PRESET_FLAGS {
+        let mut args = vec![preset, "--full"];
+        args.extend(shared.iter().chain(own).flat_map(|f| [*f, "1"]));
+        args.push(sentinel);
+        let err = String::from_utf8_lossy(&figures(&args).stderr).into_owned();
+        assert!(err.starts_with(sentinel), "{preset} must read all of {args:?}: {err}");
+
+        let mut unread: Vec<&str> =
+            PRESET_FLAGS.iter().flat_map(|(_, f)| *f).copied().filter(|f| !own.contains(f)).collect();
+        unread.sort_unstable();
+        unread.dedup();
+        for flag in unread {
+            let out = figures(&[preset, flag, "x"]);
+            assert_eq!(out.status.code(), Some(2), "{preset} {flag}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            let diagnostic = format!("{flag}: unknown flag for `figures {preset}`");
+            assert!(err.starts_with(&diagnostic), "{err}");
+            assert!(out.stdout.is_empty(), "{preset} {flag} must not run anything");
+        }
     }
+    let trace = scratch("blame.trace");
+    let _ = std::fs::remove_file(&trace);
+    let small = ["--mech", "swq", "--rates", "250k", "--requests", "20", "--topos", "rpc"];
+    let mut args = vec!["blame", "--trace", trace.to_str().unwrap()];
+    args.extend(small);
+    let out = figures(&args);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(trace.exists(), "blame --trace");
+}
+
+/// `figures --faults` reads a plan in the grammar of a scenario's
+/// `[faults]` section: a fractional `_ns` value runs, exactly as the
+/// integer it equals, and a key given twice exits 2 naming its line.
+#[test]
+fn fault_plans_read_with_the_scenario_grammar() {
+    let run = |name: &str, plan: &str| {
+        let path = scratch(name);
+        std::fs::write(&path, plan).expect("write plan");
+        let small = ["--service", "echo", "--mech", "swq", "--rates", "250k", "--requests", "20"];
+        let mut args = vec!["load", "--faults", path.to_str().unwrap()];
+        args.extend(small);
+        figures(&args)
+    };
+    let float = run("float-ns.toml", "latency_spike_prob = 0.05\nlatency_spike_ns = 2.5e4\n");
+    assert_eq!(float.status.code(), Some(0), "{}", String::from_utf8_lossy(&float.stderr));
+    let int = run("int-ns.toml", "latency_spike_prob = 0.05\nlatency_spike_ns = 25000\n");
+    assert_eq!(int.status.code(), Some(0), "{}", String::from_utf8_lossy(&int.stderr));
+    assert_eq!(String::from_utf8_lossy(&float.stdout), String::from_utf8_lossy(&int.stdout));
+
+    let out = run("duplicate-key.toml", "stall_prob = 0.1\nstall_prob = 0.2\n");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("line 2: duplicate key `stall_prob`"), "{err}");
+    assert!(out.stdout.is_empty());
 }
 
 #[test]

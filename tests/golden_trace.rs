@@ -18,6 +18,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use kus_sim::trace::{chrome_json, EventName};
+use kus_sim::{fnv1a, FNV_OFFSET};
 use kus_workloads::trace_scenarios::{
     run_trace_scenario, run_trace_scenario_opts, trace_scenario_experiment, trace_scenarios,
 };
@@ -111,12 +112,6 @@ fn golden_chaos_stalls() {
     check_scenario("chaos-stalls");
 }
 
-/// FNV-1a-64 over `bytes`: the digest the Chrome export pins below.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
 
 /// The committed fingerprints, pinned in *source* as well as in the golden
 /// files. The golden files can be re-blessed with one environment variable;
@@ -160,10 +155,10 @@ fn golden_fingerprints_pinned_in_source() {
         );
         let json = chrome_json(&t.events);
         assert_eq!(
-            fnv1a(json.as_bytes()),
+            fnv1a(FNV_OFFSET, json.as_bytes()),
             chrome,
             "{name}: Chrome export diverged from the source-pinned digest (got {:#018x})",
-            fnv1a(json.as_bytes())
+            fnv1a(FNV_OFFSET, json.as_bytes())
         );
     }
 }

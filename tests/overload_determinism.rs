@@ -102,8 +102,6 @@ fn sweep_is_policy_major_and_deterministic_across_jobs() {
     let verdicts: Vec<&str> = csv.lines().skip(1).map(|l| l.split(',').nth(6).unwrap()).collect();
     let judged: Vec<bool> = verdicts.iter().map(|v| !v.is_empty()).collect();
     assert_eq!(judged, [true, true, true, true, false, false], "{verdicts:?}");
-    assert!(serial.main.sim_events > 0, "throughput record needs event counts");
-    assert!(serial.bench_json().starts_with("{\"suite\":\"overload\",\"cells\":6,"));
 }
 
 #[test]
@@ -139,8 +137,7 @@ fn adaptive_chaos_sweep_is_byte_identical_across_jobs() {
 /// with no flags. This pins the *entire* deterministic output of the
 /// serving + overload + event-core stack to the repository: any scheduler
 /// or allocator change that perturbs even one event's order shows up as an
-/// artifact diff here. (The wall-clock `BENCH_overload.json` is the one
-/// non-deterministic sibling and is deliberately not pinned.)
+/// artifact diff here.
 #[test]
 fn committed_overload_artifacts_reproduce() {
     let preset = ServingFlags::default().preset("overload").expect("defaults are valid");

@@ -18,7 +18,7 @@ fn ubench(iters: u64) -> Microbench {
 /// and only partially abated at ~5000 instructions per access.
 #[test]
 fn on_demand_is_abysmal_then_partially_abates() {
-    let f = fig2(q());
+    let f = fig2(&Runner::immediate(), q());
     let one_us = f.series("1us");
     assert!(one_us.at(100.0) < 0.2, "W=100 should be abysmal: {}", one_us.at(100.0));
     let at5000 = one_us.at(5000.0);
@@ -38,7 +38,7 @@ fn on_demand_is_abysmal_then_partially_abates() {
 /// baseline; longer latencies have proportionally shallower slopes.
 #[test]
 fn prefetch_scales_to_the_lfb_wall() {
-    let f = fig3(q());
+    let f = fig3(&Runner::immediate(), q());
     let one_us = f.series("1us");
     // Near-linear rise 1 -> 10.
     let r1 = one_us.at(1.0);
@@ -61,7 +61,7 @@ fn prefetch_scales_to_the_lfb_wall() {
 /// curve.
 #[test]
 fn mlp_consumes_lfbs() {
-    let f = fig6(q());
+    let f = fig6(&Runner::immediate(), q());
     let r1 = f.series("1-read");
     let r2 = f.series("2-read");
     let r4 = f.series("4-read");
@@ -119,7 +119,7 @@ fn multicore_prefetch_hits_the_14_entry_wall() {
 /// moves useful data.
 #[test]
 fn swq_multicore_saturates_pcie_at_half_useful() {
-    let f = fig8(q());
+    let f = fig8(&Runner::immediate(), q());
     let one_us = f.series("1us");
     let n1 = one_us.at(1.0);
     let n4 = one_us.at(4.0);
@@ -147,7 +147,7 @@ fn swq_multicore_saturates_pcie_at_half_useful() {
 /// 35–65 % of the DRAM baseline, software queues 20–50 %.
 #[test]
 fn application_single_core_bands() {
-    let figs = fig10(Quality { iters: 120, ..Quality::fast() });
+    let figs = fig10(&Runner::immediate(), Quality { iters: 120, ..Quality::fast() });
     let panel_a = figs.iter().find(|f| f.id == "fig10a").unwrap();
     let panel_b = figs.iter().find(|f| f.id == "fig10b").unwrap();
     for app in ["bfs", "bloom", "memcached"] {
@@ -170,7 +170,7 @@ fn application_single_core_bands() {
 /// 14-entry queue.
 #[test]
 fn application_multicore_bands() {
-    let figs = fig10(Quality { iters: 100, ..Quality::fast() });
+    let figs = fig10(&Runner::immediate(), Quality { iters: 100, ..Quality::fast() });
     let panel_c = figs.iter().find(|f| f.id == "fig10c").unwrap();
     let panel_d = figs.iter().find(|f| f.id == "fig10d").unwrap();
     for app in ["bloom", "memcached"] {

@@ -62,7 +62,8 @@ fn figure_pipeline_matches_serial_runner() {
         entries.into_iter().filter(|e| e.id == "fig3" || e.id == "fig8").collect();
     let (parallel, results) = run_figures(&entries, q, &SweepOptions::jobs(4));
     assert_eq!(results.errors().count(), 0);
-    let serial = [("fig3", vec![figures::fig3(q)]), ("fig8", vec![figures::fig8(q)])];
+    let r = Runner::immediate();
+    let serial = [("fig3", vec![figures::fig3(&r, q)]), ("fig8", vec![figures::fig8(&r, q)])];
     for ((pid, pfigs), (sid, sfigs)) in parallel.iter().zip(&serial) {
         assert_eq!(pid, sid);
         assert_eq!(pfigs.len(), sfigs.len());
