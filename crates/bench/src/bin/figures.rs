@@ -47,7 +47,8 @@
 //! The serving presets `figures load|net|blame|overload` share one
 //! base-flag parser, and each rejects a flag it does not read. All four
 //! read `--service echo|memcached|bloom`, `--requests N`, `--queue-cap N`,
-//! `--cores N`, `--fibers N`, `--rates` (k/m suffixes) and `--full`;
+//! `--cores N`, `--fibers N`, `--rates` (positive whole rates in a
+//! scenario's rate grammar: 250000, 250k, 1.5m, 1e3) and `--full`;
 //! besides those:
 //!   load      --faults plan.toml --slo-p99 --slo-p999 --mech
 //!   net       --faults plan.toml --slo-p99 --nics --topos and the NIC
@@ -451,15 +452,13 @@ fn profile_mode(args: &[String]) -> i32 {
     i32::from(!suite.satisfied())
 }
 
-/// Parses an offered rate like `250000`, `250k`, or `1.5m` (requests/s).
-fn parse_rate(s: &str) -> Option<u64> {
-    let s = s.trim();
-    if let Some(v) = s.strip_suffix(['m', 'M']) {
-        v.parse::<f64>().ok().map(|x| (x * 1e6) as u64)
-    } else if let Some(v) = s.strip_suffix(['k', 'K']) {
-        v.parse::<f64>().ok().map(|x| (x * 1e3) as u64)
-    } else {
-        s.parse().ok()
+/// Parses an offered rate (requests/s) in a scenario's rate grammar —
+/// `250000`, `250k`, `1.5m`, `1e3` — exiting 2 on anything but a positive
+/// whole rate.
+fn parse_rate(s: &str) -> u64 {
+    match kus_scenario::error::parse_rate(s) {
+        Some(x) if x >= 1.0 && x.fract() == 0.0 && x < u64::MAX as f64 => x as u64,
+        _ => fail(format!("--rates: `{s}` is not a positive whole rate (e.g. 250k)")),
     }
 }
 
@@ -520,7 +519,7 @@ fn serving_flags(args: &[String], com: &Common) -> ServingFlags {
         slo_p999: span("--slo-p999"),
         net,
         mechanisms: list(args, "--mech", parse_mech),
-        rates: list(args, "--rates", parse_rate),
+        rates: list(args, "--rates", |s| Some(parse_rate(s))),
         nics: list(args, "--nics", parse_nic),
         topologies: list(args, "--topos", parse_topo),
         policies: list(args, "--policies", parse_policy),

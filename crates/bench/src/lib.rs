@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 
+mod axes;
 pub mod profile;
 pub mod scenario;
 pub mod serving;

@@ -13,10 +13,13 @@
 use std::fmt::Write as _;
 
 use kus_core::prelude::Mechanism;
-use kus_load::{load_experiment, LoadReport};
+use kus_load::LoadReport;
 use kus_scenario::Scenario;
+use kus_sim::json_escape;
 
-use crate::sweep::{csv_field, json_escape, run_cells, SweepCell, SweepOptions};
+use crate::axes::Point;
+use crate::serving::ServingMatrix;
+use crate::sweep::{csv_field, run_cells, SweepCell, SweepOptions};
 
 /// A declarative scenario matrix: the compiled corpus and the mechanism
 /// axis to score it across.
@@ -49,25 +52,17 @@ impl ScenarioMatrixSpec {
     }
 
     /// Expands the matrix in order (scenario outermost, mechanism
-    /// innermost — corpus order is the committed filename order).
+    /// innermost — corpus order is the committed filename order): each
+    /// scenario is a one-axis serving matrix over its name, service, load
+    /// and platform.
     fn expand(&self) -> (Vec<(usize, Mechanism)>, Vec<SweepCell>) {
-        let mut keys = Vec::with_capacity(self.cell_count());
-        let mut cells = Vec::with_capacity(self.cell_count());
-        for (si, sc) in self.scenarios.iter().enumerate() {
-            for &mech in &self.mechanisms {
-                let label = format!("{} mech={mech}", sc.name());
-                let exp = load_experiment(
-                    &label,
-                    sc.load(),
-                    sc.cfg().clone().mechanism(mech),
-                    sc.service(),
-                )
-                .map_err(|e| e.to_string());
-                keys.push((si, mech));
-                cells.push(SweepCell { label, exp });
-            }
-        }
-        (keys, cells)
+        let axis: Vec<Point> = self.mechanisms.iter().map(|&m| Point::mechanism(m)).collect();
+        let per_scenario = self.scenarios.iter().enumerate().flat_map(|(si, sc)| {
+            let matrix = ServingMatrix::new(sc.name(), sc.service(), sc.load(), sc.cfg().clone());
+            let (drafts, cells) = matrix.axis(axis.clone()).expand();
+            drafts.into_iter().map(move |d| (si, self.mechanisms[d.point[0]])).zip(cells)
+        });
+        per_scenario.unzip()
     }
 }
 

@@ -8,7 +8,8 @@
 //!   an ordered list of axes whose points each set one knob (mechanism,
 //!   offered rate, NIC plus tiers, tiers, admission policy, fault plan or
 //!   retry policy);
-//! - expansion by Cartesian product, last axis innermost, executed by
+//! - expansion by Cartesian product, last axis innermost (the product
+//!   `figures sweep` and the scenario matrix expand too), executed by
 //!   [`run_serving`] through one [`run_cells`] call;
 //! - one harvest per cell: a [`LoadReport`] always, a [`NetReport`] for
 //!   NIC cells and a [`BlameReport`] for causal cells;
@@ -23,7 +24,7 @@
 //! blame's `direct`). Every emitter is byte-identical between `--jobs 1`
 //! and `--jobs N`.
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 use kus_core::prelude::{ConfigError, Experiment, Mechanism, PlatformConfig, RunReport};
 use kus_load::{
@@ -33,10 +34,12 @@ use kus_load::{
 };
 use kus_scenario::{MatrixSpec, Scenario};
 use kus_sim::fault::FaultPlan;
-use kus_sim::Span;
+use kus_sim::{json_escape, Span};
 use kus_workloads::{BloomConfig, BloomService, MemcachedConfig, MemcachedService};
 
-use crate::sweep::{csv_field, json_escape, run_cells, SweepCell, SweepOptions};
+use crate::axes::{product, Draft, Knob, Point, RATE};
+pub use crate::axes::{Facet, Value};
+use crate::sweep::{csv_field, run_cells, SweepCell, SweepOptions};
 
 /// Goodput must stay within this fraction of the offered rate for a cell
 /// to count as "keeping up" (see [`keeps_up`]).
@@ -49,152 +52,6 @@ const KNEE_GOODPUT_FRACTION: f64 = 0.95;
 /// its queue — completions match admissions even deep into saturation.
 pub fn keeps_up(report: &LoadReport, rate_rps: f64) -> bool {
     report.goodput_rps >= KNEE_GOODPUT_FRACTION * rate_rps
-}
-
-/// The facet key the offered-rate axis writes; knees group by every
-/// other facet.
-const RATE: &str = "rate_rps";
-
-/// One knob an axis point sets on the base spec or platform.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Knob {
-    /// The access mechanism.
-    Mechanism(Mechanism),
-    /// An open-loop Poisson arrival at this rate (requests/second).
-    Rate(u64),
-    /// A NIC model (`None`: the front end off) plus the tier chain.
-    Front(Option<NicModelKind>, TierSpec),
-    /// The tier chain alone.
-    Tiers(TierSpec),
-    /// The admission policy.
-    Admission(AdmissionControl),
-    /// The serving-layer fault plan.
-    Faults(FaultPlan),
-    /// The closed-loop client retry policy.
-    Retry(RetryPolicy),
-}
-
-impl Knob {
-    fn apply(self, spec: &mut LoadSpec, cfg: &mut PlatformConfig) {
-        match self {
-            Knob::Mechanism(m) => cfg.mechanism = m,
-            Knob::Rate(r) => spec.arrival = ArrivalProcess::Poisson { rate_rps: r as f64 },
-            Knob::Front(nic, tiers) => {
-                spec.net = match nic {
-                    Some(nic) => NetConfig { enabled: true, nic, ..spec.net },
-                    None => NetConfig::default(),
-                };
-                spec.tiers = tiers;
-            }
-            Knob::Tiers(t) => spec.tiers = t,
-            Knob::Admission(a) => spec.admission = a,
-            Knob::Faults(p) => spec.faults = p,
-            Knob::Retry(r) => spec.retry = r,
-        }
-    }
-}
-
-/// One emitted value: a cell facet or a result column.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// An unsigned integer.
-    Int(u64),
-    /// A float, written with six decimals.
-    Float(f64),
-    /// A string (escaped for JSON, quoted for CSV when needed).
-    Str(String),
-    /// Embedded JSON, written as is.
-    Json(String),
-    /// A boolean.
-    Bool(bool),
-}
-
-impl Value {
-    fn json(&self) -> String {
-        match self {
-            Value::Str(s) => format!("\"{}\"", json_escape(s)),
-            Value::Json(j) => j.clone(),
-            other => other.to_string(),
-        }
-    }
-
-    fn csv(&self) -> String {
-        match self {
-            Value::Str(s) => csv_field(s),
-            other => other.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(n) => write!(f, "{n}"),
-            Value::Float(x) => write!(f, "{x:.6}"),
-            Value::Str(s) | Value::Json(s) => f.write_str(s),
-            Value::Bool(b) => write!(f, "{b}"),
-        }
-    }
-}
-
-/// A named cell coordinate (`"mechanism"`, `"rate_rps"`, ...).
-pub type Facet = (&'static str, Value);
-
-/// One point on an axis: the knob it sets, its cell-label fragment, and
-/// the facets it contributes to every emitter.
-#[derive(Debug, Clone)]
-pub(crate) struct Point {
-    knob: Knob,
-    label: String,
-    facets: Vec<Facet>,
-}
-
-impl Point {
-    /// A point with explicit label fragment and facets.
-    fn new(knob: Knob, label: impl Into<String>, facets: Vec<Facet>) -> Point {
-        Point { knob, label: label.into(), facets }
-    }
-
-    /// A point labelled `<tag>=<name>` with the one facet `<facet>: name`.
-    fn tagged(knob: Knob, tag: &str, facet: &'static str, name: &str) -> Point {
-        Point::new(knob, format!("{tag}={name}"), vec![(facet, Value::Str(name.into()))])
-    }
-
-    /// `mech=<m>`.
-    fn mechanism(m: Mechanism) -> Point {
-        Point::tagged(Knob::Mechanism(m), "mech", "mechanism", &m.to_string())
-    }
-
-    /// `rate=<r>rps`.
-    fn rate(r: u64) -> Point {
-        Point::new(Knob::Rate(r), format!("rate={r}rps"), vec![(RATE, Value::Int(r))])
-    }
-
-    /// `nic=<n> topo=<t>`; `None` is the front end off (`nic=off`).
-    fn front(nic: Option<NicModelKind>, tiers: TierSpec) -> Point {
-        let n = nic.map_or("off", |n| n.name());
-        let t = tiers.topology.name();
-        Point::new(
-            Knob::Front(nic, tiers),
-            format!("nic={n} topo={t}"),
-            vec![("nic", Value::Str(n.into())), ("topology", Value::Str(t.into()))],
-        )
-    }
-
-    /// `topo=<t>`.
-    fn tiers(t: TierSpec) -> Point {
-        Point::tagged(Knob::Tiers(t), "topo", "topology", t.topology.name())
-    }
-
-    /// `policy=<label>`.
-    fn admission(a: AdmissionControl) -> Point {
-        Point::tagged(Knob::Admission(a), "policy", "policy", a.label())
-    }
-
-    /// `plan=<name>`.
-    fn plan(name: &str, plan: FaultPlan) -> Point {
-        Point::tagged(Knob::Faults(plan), "plan", "plan", name)
-    }
 }
 
 /// A declarative serving matrix: a base world and the axes to sweep over
@@ -248,44 +105,20 @@ impl ServingMatrix {
 
     /// The number of cells this matrix expands into.
     pub fn cell_count(&self) -> usize {
-        self.axes.iter().map(Vec::len).product()
+        crate::axes::cell_count(&self.axes)
     }
 
-    fn knobbed(&self, knobs: impl IntoIterator<Item = Knob>) -> (LoadSpec, PlatformConfig) {
-        let (mut spec, mut cfg) = (self.spec, self.cfg.clone());
-        for k in knobs {
-            k.apply(&mut spec, &mut cfg);
-        }
-        (spec, cfg)
-    }
-
-    /// Expands the Cartesian product, last axis innermost.
-    fn expand(&self) -> (Vec<Key>, Vec<SweepCell>) {
-        let (mut keys, mut cells) = (Vec::new(), Vec::new());
-        for n in 0..self.cell_count() {
-            // Cell `n` in mixed radix, one digit per axis.
-            let mut point = vec![0; self.axes.len()];
-            let mut rest = n;
-            for (p, axis) in point.iter_mut().zip(&self.axes).rev() {
-                (*p, rest) = (rest % axis.len(), rest / axis.len());
-            }
-            let pts: Vec<&Point> = self.axes.iter().zip(&point).map(|(a, &i)| &a[i]).collect();
-            let mut label = self.service_name.clone();
-            for p in &pts {
-                let _ = write!(label, " {}", p.label);
-            }
-            let (spec, cfg) = self.knobbed(pts.iter().map(|p| p.knob));
-            keys.push(Key {
-                point,
-                facets: pts.iter().flat_map(|p| p.facets.iter().cloned()).collect(),
-                nic: spec.net.enabled,
-                causal: cfg.causal,
-            });
-            let exp =
-                load_experiment(&label, spec, cfg, self.service.clone()).map_err(|e| e.to_string());
-            cells.push(SweepCell { label, exp });
-        }
-        (keys, cells)
+    /// Expands the Cartesian product, last axis innermost: each cell's
+    /// draft and its serving run.
+    pub(crate) fn expand(&self) -> (Vec<Draft>, Vec<SweepCell>) {
+        product(&self.service_name, self.spec, &self.cfg, &self.axes)
+            .map(|d| {
+                let exp = load_experiment(&d.label, d.spec, d.cfg.clone(), self.service.clone())
+                    .map_err(|e| e.to_string());
+                let cell = SweepCell { label: d.label.clone(), exp };
+                (d, cell)
+            })
+            .unzip()
     }
 
     fn facet_keys(&self) -> Vec<&'static str> {
@@ -295,14 +128,6 @@ impl ServingMatrix {
             .flat_map(|p| p.facets.iter().map(|f| f.0))
             .collect()
     }
-}
-
-/// What expansion knows about a cell before it runs.
-struct Key {
-    point: Vec<usize>,
-    facets: Vec<Facet>,
-    nic: bool,
-    causal: bool,
 }
 
 /// The analytics one cell yields.
@@ -409,24 +234,24 @@ pub struct ServingResults {
 /// one leaves idle. Returns each matrix's results, in input order, and the
 /// call's wall-clock seconds (never part of the deterministic emitters).
 pub fn run_serving(ms: &[&ServingMatrix], opts: &SweepOptions) -> (Vec<ServingResults>, f64) {
-    let (mut keys, mut cells) = (Vec::new(), Vec::new());
+    let (mut drafts, mut cells) = (Vec::new(), Vec::new());
     for m in ms {
-        let (k, c) = m.expand();
-        keys.extend(k);
+        let (d, c) = m.expand();
+        drafts.extend(d);
         cells.extend(c);
     }
     let results = run_cells(cells, opts);
-    let mut done = results.cells.into_iter().zip(keys);
+    let mut done = results.cells.into_iter().zip(drafts);
     let runs = ms.iter().map(|m| {
         let cells = (&mut done)
             .take(m.cell_count())
             .enumerate()
-            .map(|(index, (c, k))| ServingCell {
+            .map(|(index, (c, d))| ServingCell {
                 index,
                 label: c.label,
-                point: k.point,
-                facets: k.facets,
-                outcome: c.outcome.and_then(|r| harvest(&r, k.nic, k.causal)),
+                outcome: c.outcome.and_then(|r| harvest(&r, d.spec.net.enabled, d.cfg.causal)),
+                point: d.point,
+                facets: d.facets,
             })
             .collect();
         ServingResults {
@@ -885,9 +710,11 @@ impl Preset {
     /// The one causal run `figures blame --trace` draws, outside the matrix
     /// (`None` for the other presets).
     pub fn trace_run(&self) -> Option<Result<Experiment, ConfigError>> {
-        let (spec, cfg) = self.matrix.knobbed(self.trace?);
+        let m = &self.matrix;
+        let axes = self.trace?.map(|k| [Point::new(k, "", Vec::new())]);
+        let d = product("", m.spec, &m.cfg, &axes).next().expect("one-point axes make one cell");
         let label = format!("{} trace", self.view.name);
-        Some(load_experiment(label, spec, cfg, self.matrix.service.clone()))
+        Some(load_experiment(label, d.spec, d.cfg, m.service.clone()))
     }
 }
 
@@ -1326,9 +1153,9 @@ mod tests {
             ])
             .axis(vec![Point::tiers(TierSpec::rpc())])
             .axis(rate_points(&[1, 2, 3]));
-        let (keys, cells) = m.expand();
-        assert_eq!((m.cell_count(), keys.len(), cells.len()), (6, 6, 6));
-        assert_eq!(keys[4].point, vec![1, 0, 1]);
+        let (drafts, cells) = m.expand();
+        assert_eq!((m.cell_count(), drafts.len(), cells.len()), (6, 6, 6));
+        assert_eq!(drafts[4].point, vec![1, 0, 1]);
         assert_eq!(cells[4].label, "echo mech=prefetch topo=rpc rate=2rps");
         assert_eq!(m.facet_keys(), vec!["mechanism", "topology", RATE]);
         assert_eq!(base.axis(Vec::new()).expand().1.len(), 0, "an empty axis empties the matrix");

@@ -33,13 +33,18 @@
 //! identical output to the serial path, minus the wall-clock.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use kus_core::prelude::*;
+use kus_load::{ArrivalProcess, LoadSpec};
+use kus_sim::json_escape;
 use kus_workloads::figures::{Figure, Quality, RegistryEntry};
+
+use crate::axes::{product, Knob, Point};
 
 /// One expanded matrix cell: a label plus either a runnable experiment or
 /// the expansion-time validation error.
@@ -64,236 +69,107 @@ impl SweepCell {
 /// into the job matrix in the fixed order *mechanism → device latency →
 /// cores → fibers/core → SMT → LFBs → device-path credits → ring capacity →
 /// fetch burst → ctx switch → seed* (seed innermost), which is also the
-/// deterministic result order.
+/// deterministic result order. Cells come from the same product of axes
+/// the serving matrix expands.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     base: Experiment,
-    mechanisms: Vec<Mechanism>,
-    device_latencies: Vec<Span>,
-    cores: Vec<usize>,
-    fibers_per_core: Vec<usize>,
-    smt: Vec<usize>,
-    lfb_counts: Vec<usize>,
-    device_path_credits: Vec<usize>,
-    swq_ring_capacities: Vec<usize>,
-    swq_fetch_bursts: Vec<usize>,
-    ctx_switches: Vec<Span>,
-    seeds: Vec<u64>,
+    /// Each axis's points, in [`SWEEP_AXES`] order; an empty one is no axis.
+    axes: [Vec<Point>; 11],
 }
+
+/// The sweep's axes by label tag, in their fixed matrix order.
+const SWEEP_AXES: [&str; 11] =
+    ["mech", "lat", "cores", "fibers", "smt", "lfbs", "credits", "ring", "burst", "ctx", "seed"];
 
 impl SweepSpec {
     /// A sweep over `base` with no axes (a single cell).
     pub fn new(base: Experiment) -> SweepSpec {
-        SweepSpec {
-            base,
-            mechanisms: Vec::new(),
-            device_latencies: Vec::new(),
-            cores: Vec::new(),
-            fibers_per_core: Vec::new(),
-            smt: Vec::new(),
-            lfb_counts: Vec::new(),
-            device_path_credits: Vec::new(),
-            swq_ring_capacities: Vec::new(),
-            swq_fetch_bursts: Vec::new(),
-            ctx_switches: Vec::new(),
-            seeds: Vec::new(),
-        }
+        SweepSpec { base, axes: Default::default() }
+    }
+
+    /// Sets the axis tagged `tag` to one `<tag>=<value>` point per value.
+    fn axis<T: Copy + fmt::Display>(mut self, tag: &str, v: &[T], knob: fn(T) -> Knob) -> Self {
+        let slot = SWEEP_AXES.iter().position(|&t| t == tag).expect("a sweep axis tag");
+        self.axes[slot] =
+            v.iter().map(|&x| Point::new(knob(x), format!("{tag}={x}"), Vec::new())).collect();
+        self
     }
 
     /// Sweeps the access mechanism.
-    pub fn mechanisms(mut self, v: &[Mechanism]) -> Self {
-        self.mechanisms = v.to_vec();
-        self
+    pub fn mechanisms(self, v: &[Mechanism]) -> Self {
+        self.axis("mech", v, Knob::Mechanism)
     }
 
     /// Sweeps the host-observed device latency.
-    pub fn device_latencies(mut self, v: &[Span]) -> Self {
-        self.device_latencies = v.to_vec();
-        self
+    pub fn device_latencies(self, v: &[Span]) -> Self {
+        self.axis("lat", v, Knob::Latency)
     }
 
     /// Sweeps the core count.
-    pub fn cores(mut self, v: &[usize]) -> Self {
-        self.cores = v.to_vec();
-        self
+    pub fn cores(self, v: &[usize]) -> Self {
+        self.axis("cores", v, Knob::Cores)
     }
 
     /// Sweeps the fibers-per-core count.
-    pub fn fibers_per_core(mut self, v: &[usize]) -> Self {
-        self.fibers_per_core = v.to_vec();
-        self
+    pub fn fibers_per_core(self, v: &[usize]) -> Self {
+        self.axis("fibers", v, Knob::Fibers)
     }
 
     /// Sweeps the SMT context count.
-    pub fn smt(mut self, v: &[usize]) -> Self {
-        self.smt = v.to_vec();
-        self
+    pub fn smt(self, v: &[usize]) -> Self {
+        self.axis("smt", v, Knob::Smt)
     }
 
     /// Sweeps the per-core LFB count.
-    pub fn lfb_counts(mut self, v: &[usize]) -> Self {
-        self.lfb_counts = v.to_vec();
-        self
+    pub fn lfb_counts(self, v: &[usize]) -> Self {
+        self.axis("lfbs", v, Knob::Lfbs)
     }
 
     /// Sweeps the chip-level device-path queue capacity.
-    pub fn device_path_credits(mut self, v: &[usize]) -> Self {
-        self.device_path_credits = v.to_vec();
-        self
+    pub fn device_path_credits(self, v: &[usize]) -> Self {
+        self.axis("credits", v, Knob::Credits)
     }
 
     /// Sweeps the SWQ request-ring capacity.
-    pub fn swq_ring_capacities(mut self, v: &[usize]) -> Self {
-        self.swq_ring_capacities = v.to_vec();
-        self
+    pub fn swq_ring_capacities(self, v: &[usize]) -> Self {
+        self.axis("ring", v, Knob::Ring)
     }
 
     /// Sweeps the SWQ descriptor fetch-burst size.
-    pub fn swq_fetch_bursts(mut self, v: &[usize]) -> Self {
-        self.swq_fetch_bursts = v.to_vec();
-        self
+    pub fn swq_fetch_bursts(self, v: &[usize]) -> Self {
+        self.axis("burst", v, Knob::Burst)
     }
 
     /// Sweeps the user-mode context-switch cost.
-    pub fn ctx_switches(mut self, v: &[Span]) -> Self {
-        self.ctx_switches = v.to_vec();
-        self
+    pub fn ctx_switches(self, v: &[Span]) -> Self {
+        self.axis("ctx", v, Knob::CtxSwitch)
     }
 
     /// Sweeps the platform RNG seed.
-    pub fn seeds(mut self, v: &[u64]) -> Self {
-        self.seeds = v.to_vec();
-        self
+    pub fn seeds(self, v: &[u64]) -> Self {
+        self.axis("seed", v, Knob::Seed)
     }
 
     /// The number of cells this spec expands into.
     pub fn cell_count(&self) -> usize {
-        fn n<T>(v: &[T]) -> usize {
-            v.len().max(1)
-        }
-        n(&self.mechanisms)
-            * n(&self.device_latencies)
-            * n(&self.cores)
-            * n(&self.fibers_per_core)
-            * n(&self.smt)
-            * n(&self.lfb_counts)
-            * n(&self.device_path_credits)
-            * n(&self.swq_ring_capacities)
-            * n(&self.swq_fetch_bursts)
-            * n(&self.ctx_switches)
-            * n(&self.seeds)
+        self.axes.iter().map(|a| a.len().max(1)).product()
     }
 
     /// Expands the matrix into cells, in matrix order. Cells whose
     /// configuration fails [`PlatformConfig::validate`] become error cells
     /// (they report an error row; they never abort the sweep).
     pub fn expand(&self) -> Vec<SweepCell> {
-        fn axis<T: Copy>(v: &[T]) -> Vec<Option<T>> {
-            if v.is_empty() {
-                vec![None]
-            } else {
-                v.iter().map(|&x| Some(x)).collect()
-            }
-        }
-        let mut cells = Vec::with_capacity(self.cell_count());
-        for &mech in &axis(&self.mechanisms) {
-            for &lat in &axis(&self.device_latencies) {
-                for &cores in &axis(&self.cores) {
-                    for &fibers in &axis(&self.fibers_per_core) {
-                        for &smt in &axis(&self.smt) {
-                            for &lfbs in &axis(&self.lfb_counts) {
-                                for &credits in &axis(&self.device_path_credits) {
-                                    for &ring in &axis(&self.swq_ring_capacities) {
-                                        for &burst in &axis(&self.swq_fetch_bursts) {
-                                            for &ctx in &axis(&self.ctx_switches) {
-                                                for &seed in &axis(&self.seeds) {
-                                                    cells.push(self.cell(
-                                                        mech, lat, cores, fibers, smt, lfbs,
-                                                        credits, ring, burst, ctx, seed,
-                                                    ));
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cells
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn cell(
-        &self,
-        mech: Option<Mechanism>,
-        lat: Option<Span>,
-        cores: Option<usize>,
-        fibers: Option<usize>,
-        smt: Option<usize>,
-        lfbs: Option<usize>,
-        credits: Option<usize>,
-        ring: Option<usize>,
-        burst: Option<usize>,
-        ctx: Option<Span>,
-        seed: Option<u64>,
-    ) -> SweepCell {
-        use std::fmt::Write;
-        let mut cfg = self.base.config().clone();
-        let mut label = self.base.label().to_string();
-        let tag = |label: &mut String, part: std::fmt::Arguments| {
-            let _ = write!(label, " {part}");
-        };
-        if let Some(v) = mech {
-            cfg = cfg.mechanism(v);
-            tag(&mut label, format_args!("mech={v}"));
-        }
-        if let Some(v) = lat {
-            cfg = cfg.device_latency(v);
-            tag(&mut label, format_args!("lat={v}"));
-        }
-        if let Some(v) = cores {
-            cfg = cfg.cores(v);
-            tag(&mut label, format_args!("cores={v}"));
-        }
-        if let Some(v) = fibers {
-            cfg = cfg.fibers_per_core(v);
-            tag(&mut label, format_args!("fibers={v}"));
-        }
-        if let Some(v) = smt {
-            cfg = cfg.smt(v);
-            tag(&mut label, format_args!("smt={v}"));
-        }
-        if let Some(v) = lfbs {
-            cfg = cfg.lfbs(v);
-            tag(&mut label, format_args!("lfbs={v}"));
-        }
-        if let Some(v) = credits {
-            cfg = cfg.device_path_credits(v);
-            tag(&mut label, format_args!("credits={v}"));
-        }
-        if let Some(v) = ring {
-            cfg = cfg.swq_ring_capacity(v);
-            tag(&mut label, format_args!("ring={v}"));
-        }
-        if let Some(v) = burst {
-            cfg = cfg.swq_fetch_burst(v);
-            tag(&mut label, format_args!("burst={v}"));
-        }
-        if let Some(v) = ctx {
-            cfg = cfg.ctx_switch(v);
-            tag(&mut label, format_args!("ctx={v}"));
-        }
-        if let Some(v) = seed {
-            cfg = cfg.seed(v);
-            tag(&mut label, format_args!("seed={v}"));
-        }
-        match self.base.relabeled(label.clone(), cfg) {
-            Ok(exp) => SweepCell { label, exp: Ok(exp) },
-            Err(e) => SweepCell { label, exp: Err(e.to_string()) },
-        }
+        let axes: Vec<&Vec<Point>> = self.axes.iter().filter(|a| !a.is_empty()).collect();
+        // Every sweep knob is a platform knob: the product's serving spec
+        // goes unread.
+        let unread = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 });
+        product(self.base.label(), unread, self.base.config(), &axes)
+            .map(|d| SweepCell {
+                exp: self.base.relabeled(d.label.clone(), d.cfg).map_err(|e| e.to_string()),
+                label: d.label,
+            })
+            .collect()
     }
 }
 
@@ -482,22 +358,6 @@ impl SweepResults {
         }
         out
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 pub(crate) fn csv_field(s: &str) -> String {

@@ -7,7 +7,7 @@
 //! which for fixed-iteration workloads is the same ratio.
 
 use kus_mem::Backing;
-use kus_sim::stats::SpanHistogram;
+use kus_sim::stats::Percentiles;
 use kus_sim::{Clock, Span, TraceEvent};
 
 use crate::mechanism::Mechanism;
@@ -147,10 +147,10 @@ pub struct RunReport {
     pub lfb_max: u64,
     /// Highest device-path shared-queue occupancy observed.
     pub device_path_max: u64,
-    /// Distribution of host-observed device fill latencies (memory-mapped
+    /// Summary of the host-observed device fill latencies (memory-mapped
     /// device runs only): issue of the miss to data back at the core.
     /// Congestion on the link or in the device shows up as a fat tail.
-    pub fill_latency: Option<SpanHistogram>,
+    pub fill_latency: Option<Percentiles>,
     /// Device statistics (device-backed runs only).
     pub device: Option<DeviceReport>,
     /// Link statistics (device-backed runs only).

@@ -29,6 +29,7 @@ use kus_mem::{Backing, LINE_BYTES};
 use kus_pcie::dma::DmaEngine;
 use kus_pcie::link::{LinkDir, PcieLink};
 use kus_pcie::tlp::Tlp;
+use kus_sim::stats::{HdrHistogram, Percentiles};
 use kus_sim::{FaultInjector, Sim, SimRng, TraceClass, Tracer};
 use kus_swq::ring::QueuePair;
 
@@ -163,7 +164,7 @@ impl Platform {
             .borrow_mut()
             .set_tracer(tracer.clone(), kus_profile::TRACK_DEVICE_CREDITS);
         let mut device_fill: Option<FillPath> = None;
-        let fill_latency = Rc::new(RefCell::new(kus_sim::stats::SpanHistogram::new()));
+        let mut fill_latency: Option<Rc<RefCell<HdrHistogram>>> = None;
         if !matches!(phase, Phase::Dram) {
             let l = PcieLink::new(cfg.link);
             if let Some(inj) = &injector {
@@ -204,7 +205,8 @@ impl Platform {
 
             if cfg.mechanism != Mechanism::SoftwareQueue {
                 let mmio = MmioDevice::new(dc.clone(), l.clone());
-                let hist = fill_latency.clone();
+                let hist = Rc::new(RefCell::new(HdrHistogram::new()));
+                fill_latency = Some(hist.clone());
                 device_fill = Some(Rc::new(move |sim: &mut Sim, core, line, done| {
                     let t_issue = sim.now();
                     let hist = hist.clone();
@@ -482,8 +484,9 @@ impl Platform {
             doorbells,
             lfb_max,
             device_path_max: device_credits.borrow().occupancy().max(),
-            fill_latency: (fill_latency.borrow().count() > 0)
-                .then(|| fill_latency.borrow().clone()),
+            fill_latency: fill_latency
+                .map(|h| Percentiles::from_histogram(&h.borrow()))
+                .filter(|p| p.count > 0),
             device,
             link: link_report,
             faults,

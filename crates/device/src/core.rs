@@ -15,7 +15,7 @@ use kus_mem::station::{Station, StationConfig};
 use kus_mem::{ByteStore, LineAddr, LINE_BYTES};
 use kus_sim::stats::Counter;
 use kus_sim::trace::EventName;
-use kus_sim::{FaultInjector, Sim, Span, Tracer};
+use kus_sim::{splitmix64, FaultInjector, Sim, Span, Tracer};
 
 use crate::ondemand::OnDemandModule;
 use crate::replay::{MatchOutcome, ReplayConfig, ReplayModule};
@@ -28,14 +28,6 @@ pub type LineData = [u8; LINE_BYTES as usize];
 /// A response callback: fires when the device is ready to send, carrying the
 /// line contents.
 pub type RespondFn = Box<dyn FnOnce(&mut Sim, LineData)>;
-
-/// Stateless splitmix64 finalizer over `x` salted by `salt`.
-fn splitmix(x: u64, salt: u64) -> u64 {
-    let mut z = x.wrapping_add(salt).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The shape of the device's hold-time jitter distribution.
 ///
@@ -221,13 +213,15 @@ impl DeviceCore {
                 // An independently-salted draw decides tail membership and
                 // sizes the excursion; re-salting keeps it decorrelated
                 // from the near-mode offset.
-                let z = splitmix(
-                    (core as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(seq),
-                    0xb1b0_da1d_ea71_0001,
+                let z = splitmix64(
+                    (core as u64)
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        .wrapping_add(seq)
+                        .wrapping_add(0xb1b0_da1d_ea71_0001),
                 );
                 let u = (z >> 11) as f64 / (1u64 << 53) as f64;
                 if u < tail_prob {
-                    let stretch = splitmix(z, 0xb1b0_da1d_ea71_0002) % tail_ps;
+                    let stretch = splitmix64(z.wrapping_add(0xb1b0_da1d_ea71_0002)) % tail_ps;
                     Span::from_ps(near.as_ps() + stretch)
                 } else {
                     near
@@ -248,13 +242,7 @@ impl DeviceCore {
             return self.config.hold;
         }
         // splitmix64 over (core, seq): stable, phase-independent sampling.
-        let mut z = (core as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(seq)
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let z = splitmix64((core as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(seq));
         let offset = z % spread;
         let base = self.config.hold.as_ps().saturating_sub(spread / 2);
         Span::from_ps(base + offset)

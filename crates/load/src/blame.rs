@@ -36,11 +36,11 @@ use std::fmt;
 use std::ops::Range;
 
 use kus_core::prelude::RunReport;
-use kus_sim::stats::HdrHistogram;
+use kus_sim::stats::{p99_index, HdrHistogram, Percentiles};
 use kus_sim::{Category, EventName, FlowArrow, Span, Time, TraceEvent};
 
 use crate::by_id::sort_by_id;
-use crate::report::Percentiles;
+use crate::report::percentiles_json;
 use crate::tier::MAX_FANOUT;
 
 /// A hop on a request's critical path, declared in the canonical chain
@@ -535,7 +535,7 @@ impl BlameTable {
                 h.critical.as_ps(),
                 h.share,
             );
-            h.slack.json_into(out);
+            percentiles_json(&h.slack, out);
             out.push('}');
         }
         out.push_str("]}");
@@ -581,11 +581,11 @@ impl BlameReport {
         let truncated = paths.chains.iter().filter(|c| c.truncated).count() as u64;
         let all: Vec<&ReqChain> = paths.chains.iter().collect();
         // Exact-p99 tail: sort by critical-path length (stable — equal
-        // totals keep id order), cut at the same index convention as
-        // LoadReport's tail blame.
+        // totals keep id order), cut at the p99 index LoadReport's tail
+        // blame cuts at.
         let mut by_total: Vec<&ReqChain> = all.clone();
         by_total.sort_by_key(|c| c.total);
-        let cut = (by_total.len() * 99).div_ceil(100) - 1;
+        let cut = p99_index(by_total.len());
         let tail = &by_total[cut..];
         Some(BlameReport {
             requests: all.len() as u64,

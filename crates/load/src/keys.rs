@@ -7,6 +7,8 @@
 //! reproduces the historical `req % n` mapping exactly, so every existing
 //! artifact is unchanged unless a skewed distribution is asked for.
 
+use kus_sim::splitmix64;
+
 /// How request ids map onto the service's key space.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum KeyPopularity {
@@ -34,18 +36,11 @@ pub enum KeyPopularity {
     },
 }
 
-/// splitmix64 — the same stateless mixer the device uses for jitter
-/// sampling; `salt` keeps independent uses of the same `req` decorrelated.
-fn mix(req: u64, salt: u64) -> u64 {
-    let mut z = req.wrapping_add(salt).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A unit sample in `[0, 1)` from the top 53 bits of a mix.
+/// A unit sample in `[0, 1)` from the top 53 bits of splitmix64 — the
+/// same stateless mixer the device uses for jitter sampling; `salt` keeps
+/// independent uses of the same `req` decorrelated.
 fn unit(req: u64, salt: u64) -> f64 {
-    (mix(req, salt) >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix64(req.wrapping_add(salt)) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl KeyPopularity {

@@ -53,12 +53,13 @@ pub use arrival::ArrivalProcess;
 pub use blame::{flow_arrows, BlameReport, BlameTable, HopBlame};
 pub use keys::KeyPopularity;
 pub use report::{
-    DegradationVerdict, DeviceDistress, LoadReport, Percentiles, RecoveryReport, SloSpec,
-    SloVerdict, TimelineBucket, WindowRecovery, BROWNOUT_DEPTH, TIMELINE_BUCKETS,
+    DegradationVerdict, DeviceDistress, LoadReport, RecoveryReport, SloSpec, SloVerdict,
+    TimelineBucket, WindowRecovery, BROWNOUT_DEPTH, TIMELINE_BUCKETS,
 };
 pub use kus_net::{
-    DmaNic, NanoNic, NetConfig, NetTimeline, NicModel, NicModelKind, PacketCosts, PacketTiming,
+    DmaNic, NanoNic, NetConfig, NetTimeline, NicModelKind, PacketCosts, PacketTiming,
 };
+pub use kus_sim::stats::Percentiles;
 pub use net_report::{NetReport, HOP_NAMES};
 pub use retry::{HedgeWindow, RetryPolicy, HEDGE_HISTORY};
 pub use service::{service_factory, EchoService, ServeFuture, Service, ServiceFactory};

@@ -16,11 +16,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use kus_core::prelude::RunReport;
-use kus_sim::stats::HdrHistogram;
+use kus_sim::stats::{HdrHistogram, Percentiles};
 use kus_sim::{Category, EventName, Span, Time, TraceEvent};
 
 use crate::by_id::{last_per_id, lookup};
-use crate::report::Percentiles;
+use crate::report::percentiles_json;
 
 /// RPC hop names, in chain order, as emitted by the tier wrapper.
 pub const HOP_NAMES: [&str; 4] = ["rpc.front", "rpc.fanout", "rpc.service", "rpc.reply"];
@@ -181,7 +181,7 @@ impl NetReport {
             ("e2e", &self.e2e),
         ] {
             let _ = write!(out, "\"{key}\":");
-            p.json_into(&mut out);
+            percentiles_json(p, &mut out);
             out.push(',');
         }
         let loads = |out: &mut String, key: &str, load: &[(u32, u64)]| {
@@ -203,7 +203,7 @@ impl NetReport {
                 out.push(',');
             }
             let _ = write!(out, "{{\"hop\":\"{name}\",\"span\":");
-            p.json_into(&mut out);
+            percentiles_json(p, &mut out);
             out.push('}');
         }
         out.push_str("]}");

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use kus_core::prelude::RunReport;
-use kus_sim::stats::{rate_per_sec, HdrHistogram};
+use kus_sim::stats::{p99_index, rate_per_sec, HdrHistogram, Percentiles};
 use kus_sim::{Category, EventName, Span, Time, TraceEvent};
 
 use crate::by_id::{last_per_id, lookup};
@@ -30,54 +30,22 @@ pub const TIMELINE_BUCKETS: u64 = 32;
 /// multiple of the SLO bound is a brownout even if the system recovers.
 pub const BROWNOUT_DEPTH: f64 = 4.0;
 
-/// A percentile summary of one latency distribution, backed by the
-/// mergeable HDR histogram (≤ ~1.6% relative error per quantile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Percentiles {
-    /// Samples recorded.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: Span,
-    /// Median.
-    pub p50: Span,
-    /// 90th percentile.
-    pub p90: Span,
-    /// 99th percentile.
-    pub p99: Span,
-    /// 99.9th percentile — the paper's "killer microsecond" headline stat.
-    pub p999: Span,
-    /// Worst observed sample (exact).
-    pub max: Span,
-}
-
-impl Percentiles {
-    /// Summarizes `hist` at the standard report quantiles.
-    pub fn from_histogram(hist: &HdrHistogram) -> Percentiles {
-        Percentiles {
-            count: hist.count(),
-            mean: hist.mean(),
-            p50: hist.quantile(0.50),
-            p90: hist.quantile(0.90),
-            p99: hist.quantile(0.99),
-            p999: hist.quantile(0.999),
-            max: hist.max(),
-        }
-    }
-
-    pub(crate) fn json_into(&self, out: &mut String) {
-        use fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"count\":{},\"mean_ps\":{},\"p50_ps\":{},\"p90_ps\":{},\"p99_ps\":{},\"p999_ps\":{},\"max_ps\":{}}}",
-            self.count,
-            self.mean.as_ps(),
-            self.p50.as_ps(),
-            self.p90.as_ps(),
-            self.p99.as_ps(),
-            self.p999.as_ps(),
-            self.max.as_ps(),
-        );
-    }
+/// Writes `p` as the JSON object every report embeds for a distribution.
+/// `min` is left out: the committed report artifacts pin these seven
+/// fields.
+pub(crate) fn percentiles_json(p: &Percentiles, out: &mut String) {
+    use fmt::Write;
+    let _ = write!(
+        out,
+        "{{\"count\":{},\"mean_ps\":{},\"p50_ps\":{},\"p90_ps\":{},\"p99_ps\":{},\"p999_ps\":{},\"max_ps\":{}}}",
+        p.count,
+        p.mean.as_ps(),
+        p.p50.as_ps(),
+        p.p90.as_ps(),
+        p.p99.as_ps(),
+        p.p999.as_ps(),
+        p.max.as_ps(),
+    );
 }
 
 /// Everything a capacity planner asks of one serving run.
@@ -294,7 +262,7 @@ impl LoadReport {
         let tail_cut = if sojourns.is_empty() {
             Span::from_ps(0)
         } else {
-            sojourns[(sojourns.len() * 99).div_ceil(100) - 1]
+            sojourns[p99_index(sojourns.len())]
         };
         let (mut blamed_queue, mut blamed_service) = (0u64, 0u64);
         let (mut tail_blamed_queue, mut tail_blamed_service) = (0u64, 0u64);
@@ -372,7 +340,7 @@ impl LoadReport {
                     let p99 = if lats.is_empty() {
                         Span::from_ps(0)
                     } else {
-                        lats[(lats.len() * 99).div_ceil(100) - 1]
+                        lats[p99_index(lats.len())]
                     };
                     TimelineBucket {
                         start_ps: origin + k as u64 * width,
@@ -455,11 +423,11 @@ impl LoadReport {
             self.goodput_rps,
         );
         out.push_str("\"latency\":");
-        self.latency.json_into(&mut out);
+        percentiles_json(&self.latency, &mut out);
         out.push_str(",\"queue_wait\":");
-        self.queue_wait.json_into(&mut out);
+        percentiles_json(&self.queue_wait, &mut out);
         out.push_str(",\"service\":");
-        self.service.json_into(&mut out);
+        percentiles_json(&self.service, &mut out);
         let _ = write!(
             out,
             ",\"queue_depth_max\":{},\"queue_depth_avg\":{:.6},\"blame\":{{\"queue\":{},\"service\":{},\"tail_queue\":{},\"tail_service\":{}}}",

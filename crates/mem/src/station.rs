@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use kus_sim::event::EventFn;
-use kus_sim::stats::{Counter, Gauge, SpanHistogram};
 use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{Sim, Span, Time, Tracer};
 
@@ -75,15 +74,8 @@ pub struct Station {
     busy_until: Time,
     in_service: usize,
     waiting: VecDeque<EventFn>,
-    occupancy: Gauge,
     tracer: Tracer,
     track: u32,
-    /// Requests accepted (served or queued).
-    pub submitted: Counter,
-    /// Requests completed.
-    pub completed: Counter,
-    /// Distribution of request sojourn times (submit → complete).
-    pub sojourn: RefCell<SpanHistogram>,
 }
 
 impl std::fmt::Debug for Station {
@@ -110,23 +102,9 @@ impl Station {
             busy_until: Time::ZERO,
             in_service: 0,
             waiting: VecDeque::new(),
-            occupancy: Gauge::new(),
             tracer: Tracer::off(),
             track: 0,
-            submitted: Counter::default(),
-            completed: Counter::default(),
-            sojourn: RefCell::new(SpanHistogram::new()),
         }))
-    }
-
-    /// The station's label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The station's configuration.
-    pub fn config(&self) -> StationConfig {
-        self.config
     }
 
     /// Requests currently in service.
@@ -137,11 +115,6 @@ impl Station {
     /// Requests waiting for a service slot.
     pub fn queued(&self) -> usize {
         self.waiting.len()
-    }
-
-    /// Time-weighted in-service occupancy.
-    pub fn occupancy(&self) -> &Gauge {
-        &self.occupancy
     }
 
     /// Attaches a tracer; `track` is the timeline row (by convention 420 for
@@ -155,41 +128,24 @@ impl Station {
 
     /// Submits a request; `on_done` fires at completion time.
     pub fn submit(this: &Rc<RefCell<Station>>, sim: &mut Sim, on_done: EventFn) {
-        let submit_time = sim.now();
-        let wrapped: EventFn = {
-            let this = this.clone();
-            Box::new(move |sim: &mut Sim| {
-                let sojourn = sim.now() - submit_time;
-                {
-                    let s = this.borrow();
-                    s.sojourn.borrow_mut().record(sojourn);
-                }
-                this.borrow_mut().completed.incr();
-                on_done(sim);
-            })
-        };
         {
             let mut s = this.borrow_mut();
-            s.submitted.incr();
             if s.in_service == s.config.concurrency {
-                s.waiting.push_back(wrapped);
+                s.waiting.push_back(on_done);
                 return;
             }
         }
-        Station::start(this, sim, wrapped);
+        Station::start(this, sim, on_done);
     }
 
     fn start(this: &Rc<RefCell<Station>>, sim: &mut Sim, on_done: EventFn) {
         let done_at = {
             let mut s = this.borrow_mut();
             s.in_service += 1;
-            let now = sim.now();
-            let level = s.in_service as u64;
-            s.occupancy.set(now, level);
             if s.tracer.wants(TraceClass::Profile) {
-                s.tracer.counter(EventName::StationOcc, s.track, level);
+                s.tracer.counter(EventName::StationOcc, s.track, s.in_service as u64);
             }
-            let start_at = now.max(s.busy_until);
+            let start_at = sim.now().max(s.busy_until);
             s.busy_until = start_at + s.config.service;
             start_at + s.config.service + s.config.latency
         };
@@ -198,9 +154,6 @@ impl Station {
             let next = {
                 let mut s = this2.borrow_mut();
                 s.in_service -= 1;
-                let now = sim.now();
-                let level = s.in_service as u64;
-                s.occupancy.set(now, level);
                 s.waiting.pop_front()
             };
             if let Some(next) = next {
@@ -257,26 +210,16 @@ mod tests {
         let s = Station::new("t", cfg(1, 0, 100));
         let (times, _) = run_n(&s, 3);
         assert_eq!(times, vec![100, 200, 300]);
-        assert_eq!(s.borrow().completed.get(), 3);
     }
 
     #[test]
     fn occupancy_tracks_concurrency() {
+        // four slots, no serialization: completions in waves of four.
         let s = Station::new("t", cfg(4, 0, 50));
-        let (_, _) = run_n(&s, 10);
-        assert_eq!(s.borrow().occupancy().max(), 4);
+        let (times, _) = run_n(&s, 10);
+        assert_eq!(times, vec![50, 50, 50, 50, 100, 100, 100, 100, 150, 150]);
         assert_eq!(s.borrow().in_service(), 0);
         assert_eq!(s.borrow().queued(), 0);
-    }
-
-    #[test]
-    fn sojourn_includes_queueing() {
-        let s = Station::new("t", cfg(1, 0, 100));
-        let (_, _) = run_n(&s, 2);
-        let st = s.borrow();
-        let h = st.sojourn.borrow();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max().as_ns(), 200);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! all deterministic and all precomputed, so the serving layer replays the
 //! delivery schedule without perturbing any existing random stream.
 //!
-//! Two contrasting hardware design points from the paper's lineage sit behind
-//! one [`NicModel`] trait:
+//! Two contrasting hardware design points from the paper's lineage are the
+//! two variants of [`NicModelKind`]:
 //!
 //! - [`DmaNic`] — the conventional descriptor-ring path: the NIC fetches a
 //!   DMA descriptor, moves the payload over the peripheral interconnect, and
@@ -49,19 +49,6 @@ pub struct PacketCosts {
     pub steer: Span,
 }
 
-/// A receive-path NIC design point: given a packet size, how long does the
-/// NIC itself take to deliver it?
-///
-/// Implementations are *models*, not device drivers: the returned span is
-/// the FIFO occupancy of the RX queue that handles the packet. Wire and
-/// steering costs are shared across models and live in [`NetConfig`].
-pub trait NicModel {
-    /// Short stable name used in labels and artifacts (`dma` / `nanopu`).
-    fn name(&self) -> &'static str;
-    /// NIC processing time for one `bytes`-sized packet.
-    fn rx_cost(&self, bytes: u64) -> Span;
-}
-
 /// Conventional DMA-descriptor-ring NIC with a Dagger-style coupling knob.
 ///
 /// Receive cost is `coupling × (desc_fetch + doorbell) + dma_per_kb ×
@@ -92,18 +79,6 @@ impl Default for DmaNic {
     }
 }
 
-impl NicModel for DmaNic {
-    fn name(&self) -> &'static str {
-        "dma"
-    }
-
-    fn rx_cost(&self, bytes: u64) -> Span {
-        let crossings = (self.desc_fetch.as_ps() + self.doorbell.as_ps()) as f64 * self.coupling;
-        let dma = self.dma_per_kb.as_ps() as f64 * (bytes as f64 / 1024.0);
-        Span::from_ps((crossings + dma).round() as u64)
-    }
-}
-
 /// nanoPU-style fast path: fixed pipeline latency plus per-word
 /// register-file delivery, no descriptors and no doorbells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,21 +95,13 @@ impl Default for NanoNic {
     }
 }
 
-impl NicModel for NanoNic {
-    fn name(&self) -> &'static str {
-        "nanopu"
-    }
-
-    fn rx_cost(&self, bytes: u64) -> Span {
-        let words = bytes.div_ceil(8);
-        Span::from_ps(self.pipeline.as_ps() + self.per_word.as_ps() * words)
-    }
-}
-
-/// The sweepable choice of NIC design point, carrying its cost knobs.
+/// The sweepable choice of NIC design point, carrying its cost knobs: given
+/// a packet size, how long does the NIC itself take to deliver it?
 ///
-/// `Copy` so it can ride inside `LoadSpec`; [`NicModelKind::model`] turns it
-/// into the trait object form when polymorphism is wanted.
+/// These are *models*, not device drivers: [`NicModelKind::rx_cost`] is the
+/// FIFO occupancy of the RX queue that handles the packet. Wire and
+/// steering costs are shared across models and live in [`NetConfig`].
+/// `Copy` so it can ride inside `LoadSpec`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NicModelKind {
     /// Descriptor-ring baseline ([`DmaNic`]).
@@ -154,28 +121,26 @@ impl NicModelKind {
         NicModelKind::Nano(NanoNic::default())
     }
 
-    /// The model's short stable name (`dma` / `nanopu`).
+    /// The model's short stable name, used in labels and artifacts (`dma` /
+    /// `nanopu`).
     pub fn name(&self) -> &'static str {
         match self {
-            NicModelKind::Dma(m) => m.name(),
-            NicModelKind::Nano(m) => m.name(),
+            NicModelKind::Dma(_) => "dma",
+            NicModelKind::Nano(_) => "nanopu",
         }
     }
 
-    /// This design point as a boxed [`NicModel`].
-    pub fn model(&self) -> Box<dyn NicModel> {
-        match *self {
-            NicModelKind::Dma(m) => Box::new(m),
-            NicModelKind::Nano(m) => Box::new(m),
-        }
-    }
-
-    /// NIC processing time for one `bytes`-sized packet (enum dispatch;
-    /// equivalent to `self.model().rx_cost(bytes)` without the allocation).
+    /// NIC processing time for one `bytes`-sized packet.
     pub fn rx_cost(&self, bytes: u64) -> Span {
         match self {
-            NicModelKind::Dma(m) => m.rx_cost(bytes),
-            NicModelKind::Nano(m) => m.rx_cost(bytes),
+            NicModelKind::Dma(m) => {
+                let crossings = (m.desc_fetch.as_ps() + m.doorbell.as_ps()) as f64 * m.coupling;
+                let dma = m.dma_per_kb.as_ps() as f64 * (bytes as f64 / 1024.0);
+                Span::from_ps((crossings + dma).round() as u64)
+            }
+            NicModelKind::Nano(m) => {
+                Span::from_ps(m.pipeline.as_ps() + m.per_word.as_ps() * bytes.div_ceil(8))
+            }
         }
     }
 
@@ -447,7 +412,8 @@ mod tests {
     fn coupling_knob_removes_interconnect_crossings() {
         let discrete = DmaNic::default();
         let fused = DmaNic { coupling: 0.0, ..DmaNic::default() };
-        let saved = discrete.rx_cost(256).as_ps() - fused.rx_cost(256).as_ps();
+        let rx = |m: DmaNic| NicModelKind::Dma(m).rx_cost(256).as_ps();
+        let saved = rx(discrete) - rx(fused);
         let crossings = discrete.desc_fetch.as_ps() + discrete.doorbell.as_ps();
         assert_eq!(saved, crossings);
     }

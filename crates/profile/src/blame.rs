@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 
+use kus_sim::stats::p99_index;
 use kus_sim::time::Span;
 use kus_sim::trace::{Category, EventName, TraceEvent};
 
@@ -156,9 +157,7 @@ pub(crate) fn extract(events: &[TraceEvent]) -> (BlameTable, BlameTable) {
     }
     let mut sojourns: Vec<u64> = blamed.iter().map(|&(s, _, _)| s).collect();
     sojourns.sort_unstable();
-    let n = sojourns.len() as u64;
-    let p99_idx = ((n * 99).div_ceil(100) - 1) as usize;
-    let p99 = sojourns[p99_idx];
+    let p99 = sojourns[p99_index(sojourns.len())];
     for &(sojourn, idx, max) in &blamed {
         all.charge(idx, max, sojourn);
         if sojourn >= p99 {

@@ -37,6 +37,7 @@ pub mod verdict;
 
 use std::fmt::Write as _;
 
+use kus_sim::json_escape;
 use kus_sim::stats::HdrHistogram;
 use kus_sim::time::{Span, Time};
 use kus_sim::trace::TraceEvent;
@@ -242,25 +243,6 @@ fn write_blame(out: &mut String, key: &str, t: &BlameTable) {
         );
     }
     out.push_str("]}");
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

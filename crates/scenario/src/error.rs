@@ -68,6 +68,20 @@ impl From<TomlError> for ScenarioError {
     }
 }
 
+/// Reads a rate in requests/second written as text: a finite number with
+/// an optional `k` (×10³) or `m` (×10⁶) suffix, either case — `250000`,
+/// `250k`, `2.5M`, `1e3`. The grammar of a scenario's string rates and of
+/// `figures --rates`.
+pub fn parse_rate(text: &str) -> Option<f64> {
+    let raw = text.trim();
+    let (digits, scale) = match raw.chars().next_back() {
+        Some('k' | 'K') => (&raw[..raw.len() - 1], 1e3),
+        Some('m' | 'M') => (&raw[..raw.len() - 1], 1e6),
+        _ => (raw, 1.0),
+    };
+    digits.trim().parse::<f64>().ok().filter(|x| x.is_finite()).map(|x| x * scale)
+}
+
 /// A checked view over a parsed [`Table`]: typed getters record which keys
 /// were consumed, and [`Reader::finish`] rejects anything left over, so
 /// schema drift (a typo, a removed field) is an error instead of silence.
@@ -172,32 +186,26 @@ impl<'a> Reader<'a> {
     }
 
     /// Optional rate field in requests/second: a plain number, or a string
-    /// with a `k` (×10³) or `m` (×10⁶) suffix — `"250k"`, `"2.5M"`.
+    /// in the [`parse_rate`] grammar — `"250k"`, `"2.5M"`.
     pub fn rate_opt(&mut self, key: &'a str) -> Result<Option<f64>, ScenarioError> {
-        let (raw, line) = match self.value(key)? {
-            None => return Ok(None),
-            Some(Sp { value: Value::Float(x), .. }) => return Ok(Some(*x)),
-            Some(Sp { value: Value::Int(i), .. }) => return Ok(Some(*i as f64)),
-            Some(Sp { value: Value::Str(s), line }) => (s.trim().to_string(), *line),
-            Some(sp) => {
-                return Err(self.err(
+        match self.value(key)? {
+            None => Ok(None),
+            Some(Sp { value: Value::Float(x), .. }) => Ok(Some(*x)),
+            Some(Sp { value: Value::Int(i), .. }) => Ok(Some(*i as f64)),
+            Some(Sp { value: Value::Str(s), line }) => parse_rate(s).map(Some).ok_or_else(|| {
+                self.err(
                     Some(key),
-                    Some(sp.line),
-                    format!("expected a rate, found a {}", sp.value.type_name()),
-                ))
-            }
-        };
-        let (digits, scale) = match raw.chars().next_back() {
-            Some('k' | 'K') => (&raw[..raw.len() - 1], 1e3),
-            Some('m' | 'M') => (&raw[..raw.len() - 1], 1e6),
-            _ => (raw.as_str(), 1.0),
-        };
-        match digits.trim().parse::<f64>() {
-            Ok(x) if x.is_finite() => Ok(Some(x * scale)),
-            _ => Err(self.err(
+                    Some(*line),
+                    format!(
+                        "'{}' is not a rate (use a number or e.g. \"250k\", \"2.5M\")",
+                        s.trim()
+                    ),
+                )
+            }),
+            Some(sp) => Err(self.err(
                 Some(key),
-                Some(line),
-                format!("'{raw}' is not a rate (use a number or e.g. \"250k\", \"2.5M\")"),
+                Some(sp.line),
+                format!("expected a rate, found a {}", sp.value.type_name()),
             )),
         }
     }

@@ -12,7 +12,8 @@
 //! - [`heap_ref`]: the pre-wheel `BinaryHeap` core, retained as the
 //!   reference model for differential tests and benchmark baselines.
 //! - [`rng`]: seeded, label-splittable random streams.
-//! - [`stats`]: counters, occupancy gauges, span histograms, rate helpers.
+//! - [`stats`]: counters, occupancy gauges, the HDR span histogram and its
+//!   percentile summary, the p99 index, rate helpers.
 //! - [`fault`]: deterministic fault injection ([`FaultPlan`] /
 //!   [`FaultInjector`]) for chaos experiments.
 //! - [`trace`]: zero-cost-when-disabled structured event tracing with a
@@ -69,4 +70,51 @@ pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The golden-ratio increment of the splitmix64 generator.
+const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 finalizer: a bijective avalanche mix of `z`. Inlined
+/// because keys, Bloom probes and device jitter are drawn per request.
+#[inline]
+pub fn splitmix64_mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// splitmix64 of `z`: [`splitmix64_mix`] of `z + 0x9e37_79b9_7f4a_7c15`,
+/// the output of the splitmix64 generator one step after state `z`. The
+/// stateless hash behind every seeded stream, request key, Bloom probe
+/// and jitter sample.
+///
+/// # Examples
+///
+/// ```
+/// // The first output of splitmix64 seeded with 0.
+/// assert_eq!(kus_sim::splitmix64(0), 0xe220_a839_7b1d_cdaf);
+/// ```
+#[inline]
+pub fn splitmix64(z: u64) -> u64 {
+    splitmix64_mix(z.wrapping_add(SPLITMIX64_GAMMA))
+}
+
+/// `s` as the body of a JSON string: `"` and `\` get a backslash, `\n`,
+/// `\r` and `\t` their short escapes, and other control characters a
+/// `\u00XX` escape. Every JSON emitter's string fields pass through it.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }

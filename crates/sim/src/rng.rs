@@ -13,7 +13,7 @@
 //! Rust versions, and dependency upgrades, which the record/replay
 //! methodology and the fault-injection layer both rely on.
 
-use crate::{fnv1a, FNV_OFFSET};
+use crate::{fnv1a, splitmix64, splitmix64_mix, FNV_OFFSET, SPLITMIX64_GAMMA as GAMMA};
 
 /// A deterministic random stream.
 ///
@@ -45,8 +45,9 @@ impl SimRng {
     pub fn from_seed(seed: u64) -> SimRng {
         // Expand the seed into full xoshiro state through splitmix64 — the
         // canonical recommendation, and it guarantees a non-zero state.
-        let mut sm = seed;
-        let state = [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)];
+        // Output `k` of the generator seeded with `seed` is splitmix64 of
+        // its state after `k` steps.
+        let state = [0u64, 1, 2, 3].map(|k| splitmix64(seed.wrapping_add(k.wrapping_mul(GAMMA))));
         SimRng { seed, state }
     }
 
@@ -126,24 +127,13 @@ impl SimRng {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 fn hash_label(label: &str) -> u64 {
     fnv1a(FNV_OFFSET, label.as_bytes())
 }
 
 fn mix(a: u64, b: u64) -> u64 {
     // splitmix64 finalizer over the xor of the inputs.
-    let mut z = a ^ b.rotate_left(32) ^ 0x9e3779b97f4a7c15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+    splitmix64_mix(a ^ b.rotate_left(32) ^ GAMMA)
 }
 
 #[cfg(test)]

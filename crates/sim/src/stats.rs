@@ -1,5 +1,7 @@
 //! Measurement primitives: counters, gauges with time-weighted averages,
-//! histograms, and span accumulators.
+//! the one span distribution ([`HdrHistogram`]) and its fixed-size
+//! summary ([`Percentiles`]), and the nearest-rank p99 index that every
+//! exact tail cut uses ([`p99_index`]).
 //!
 //! These are deliberately simple value types; components embed them directly
 //! and experiments read them out after a run.
@@ -127,142 +129,9 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram of [`Span`] samples (log2 nanosecond buckets),
-/// also tracking exact count, sum, min, and max.
-///
-/// # Examples
-///
-/// ```
-/// use kus_sim::stats::SpanHistogram;
-/// use kus_sim::time::Span;
-///
-/// let mut h = SpanHistogram::new();
-/// h.record(Span::from_ns(100));
-/// h.record(Span::from_ns(300));
-/// assert_eq!(h.count(), 2);
-/// assert_eq!(h.mean(), Span::from_ns(200));
-/// assert!(h.quantile(0.99) >= Span::from_ns(256));
-/// ```
-#[derive(Debug, Clone)]
-pub struct SpanHistogram {
-    /// bucket i counts samples with ns in [2^(i-1), 2^i), bucket 0 is [0,1).
-    buckets: Vec<u64>,
-    count: u64,
-    sum: Span,
-    min: Span,
-    max: Span,
-}
-
-const SPAN_BUCKETS: usize = 48;
-
-impl Default for SpanHistogram {
-    fn default() -> Self {
-        SpanHistogram::new()
-    }
-}
-
-impl SpanHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> SpanHistogram {
-        SpanHistogram {
-            buckets: vec![0; SPAN_BUCKETS],
-            count: 0,
-            sum: Span::ZERO,
-            min: Span::from_ps(u64::MAX),
-            max: Span::ZERO,
-        }
-    }
-
-    fn bucket_of(span: Span) -> usize {
-        let ns = span.as_ns();
-        if ns == 0 {
-            0
-        } else {
-            ((64 - ns.leading_zeros()) as usize).min(SPAN_BUCKETS - 1)
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, span: Span) {
-        self.buckets[Self::bucket_of(span)] += 1;
-        self.count += 1;
-        self.sum += span;
-        self.min = self.min.min(span);
-        self.max = self.max.max(span);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> Span {
-        self.sum
-    }
-
-    /// Exact arithmetic mean (zero if empty).
-    pub fn mean(&self) -> Span {
-        if self.count == 0 {
-            Span::ZERO
-        } else {
-            self.sum / self.count
-        }
-    }
-
-    /// Smallest sample (zero if empty).
-    pub fn min(&self) -> Span {
-        if self.count == 0 {
-            Span::ZERO
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> Span {
-        self.max
-    }
-
-    /// Merges another histogram into this one (bucket-wise).
-    pub fn merge(&mut self, other: &SpanHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// An upper bound for the `q`-quantile, at bucket resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not within `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Span {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
-            return Span::ZERO;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let upper_ns = if i == 0 { 1 } else { 1u64 << i };
-                return Span::from_ns(upper_ns).min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
 /// An HDR-style log-linear histogram of [`Span`] samples, precise enough
-/// for tail quantiles (p99/p999) where [`SpanHistogram`]'s log2 buckets are
-/// too coarse.
+/// for tail quantiles (p99/p999): the one span distribution, which reports
+/// keep as its [`Percentiles`] summary.
 ///
 /// Values are bucketed in picoseconds: 64 exact buckets below 64 ps, then
 /// 64 linear sub-buckets per octave, so every reported quantile is an upper
@@ -352,11 +221,6 @@ impl HdrHistogram {
         self.count
     }
 
-    /// Sum of all samples.
-    pub fn sum(&self) -> Span {
-        self.sum
-    }
-
     /// Exact arithmetic mean (zero if empty).
     pub fn mean(&self) -> Span {
         if self.count == 0 {
@@ -414,6 +278,66 @@ impl HdrHistogram {
         }
         self.max
     }
+}
+
+/// A fixed-size summary of one span distribution, taken from an
+/// [`HdrHistogram`]: every quantile is an upper bound within 1/64 relative
+/// error; count, mean, min and max are exact. Reports keep this, not the
+/// histogram, so a held report costs a few words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Percentiles {
+    /// Samples recorded.
+    pub count: u64,
+    /// Arithmetic mean.
+    pub mean: Span,
+    /// Smallest observed sample (exact).
+    pub min: Span,
+    /// Median.
+    pub p50: Span,
+    /// 90th percentile.
+    pub p90: Span,
+    /// 99th percentile.
+    pub p99: Span,
+    /// 99.9th percentile — the paper's "killer microsecond" headline stat.
+    pub p999: Span,
+    /// Worst observed sample (exact).
+    pub max: Span,
+}
+
+impl Percentiles {
+    /// Summarizes `hist` at the standard report quantiles.
+    pub fn from_histogram(hist: &HdrHistogram) -> Percentiles {
+        Percentiles {
+            count: hist.count(),
+            mean: hist.mean(),
+            min: hist.min(),
+            p50: hist.quantile(0.50),
+            p90: hist.quantile(0.90),
+            p99: hist.quantile(0.99),
+            p999: hist.quantile(0.999),
+            max: hist.max(),
+        }
+    }
+}
+
+/// The nearest-rank index of the 99th percentile among `n` sorted samples:
+/// the smallest index at or below which at least 99% of them lie. Every
+/// exact-p99 tail cut (the serving report's tail blame and recovery
+/// timeline, the causal blame tail, the profile's blame tail) uses it, so
+/// their tails agree. `n` must be positive.
+///
+/// # Examples
+///
+/// ```
+/// use kus_sim::stats::p99_index;
+///
+/// assert_eq!(p99_index(1), 0);
+/// assert_eq!(p99_index(100), 98);
+/// assert_eq!(p99_index(101), 99);
+/// ```
+#[inline]
+pub fn p99_index(n: usize) -> usize {
+    (n * 99).div_ceil(100) - 1
 }
 
 /// Throughput helper: events per second over a window of virtual time.
@@ -479,58 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_basic_stats() {
-        let mut h = SpanHistogram::new();
-        for ns in [1u64, 2, 3, 4, 100] {
-            h.record(Span::from_ns(ns));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), Span::from_ns(1));
-        assert_eq!(h.max(), Span::from_ns(100));
-        assert_eq!(h.mean(), Span::from_ns(22));
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = SpanHistogram::new();
-        for ns in 1..=1000u64 {
-            h.record(Span::from_ns(ns));
-        }
-        let q50 = h.quantile(0.5);
-        let q90 = h.quantile(0.9);
-        let q100 = h.quantile(1.0);
-        assert!(q50 <= q90 && q90 <= q100);
-        assert_eq!(q100, Span::from_ns(1000));
-    }
-
-    #[test]
-    fn empty_histogram_is_sane() {
-        let h = SpanHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), Span::ZERO);
-        assert_eq!(h.min(), Span::ZERO);
-        assert_eq!(h.quantile(0.5), Span::ZERO);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = SpanHistogram::new();
-        let mut b = SpanHistogram::new();
-        a.record(Span::from_ns(10));
-        b.record(Span::from_ns(1000));
-        b.record(Span::from_ns(20));
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Span::from_ns(10));
-        assert_eq!(a.max(), Span::from_ns(1000));
-        assert_eq!(a.sum(), Span::from_ns(1030));
-        let empty = SpanHistogram::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Span::from_ns(10));
-    }
-
-    #[test]
     fn hdr_bucket_upper_bounds_every_value() {
         // Round-tripping any value through its bucket must produce an upper
         // bound within 1/64 relative error — the histogram's accuracy claim.
@@ -565,8 +437,11 @@ mod tests {
             let rank = (q * n as f64).ceil().max(1.0) as u64;
             Span::from_ns(rank * 997)
         };
+        let mut last = Span::ZERO;
         for q in [0.5, 0.9, 0.99, 0.999, 1.0] {
             let got = h.quantile(q);
+            assert!(got >= last, "q={q}: {got} below the previous quantile {last}");
+            last = got;
             let want = exact(q);
             assert!(got >= want, "q={q}: {got} < exact {want}");
             let rel = (got.as_ps() - want.as_ps()) as f64 / want.as_ps() as f64;
@@ -642,6 +517,10 @@ mod tests {
         assert_eq!(h.min(), Span::from_ns(10));
         assert_eq!(h.max(), Span::from_ns(30));
         assert_eq!(h.quantile(1.0), Span::from_ns(30));
+        h.merge(&HdrHistogram::new());
+        assert_eq!((h.count(), h.min()), (2, Span::from_ns(10)), "merging an empty one is inert");
+        let p = Percentiles::from_histogram(&h);
+        assert_eq!((p.count, p.min, p.mean, p.p99, p.max), (2, h.min(), h.mean(), h.max(), h.max()));
     }
 
     #[test]

@@ -16,17 +16,11 @@ use kus_core::prelude::*;
 use kus_load::KeyPopularity;
 use kus_mem::layout::BitArray;
 use kus_mem::Addr;
+use kus_sim::splitmix64;
 
 /// Double hashing: probe `i` of `key` indexes bit `h1 + i*h2 (mod m)`.
 fn hash2(key: u64) -> (u64, u64) {
-    (splitmix(key), splitmix(key ^ 0x9e37_79b9_7f4a_7c15) | 1)
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    (splitmix64(key), splitmix64(key ^ 0x9e37_79b9_7f4a_7c15) | 1)
 }
 
 /// Bit index of probe `i` for `key` in a filter of `m` bits.
@@ -95,13 +89,13 @@ impl BloomWorkload {
     /// The key inserted as item `j` (keys are a pure function of the build
     /// seed, so lookups can re-derive "present" keys without a side table).
     pub(crate) fn present_key(seed_hint: u64, j: u64) -> u64 {
-        splitmix(seed_hint ^ (j.wrapping_mul(0x2545_f491_4f6c_dd1d)))
+        splitmix64(seed_hint ^ (j.wrapping_mul(0x2545_f491_4f6c_dd1d)))
     }
 
     /// A key that is (almost surely) absent from the filter, derived from a
     /// request nonce.
     pub(crate) fn absent_key(nonce: u64) -> u64 {
-        splitmix(!nonce ^ 0xdead_beef_cafe_f00d)
+        splitmix64(!nonce ^ 0xdead_beef_cafe_f00d)
     }
 
     /// The built filter and key seed, for per-request callers

@@ -17,13 +17,7 @@ use kus_core::prelude::*;
 use kus_load::KeyPopularity;
 use kus_mem::layout::ArrayLayout;
 use kus_mem::{Addr, LINE_BYTES};
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use kus_sim::splitmix64;
 
 /// Slots per bucket line: 4 pairs of (key tag, value address).
 const SLOTS_PER_BUCKET: u64 = 4;
@@ -90,11 +84,11 @@ impl MemcachedWorkload {
 
     pub(crate) fn item_key(seed_hint: u64, j: u64) -> u64 {
         // Tags must be non-zero (zero marks an empty slot).
-        splitmix(seed_hint ^ j.wrapping_mul(0x09e6_6765_93d2_c2c9)) | 1
+        splitmix64(seed_hint ^ j.wrapping_mul(0x09e6_6765_93d2_c2c9)) | 1
     }
 
     pub(crate) fn value_word(key: u64, w: u64) -> u64 {
-        splitmix(key.wrapping_add(w.wrapping_mul(0xabcd_ef01_2345_6789)))
+        splitmix64(key.wrapping_add(w.wrapping_mul(0xabcd_ef01_2345_6789)))
     }
 
     /// The built layout and key seed, for per-request callers

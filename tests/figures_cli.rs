@@ -94,19 +94,24 @@ fn a_dataset_the_host_cannot_reserve_exits_2() {
     assert!(out.stdout.is_empty());
 }
 
-/// Every command in a fenced code block of `doc` that runs the `figures`
-/// binary, with `\` continuations joined: the arguments after `--bin
-/// figures --`.
+/// Every `figures` command in `doc`, as the arguments after the binary
+/// name: from fenced code blocks, the commands that run `--bin figures --`
+/// with `\` continuations joined; from the prose, every inline code span
+/// that starts with `figures `, also when the span breaks across lines.
 fn doc_commands(doc: &str) -> Vec<Vec<String>> {
     let mut commands = Vec::new();
-    let (mut fenced, mut line) = (false, String::new());
+    let (mut fenced, mut line, mut prose) = (false, String::new(), String::new());
     for l in doc.lines() {
         if l.trim_start().starts_with("```") {
             fenced = !fenced;
             line.clear();
+            prose.push('\n');
             continue;
         }
         if !fenced {
+            // A blank line ends a paragraph, and with it any code span.
+            prose.push_str(if l.trim().is_empty() { "\n\n" } else { l });
+            prose.push(' ');
             continue;
         }
         line = line + " " + l.trim();
@@ -121,13 +126,33 @@ fn doc_commands(doc: &str) -> Vec<Vec<String>> {
             commands.push(args.split_whitespace().map(String::from).collect());
         }
     }
+    for paragraph in prose.split("\n\n") {
+        for span in paragraph.split('`').skip(1).step_by(2) {
+            if let Some(args) = span.trim_start().strip_prefix("figures ") {
+                commands.push(args.split_whitespace().map(String::from).collect());
+            }
+        }
+    }
     commands
 }
+
+/// The documented error examples (the verify skill's CLI error paths),
+/// each with the start of the one-line diagnostic naming its bad argument.
+const DOCUMENTED_ERRORS: [(&str, &str); 6] = [
+    ("trace --hash --bogus", "--bogus: unknown flag"),
+    ("sweep --job 4", "--job: unknown flag"),
+    ("overload --bench x", "--bench: unknown flag"),
+    ("load --nics dma", "--nics: unknown flag"),
+    ("net --trace t.json", "--trace: unknown flag"),
+    ("trace --hash extra", "`extra`: unexpected argument"),
+];
 
 /// The docs' `figures` commands pass the real CLI: each is run with an
 /// unknown sentinel flag appended, so nothing runs, and the diagnostic
 /// must name the sentinel, which the parser reaches only when every
-/// argument before it is one the mode reads.
+/// argument before it is one the mode reads. A documented error example
+/// must instead exit 2 naming its own bad argument, and `figures --help`
+/// exit 0; each of those must be found in the docs.
 #[test]
 fn every_documented_figures_command_parses() {
     let docs = [
@@ -137,21 +162,58 @@ fn every_documented_figures_command_parses() {
         ("SKILL.md", include_str!("../.claude/skills/verify/SKILL.md")),
     ];
     let sentinel = "--no-such-flag-sentinel";
-    let mut checked = 0;
+    let (mut checked, mut errors_seen, mut help_seen) = (0, Vec::new(), false);
     let mut broken = Vec::new();
     for (name, text) in docs {
         for mut args in doc_commands(text) {
+            let command = args.join(" ");
+            let expected_error = DOCUMENTED_ERRORS.iter().find(|e| e.0 == command);
             args.push(sentinel.into());
-            let out = Command::new(env!("CARGO_BIN_EXE_figures")).args(&args).output().expect("figures runs");
+            let out = figures(&args.iter().map(String::as_str).collect::<Vec<_>>());
             let err = String::from_utf8_lossy(&out.stderr);
-            if out.status.code() != Some(2) || !err.starts_with(sentinel) {
-                broken.push(format!("{name}: figures {}: {}", args.join(" "), err.trim()));
+            let ok = if command == "--help" {
+                help_seen = true;
+                out.status.code() == Some(0) && out.stdout.starts_with(b"Regenerates")
+            } else if let Some(&(_, diagnostic)) = expected_error {
+                errors_seen.push(command.clone());
+                out.status.code() == Some(2) && err.starts_with(diagnostic)
+            } else {
+                out.status.code() == Some(2) && err.starts_with(sentinel)
+            };
+            if !ok {
+                broken.push(format!("{name}: figures {command}: {}", err.trim()));
             }
             checked += 1;
         }
     }
-    assert!(checked >= 20, "found only {checked} documented commands");
+    assert!(checked >= 60, "found only {checked} documented commands");
     assert!(broken.is_empty(), "documented commands the CLI rejects:\n{}", broken.join("\n"));
+    assert!(help_seen, "`figures --help` is documented");
+    for (command, _) in DOCUMENTED_ERRORS {
+        assert!(errors_seen.iter().any(|c| c == command), "`figures {command}` is documented");
+    }
+}
+
+/// `--rates` reads a scenario's rate grammar: `1e3` runs exactly as
+/// `1000`, and a value that is not a positive whole rate exits 2 naming
+/// what was typed.
+#[test]
+fn rates_read_with_the_scenario_rate_grammar() {
+    let run =
+        |rate: &str| figures(&["load", "--mech", "prefetch", "--requests", "20", "--rates", rate]);
+    for bad in ["-5k", "0", "nan"] {
+        let out = run(bad);
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        let diagnostic = format!("--rates: `{bad}` is not a positive whole rate");
+        assert!(err.starts_with(&diagnostic), "{err}");
+        assert!(out.stdout.is_empty(), "{bad} must not run anything");
+    }
+    let (exp, plain) = (run("1e3"), run("1000"));
+    assert_eq!(exp.status.code(), Some(0), "{}", String::from_utf8_lossy(&exp.stderr));
+    assert!(!plain.stdout.is_empty());
+    assert_eq!(String::from_utf8_lossy(&exp.stdout), String::from_utf8_lossy(&plain.stdout));
 }
 
 #[test]
