@@ -8,7 +8,7 @@
 
 use kus_mem::Backing;
 use kus_sim::stats::Percentiles;
-use kus_sim::{Clock, Span, TraceEvent};
+use kus_sim::{Clock, Span, TraceEvent, TraceLog};
 
 use crate::mechanism::Mechanism;
 
@@ -91,8 +91,9 @@ pub struct FaultReport {
 /// A traced run's event stream and its determinism hash.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
-    /// The full event stream, in emission order.
-    pub events: Vec<TraceEvent>,
+    /// The full event stream, in emission order, held as a compact log
+    /// whose [`load`](TraceLog::load) events the harvest reports read.
+    pub events: TraceLog,
     /// FNV-1a hash of the canonical encoding, computed once here at
     /// harvest — the determinism fingerprint compared by
     /// `tests/determinism.rs` and CI.
@@ -103,9 +104,10 @@ pub struct TraceReport {
 
 impl TraceReport {
     /// Builds the report from a finished run's event stream, which it
-    /// takes by value and keeps, hashing it in one pass.
+    /// encodes into a [`TraceLog`] and hashes in the same pass, then
+    /// drops.
     pub fn build(events: Vec<TraceEvent>) -> TraceReport {
-        let hash = kus_sim::trace::hash_events(&events);
+        let (events, hash) = TraceLog::hashed(&events);
         let count = events.len() as u64;
         TraceReport { events, hash, count }
     }

@@ -63,8 +63,9 @@ impl Fiber {
     pub fn poll(&mut self) -> PollOutcome {
         assert!(!self.done, "polling a finished fiber");
         self.yield_flag.clear();
-        let waker = noop_waker();
-        let mut cx = Context::from_waker(&waker);
+        // The executor decides readiness from simulation events, never
+        // from `Waker::wake`.
+        let mut cx = Context::from_waker(Waker::noop());
         match self.future.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
                 self.done = true;
@@ -103,17 +104,6 @@ impl YieldFlag {
     fn take(&self) -> bool {
         self.0.replace(false)
     }
-}
-
-/// A waker that does nothing: this executor decides readiness itself, from
-/// simulation events, never from `Waker::wake`.
-pub fn noop_waker() -> Waker {
-    use std::sync::Arc;
-    struct Noop;
-    impl std::task::Wake for Noop {
-        fn wake(self: Arc<Self>) {}
-    }
-    Waker::from(Arc::new(Noop))
 }
 
 #[cfg(test)]

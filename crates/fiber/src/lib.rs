@@ -24,7 +24,7 @@ pub mod primitives;
 pub mod sched;
 pub mod watchdog;
 
-pub use fiber::{noop_waker, Fiber, FiberId, PollOutcome, YieldFlag};
+pub use fiber::{Fiber, FiberId, PollOutcome, YieldFlag};
 pub use primitives::{yield_now, OneShot, OneShotFuture};
 pub use sched::{Fifo, RoundRobin, SchedPolicy};
 pub use watchdog::{DoorbellMode, Watchdog};

@@ -37,7 +37,7 @@ use std::ops::Range;
 
 use kus_core::prelude::RunReport;
 use kus_sim::stats::{p99_index, HdrHistogram, Percentiles};
-use kus_sim::{Category, EventName, FlowArrow, Span, Time, TraceEvent};
+use kus_sim::{Category, EventName, FlowArrow, Span, Time, TraceEvent, TraceLog};
 
 use crate::by_id::sort_by_id;
 use crate::report::percentiles_json;
@@ -560,10 +560,10 @@ pub struct BlameReport {
 }
 
 impl BlameReport {
-    /// Rebuilds blame from a traced run; `None` when the run carried no
-    /// trace or no requests.
+    /// Rebuilds blame from a traced run's `load` events (its log's serving
+    /// index); `None` when the run carried no trace or no requests.
     pub fn from_run(run: &RunReport) -> Option<BlameReport> {
-        BlameReport::from_events(&run.trace.as_ref()?.events)
+        BlameReport::from_events(run.trace.as_ref()?.events.load())
     }
 
     /// Rebuilds blame from raw trace events; `None` when no request ever
@@ -664,12 +664,13 @@ impl BlameReport {
 /// arrow from the fan-out stage's start to each child's start, and one
 /// `join` arrow from each child's end back to the stage's end. Rendered
 /// by [`kus_sim::trace::chrome_json_with_flows`], they draw the causal
-/// fan-in/fan-out structure in the Chrome trace viewer.
-pub fn flow_arrows(events: &[TraceEvent]) -> Vec<FlowArrow> {
+/// fan-in/fan-out structure in the Chrome trace viewer. Reads only the
+/// log's `load` events.
+pub fn flow_arrows(log: &TraceLog) -> Vec<FlowArrow> {
     let mut arrows = Vec::new();
     let mut id = 0u64;
     let flow_marks = |m| matches!(m, Mark::Anchor(1) | Mark::Child);
-    for req in by_request(events, flow_marks).chunk_by(|a, b| a.0 == b.0) {
+    for req in by_request(log.load(), flow_marks).chunk_by(|a, b| a.0 == b.0) {
         // The request's last fan-out span, as a map keyed by request would
         // keep it, and its children in stream order.
         let Some(&(_, f)) = req.iter().rev().find(|(_, s)| s.mark == Mark::Anchor(1)) else {
@@ -841,7 +842,7 @@ mod tests {
 
     #[test]
     fn flow_arrows_pair_fanout_and_join() {
-        let arrows = flow_arrows(&fanout_events());
+        let arrows = flow_arrows(&TraceLog::from(fanout_events()));
         // Three children → three fanout arrows + three join arrows.
         assert_eq!(arrows.len(), 6);
         assert_eq!(arrows.iter().filter(|a| a.name == "fanout").count(), 3);

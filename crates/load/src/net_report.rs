@@ -59,10 +59,11 @@ pub struct NetReport {
 }
 
 impl NetReport {
-    /// Rebuilds the report from a traced run; `None` when the run carried
-    /// no trace or the NIC layer was disabled.
+    /// Rebuilds the report from a traced run's `load` events (its log's
+    /// serving index); `None` when the run carried no trace or the NIC
+    /// layer was disabled.
     pub fn from_run(run: &RunReport) -> Option<NetReport> {
-        NetReport::from_events(&run.trace.as_ref()?.events)
+        NetReport::from_events(run.trace.as_ref()?.events.load())
     }
 
     /// Rebuilds the report from raw trace events; `None` when no `net.*`

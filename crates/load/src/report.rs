@@ -166,11 +166,12 @@ pub struct DeviceDistress {
 }
 
 impl LoadReport {
-    /// Rebuilds the load analytics from a traced run, folding in the
-    /// run's device-level fault counters when present. Returns `None`
-    /// when the run was untraced or its trace carries no serving events.
+    /// Rebuilds the load analytics from a traced run's `load` events (its
+    /// log's serving index), folding in the run's device-level fault
+    /// counters when present. Returns `None` when the run was untraced or
+    /// its trace carries no serving events.
     pub fn from_run(run: &RunReport) -> Option<LoadReport> {
-        let mut report = Self::from_events(&run.trace.as_ref()?.events)?;
+        let mut report = Self::from_events(run.trace.as_ref()?.events.load())?;
         report.device = run.faults.map(|f| DeviceDistress {
             completion_overflows: f.completion_overflows,
             timeouts: f.timeouts,

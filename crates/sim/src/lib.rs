@@ -52,11 +52,14 @@ pub use event::{RunOutcome, Sim};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use rng::SimRng;
 pub use time::{Clock, Span, Time};
-pub use trace::{Category, EventName, FlowArrow, Phase, TraceClass, TraceEvent, Tracer};
+pub use trace::{Category, EventName, FlowArrow, Phase, TraceClass, TraceEvent, TraceLog, Tracer};
 
 /// The FNV-1a-64 offset basis: the hash of no bytes, where every fold
 /// starts.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The FNV-1a-64 prime each folded byte multiplies by.
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into the FNV-1a-64 `hash` (start from [`FNV_OFFSET`]).
 /// Stable across platforms and Rust versions, unlike `DefaultHasher`: the
@@ -67,7 +70,7 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }

@@ -135,9 +135,11 @@ impl Gauge {
 ///
 /// Values are bucketed in picoseconds: 64 exact buckets below 64 ps, then
 /// 64 linear sub-buckets per octave, so every reported quantile is an upper
-/// bound within a relative error of 1/64 (~1.6%). Buckets are fixed, which
-/// makes merging shards a bucket-wise add: merge order can never change a
-/// reported quantile.
+/// bound within a relative error of 1/64 (~1.6%). Bucket bounds are fixed,
+/// which makes merging shards a bucket-wise add: merge order can never
+/// change a reported quantile. The bucket array grows only to the highest
+/// bucket recorded or merged, so a histogram of nanosecond spans holds a
+/// few hundred buckets, not all of them.
 ///
 /// # Examples
 ///
@@ -163,8 +165,6 @@ pub struct HdrHistogram {
 
 /// Sub-bucket resolution: 2^6 linear buckets per octave.
 const HDR_SUB_BITS: u32 = 6;
-/// 64 exact buckets + 58 octaves × 64 sub-buckets (exponents 6..=63).
-const HDR_BUCKETS: usize = 64 + (64 - HDR_SUB_BITS as usize - 1) * 64;
 
 impl Default for HdrHistogram {
     fn default() -> Self {
@@ -176,7 +176,7 @@ impl HdrHistogram {
     /// Creates an empty histogram.
     pub fn new() -> HdrHistogram {
         HdrHistogram {
-            buckets: vec![0; HDR_BUCKETS],
+            buckets: Vec::new(),
             count: 0,
             sum: Span::ZERO,
             min: Span::from_ps(u64::MAX),
@@ -209,7 +209,11 @@ impl HdrHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, span: Span) {
-        self.buckets[Self::bucket_of(span.as_ps())] += 1;
+        let i = Self::bucket_of(span.as_ps());
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        self.buckets[i] += 1;
         self.count += 1;
         self.sum += span;
         self.min = self.min.min(span);
@@ -246,6 +250,9 @@ impl HdrHistogram {
 
     /// Merges another histogram into this one (bucket-wise, exact).
     pub fn merge(&mut self, other: &HdrHistogram) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
@@ -500,6 +507,20 @@ mod tests {
                 None => reference = Some(key),
                 Some(r) => assert_eq!(*r, key, "merge order changed a percentile"),
             }
+        }
+        // Bucket arrays of unequal length, merged both ways round; the
+        // longest reaches the top bucket (2^63 ps and up).
+        let mut top = HdrHistogram::new();
+        top.record(Span::from_ps(1 << 63));
+        assert_eq!(top.quantile(1.0), Span::from_ps(1 << 63));
+        for (short, long) in [(&shards[2], &shards[3]), (&shards[0], &top), (&HdrHistogram::new(), &shards[1])] {
+            let summary = |h: &HdrHistogram| (h.count(), h.min(), h.max(), percentiles(h));
+            let mut grown = short.clone();
+            grown.merge(long);
+            let mut kept = long.clone();
+            kept.merge(short);
+            assert_eq!(summary(&grown), summary(&kept), "merge direction changed a percentile");
+            assert_eq!(grown.count(), short.count() + long.count());
         }
     }
 

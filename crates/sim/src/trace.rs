@@ -19,9 +19,14 @@
 //!   [`encode`]/[`decode`] keep the full stream inspectable when a hash test
 //!   fails. One writer lays out those canonical bytes for both.
 //!
+//! At harvest the stream becomes a [`TraceLog`], whose records take about a
+//! quarter of the stream's size, which keeps its `load` events apart as the
+//! serving index, and which computes the same hash in the pass that
+//! encodes it.
+//!
 //! Two exporters: [`chrome_json`] renders the Chrome `trace_event` format for
 //! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev), and [`encode`]
-//! produces the compact binary log the hash is defined over.
+//! produces the binary log the hash is defined over.
 //!
 //! Timestamps come from the shared simulation clock
 //! ([`Sim::now_handle`](crate::Sim::now_handle)), so components can emit
@@ -34,9 +39,10 @@
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 use crate::time::Time;
-use crate::{fnv1a, FNV_OFFSET};
+use crate::{fnv1a, FNV_OFFSET, FNV_PRIME};
 
 /// Subsystem that emitted an event. The discriminant is part of the stable
 /// binary encoding — append new categories, never reorder.
@@ -535,6 +541,295 @@ pub fn hash_events(events: &[TraceEvent]) -> u64 {
     hash
 }
 
+/// `FNV_PRIME` to the powers 0 through 8: folding that many zero bytes,
+/// since folding a zero byte only multiplies.
+const PRIME_POWERS: [u64; 9] = {
+    let mut p = [1u64; 9];
+    let mut i = 1;
+    while i < p.len() {
+        p[i] = p[i - 1].wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
+
+/// FNV-1a over the `width` low bytes of `v`, little-endian: the
+/// significant bytes one by one, the zero bytes above them as one
+/// multiplication.
+#[inline]
+fn fold_le(mut hash: u64, mut v: u64, width: u32) -> u64 {
+    let significant = (u64::BITS - v.leading_zeros()).div_ceil(8);
+    for _ in 0..significant {
+        hash = (hash ^ (v & 0xff)).wrapping_mul(FNV_PRIME);
+        v >>= 8;
+    }
+    hash.wrapping_mul(PRIME_POWERS[(width - significant) as usize])
+}
+
+/// FNV-1a over one registry name's canonical name block, its 2-byte
+/// length then its bytes, as `h * pow + add[h & 0xff]`. Folding a byte
+/// xors into the hash's low byte only and then multiplies the whole, and
+/// the low byte's course depends on the low byte alone; so a fixed block
+/// multiplies the hash by the prime to its length and adds a term that
+/// only the starting low byte selects.
+struct NameFold {
+    pow: u64,
+    add: [u64; 256],
+}
+
+/// One [`NameFold`] per registry name, by discriminant, built once.
+fn name_folds() -> &'static [NameFold] {
+    static FOLDS: OnceLock<Vec<NameFold>> = OnceLock::new();
+    FOLDS.get_or_init(|| {
+        let fold = |name: &EventName| {
+            let name = name.as_str();
+            let mut block = (name.len() as u16).to_le_bytes().to_vec();
+            block.extend_from_slice(name.as_bytes());
+            let pow = FNV_PRIME.wrapping_pow(block.len() as u32);
+            let add = std::array::from_fn(|low| {
+                let low = low as u64;
+                fnv1a(low, &block).wrapping_sub(low.wrapping_mul(pow))
+            });
+            NameFold { pow, add }
+        };
+        EventName::ALL.iter().map(fold).collect()
+    })
+}
+
+/// Folds `e`'s canonical bytes into the FNV-1a `hash`, the same value
+/// as [`hash_events`]'s per-event fold, with one multiplication for each
+/// run of zero bytes and one for the name block.
+#[inline]
+fn fold_event(hash: u64, e: &TraceEvent, name: &NameFold) -> u64 {
+    let mut h = fold_le(hash, e.at.as_ps(), 8);
+    h = fnv1a(h, &[e.cat as u8, e.phase as u8]);
+    h = fold_le(h, u64::from(e.track), 4);
+    h = h.wrapping_mul(name.pow).wrapping_add(name.add[(h & 0xff) as usize]);
+    h = fold_le(h, e.a0, 8);
+    fold_le(h, e.a1, 8)
+}
+
+/// Header byte of a record that stands for the next event of
+/// [`TraceLog::load`]; every other header is an [`EventName`]
+/// discriminant.
+const LOAD_RECORD: u8 = u8::MAX;
+
+/// Set in a record's phase byte when its event is on the previous
+/// record's track, which the record then leaves out.
+const SAME_TRACK: u8 = 0x80;
+
+// A header tells a registry name from the load marker, and decoding
+// looks a name up in `EventName::ALL` by its discriminant.
+const _: () = {
+    assert!(EventName::ALL.len() < LOAD_RECORD as usize);
+    let mut i = 0;
+    while i < EventName::ALL.len() {
+        assert!(EventName::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
+/// Appends `v` as LEB128: seven bits a byte, lowest group first, the high
+/// bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A wrapped signed delta as an unsigned one that is small whenever the
+/// delta's magnitude is: 0, -1, 1, -2… become 0, 1, 2, 3….
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64 >> 63) as u64)
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// A finished run's event stream, held compactly: its records take 3–8
+/// bytes per event on the shipped worlds, where a `Vec<TraceEvent>`
+/// takes 32.
+///
+/// The log holds one record per event, in emission order:
+///
+/// - a header byte, the event's [`EventName`] discriminant;
+/// - a byte holding the [`Phase`] and a bit set when the event is on the
+///   previous record's track;
+/// - `at` as a zigzag LEB128 delta from the previous record's (the
+///   stream is not time-ordered: a [`Phase::Complete`] span carries its
+///   start);
+/// - `track` as LEB128, only when it changed;
+/// - `a0` and `a1` as LEB128.
+///
+/// No category is stored: every emitted event's is `name.category()`,
+/// which the encoder asserts. Each [`Category::Load`] event is instead
+/// kept whole in [`load`](TraceLog::load), the serving index the harvest
+/// reports read, and leaves a one-byte marker among the records.
+/// [`TraceLog::hashed`] computes the [`hash_events`] fingerprint in the
+/// pass that encodes.
+#[derive(Clone, PartialEq, Eq)]
+pub struct TraceLog {
+    /// One record per event.
+    records: Vec<u8>,
+    /// The [`Category::Load`] events, in emission order.
+    load: Vec<TraceEvent>,
+    /// Per phase, by discriminant: events and the sum of their name
+    /// lengths, all the Chrome export's size bound reads.
+    phases: [(usize, usize); 3],
+}
+
+impl TraceLog {
+    /// Encodes `events` into a log and computes their content hash, the
+    /// value of [`hash_events`], in the same pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event's `cat` is not its `name.category()`.
+    pub fn hashed(events: &[TraceEvent]) -> (TraceLog, u64) {
+        let folds = name_folds();
+        let mut records = Vec::with_capacity(events.len() * 8);
+        let mut load = Vec::new();
+        let mut phases = [(0, 0); 3];
+        let mut hash = FNV_OFFSET;
+        let (mut at, mut track) = (0, 0);
+        for e in events {
+            assert!(e.cat == e.name.category(), "{:?} recorded under {:?}", e.name, e.cat);
+            hash = fold_event(hash, e, &folds[e.name as usize]);
+            let tally = &mut phases[e.phase as usize];
+            tally.0 += 1;
+            tally.1 += e.name.as_str().len();
+            if e.cat == Category::Load {
+                records.push(LOAD_RECORD);
+                load.push(*e);
+            } else {
+                let same = e.track == track;
+                records.push(e.name as u8);
+                records.push(e.phase as u8 | if same { SAME_TRACK } else { 0 });
+                put_varint(&mut records, zigzag(e.at.as_ps().wrapping_sub(at)));
+                if !same {
+                    put_varint(&mut records, u64::from(e.track));
+                }
+                put_varint(&mut records, e.a0);
+                put_varint(&mut records, e.a1);
+            }
+            (at, track) = (e.at.as_ps(), e.track);
+        }
+        records.shrink_to_fit();
+        load.shrink_to_fit();
+        (TraceLog { records, load, phases }, hash)
+    }
+
+    /// The events, decoded in emission order.
+    pub fn iter(&self) -> TraceLogIter<'_> {
+        TraceLogIter { records: &self.records, pos: 0, load: self.load.iter(), at: 0, track: 0, left: self.len() }
+    }
+
+    /// The [`Category::Load`] events, in emission order: the serving index
+    /// the harvest reports read instead of the whole stream.
+    pub fn load(&self) -> &[TraceEvent] {
+        &self.load
+    }
+
+    /// Events held.
+    pub fn len(&self) -> usize {
+        self.phases.iter().map(|&(events, _)| events).sum()
+    }
+
+    /// Whether the log holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+}
+
+impl From<Vec<TraceEvent>> for TraceLog {
+    fn from(events: Vec<TraceEvent>) -> TraceLog {
+        TraceLog::hashed(&events).0
+    }
+}
+
+impl<'a> IntoIterator for &'a TraceLog {
+    type Item = TraceEvent;
+    type IntoIter = TraceLogIter<'a>;
+
+    fn into_iter(self) -> TraceLogIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for TraceLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceLog")
+            .field("events", &self.len())
+            .field("record_bytes", &self.records.len())
+            .field("load_events", &self.load.len())
+            .finish()
+    }
+}
+
+/// The events of a [`TraceLog`], decoded in emission order.
+pub struct TraceLogIter<'a> {
+    records: &'a [u8],
+    pos: usize,
+    load: std::slice::Iter<'a, TraceEvent>,
+    /// The previous record's time and track, which the next record's
+    /// delta and same-track bit refer to.
+    at: u64,
+    track: u32,
+    /// Events not yet decoded.
+    left: usize,
+}
+
+impl TraceLogIter<'_> {
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        let mut shift = 0;
+        loop {
+            let b = self.records[self.pos];
+            self.pos += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+}
+
+impl Iterator for TraceLogIter<'_> {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        let &head = self.records.get(self.pos)?;
+        let e = if head == LOAD_RECORD {
+            self.pos += 1;
+            *self.load.next().expect("a load marker has its event")
+        } else {
+            let name = EventName::ALL[usize::from(head)];
+            let flags = self.records[self.pos + 1];
+            self.pos += 2;
+            let at = self.at.wrapping_add(unzigzag(self.varint()));
+            let track = if flags & SAME_TRACK != 0 { self.track } else { self.varint() as u32 };
+            let a0 = self.varint();
+            let a1 = self.varint();
+            let phase = Phase::from_u8(flags & !SAME_TRACK).expect("a record's phase byte holds a phase");
+            TraceEvent { at: Time::from_ps(at), cat: name.category(), name, phase, track, a0, a1 }
+        };
+        (self.at, self.track) = (e.at.as_ps(), e.track);
+        self.left -= 1;
+        Some(e)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for TraceLogIter<'_> {}
+
 /// Magic header of the binary trace log (7 bytes magic + 1 byte version).
 pub const TRACE_MAGIC: &[u8; 8] = b"KUSTRC\x00\x01";
 
@@ -629,31 +924,31 @@ pub struct FlowArrow {
     pub to_track: u32,
 }
 
-/// Renders events as Chrome `trace_event` JSON (the "JSON array format"),
-/// loadable in `chrome://tracing` and Perfetto. Deterministic: the same
-/// event stream yields byte-identical output.
-pub fn chrome_json(events: &[TraceEvent]) -> String {
-    chrome_json_with_flows(events, &[])
+/// Renders a log's events as Chrome `trace_event` JSON (the "JSON array
+/// format"), loadable in `chrome://tracing` and Perfetto. Deterministic:
+/// the same event stream yields byte-identical output.
+pub fn chrome_json(log: &TraceLog) -> String {
+    chrome_json_with_flows(log, &[])
 }
 
 /// [`chrome_json`] plus causal [`FlowArrow`]s appended as flow-event pairs.
 /// With an empty `flows` slice the output is byte-identical to
-/// [`chrome_json`].
-pub fn chrome_json_with_flows(events: &[TraceEvent], flows: &[FlowArrow]) -> String {
+/// [`chrome_json`]. The log is decoded once, as the document is written.
+pub fn chrome_json_with_flows(log: &TraceLog, flows: &[FlowArrow]) -> String {
     // A large zeroed allocation is mapped lazily, so the part of the
     // worst-case buffer that the writer never reaches costs address space
     // only.
-    let mut doc = vec![0; chrome_len_bound(events, flows)];
+    let mut doc = vec![0; chrome_len_bound(log, flows)];
     let mut w = ChromeWriter { buf: &mut doc, len: 0 };
     w.put(b"{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
+    for (i, e) in log.iter().enumerate() {
         if i > 0 {
             w.put(b",\n");
         }
-        w.event(e);
+        w.event(&e);
     }
     for (i, f) in flows.iter().enumerate() {
-        if !events.is_empty() || i > 0 {
+        if !log.is_empty() || i > 0 {
             w.put(b",\n");
         }
         w.flow(f);
@@ -675,19 +970,16 @@ const MAX_FLOW_PAIR: usize = 239;
 
 /// An upper bound on the document's length: the longest line of each
 /// shape, with every event name at its length (a registry name needs no
-/// escape) and every flow-name byte escaped to six.
-fn chrome_len_bound(events: &[TraceEvent], flows: &[FlowArrow]) -> usize {
-    let events: usize = events
-        .iter()
-        .map(|e| {
-            let name = e.name.as_str().len();
-            match e.phase {
-                Phase::Instant => MAX_INSTANT_LINE + name,
-                Phase::Counter => MAX_COUNTER_LINE + 2 * name,
-                Phase::Complete => MAX_COMPLETE_LINE + name,
-            }
-        })
-        .sum();
+/// escape; a counter writes its name twice) and every flow-name byte
+/// escaped to six. The log's per-phase tallies give it without a pass.
+fn chrome_len_bound(log: &TraceLog, flows: &[FlowArrow]) -> usize {
+    let [instant, counter, complete] = log.phases;
+    let events = MAX_INSTANT_LINE * instant.0
+        + instant.1
+        + MAX_COUNTER_LINE * counter.0
+        + 2 * counter.1
+        + MAX_COMPLETE_LINE * complete.0
+        + complete.1;
     let flows: usize = flows.iter().map(|f| MAX_FLOW_PAIR + 12 * f.name.len()).sum();
     64 + events + flows
 }
@@ -958,7 +1250,7 @@ mod tests {
                 a1: 0,
             },
         ];
-        let json = chrome_json(&evs);
+        let json = chrome_json(&TraceLog::from(evs.clone()));
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"ph\":\"X\""));
@@ -982,7 +1274,7 @@ mod tests {
             to: Time::from_ps(1),
             to_track: 1,
         }];
-        let json = chrome_json_with_flows(&evs[..1], &flows);
+        let json = chrome_json_with_flows(&TraceLog::from(evs[..1].to_vec()), &flows);
         assert!(json.contains(r#"{"name":"swq.enqueue","cat":"swq","ph":"i""#), "{json}");
         assert!(json.contains(r#"{"name":"q\"b\\c\u0001","cat":"causal","ph":"s""#), "{json}");
         assert!(json.contains(r#"{"name":"q\"b\\c\u0001","cat":"causal","ph":"f""#), "{json}");
@@ -1089,6 +1381,115 @@ mod tests {
         }
     }
 
+    /// A seeded random stream: every registry name in every phase, then
+    /// random ones; spans that start before the previous record; track
+    /// switches and runs on one track; `at`, `track`, `a0` and `a1` at the
+    /// varint and zigzag edges (0, 127, 128, `u32::MAX`, `u64::MAX`) and
+    /// at random values.
+    fn random_stream(rng: &mut SimRng) -> Vec<TraceEvent> {
+        const EDGES: [u64; 7] = [0, 1, 127, 128, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        fn value(rng: &mut SimRng) -> u64 {
+            match rng.below(4) {
+                0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+                1 => rng.below(300),
+                2 => rng.below(1 << 40),
+                _ => rng.next_u64(),
+            }
+        }
+        let names = EventName::ALL;
+        let mut events = Vec::new();
+        let (mut at, mut track) = (0u64, 0u32);
+        for i in 0..3 * names.len() + rng.below(60) as usize {
+            let (name, phase) = match i.checked_sub(3 * names.len()) {
+                None => (names[i / 3], i as u8 % 3),
+                Some(_) => (names[rng.below(names.len() as u64) as usize], rng.below(3) as u8),
+            };
+            let phase = Phase::from_u8(phase).expect("a phase");
+            at = match rng.below(4) {
+                0 => value(rng),
+                1 => at.saturating_sub(rng.below(2_000)),
+                _ => at.saturating_add(rng.below(2_000)),
+            };
+            if rng.below(3) == 0 {
+                track = value(rng) as u32;
+            }
+            let (a0, a1) = (value(rng), value(rng));
+            events.push(TraceEvent { at: Time::from_ps(at), cat: name.category(), name, phase, track, a0, a1 });
+        }
+        events
+    }
+
+    /// The log gives back the stream it encoded, its fused hash is the
+    /// reference hash, its serving index is the stream's `load` events and
+    /// its Chrome export is the reference exporter's, on seeded random
+    /// streams and the empty one.
+    #[test]
+    fn the_log_round_trips_hashes_and_indexes_every_stream() {
+        let mut rng = SimRng::from_seed(0x106);
+        let streams: Vec<Vec<TraceEvent>> =
+            std::iter::once(Vec::new()).chain((0..64).map(|_| random_stream(&mut rng))).collect();
+        for (round, s) in streams.iter().enumerate() {
+            let (log, hash) = TraceLog::hashed(s);
+            assert_eq!(log.len(), s.len(), "round {round}");
+            assert_eq!(log.iter().len(), s.len(), "round {round}");
+            assert!(log.iter().eq(s.iter().copied()), "round {round}: decode(encode(s)) != s");
+            assert_eq!(hash, hash_events(s), "round {round}: fused hash");
+            let load: Vec<TraceEvent> = s.iter().filter(|e| e.cat == Category::Load).copied().collect();
+            assert_eq!(log.load(), load, "round {round}: serving index");
+            assert_eq!(
+                chrome_json_with_flows(&log, &[]),
+                reference::chrome_json_with_flows(s, &[]),
+                "round {round}: Chrome export"
+            );
+            assert!(log == TraceLog::from(s.clone()), "round {round}: encoding is a function of the stream");
+        }
+        assert!(TraceLog::from(Vec::new()).is_empty());
+    }
+
+    /// Every name block fold equals FNV-1a over the block, whatever the
+    /// hash's low byte: a wrong table entry cannot hide behind the states
+    /// a random stream happens to reach.
+    #[test]
+    fn every_name_fold_matches_fnv1a_at_every_low_byte() {
+        let mut rng = SimRng::from_seed(0xf01d);
+        for (&name, fold) in EventName::ALL.iter().zip(name_folds()) {
+            let mut block = (name.as_str().len() as u16).to_le_bytes().to_vec();
+            block.extend_from_slice(name.as_str().as_bytes());
+            for low in 0..256 {
+                let h = rng.next_u64() & !0xff | low;
+                let folded = h.wrapping_mul(fold.pow).wrapping_add(fold.add[low as usize]);
+                assert_eq!(folded, fnv1a(h, &block), "{name:?} at low byte {low}");
+            }
+        }
+    }
+
+    /// The record layout, byte for byte: the name and phase bytes, the
+    /// same-track bit, a span starting before the previous record as a
+    /// one-byte zigzag delta, and a `load` event as its one-byte marker,
+    /// whose time and track the next record's delta and bit refer to.
+    #[test]
+    fn the_record_layout_is_pinned() {
+        let span = TraceEvent { phase: Phase::Complete, track: 2, a1: 128, ..ev(0, EventName::DevResp, 1) };
+        let stream = vec![
+            TraceEvent { at: Time::from_ps(300), ..ev(0, EventName::SwqIssue, 5) },
+            TraceEvent { at: Time::from_ps(299), ..span },
+            TraceEvent { at: Time::from_ps(400), track: 2, ..ev(0, EventName::LoadDispatch, 9) },
+            TraceEvent { at: Time::from_ps(398), ..span },
+        ];
+        let log = TraceLog::from(stream.clone());
+        let [issue, resp] = [EventName::SwqIssue as u8, EventName::DevResp as u8];
+        #[rustfmt::skip]
+        let records = [
+            issue, Phase::Instant as u8 | SAME_TRACK, 0xd8, 0x04, 5, 0,
+            resp, Phase::Complete as u8, 1, 2, 1, 0x80, 0x01,
+            LOAD_RECORD,
+            resp, Phase::Complete as u8 | SAME_TRACK, 3, 1, 0x80, 0x01,
+        ];
+        assert_eq!(log.records, records);
+        assert_eq!(log.load(), &stream[2..3]);
+        assert!(log.iter().eq(stream));
+    }
+
     /// The byte writer reproduces the reference exporter on seeded random
     /// streams: every category and phase, every registry event name, flow
     /// names that need every kind of escape (and one longer than a
@@ -1098,7 +1499,6 @@ mod tests {
     fn chrome_writer_matches_the_reference_exporter() {
         let long: &'static str = Box::leak("x\"\\\u{1}é".repeat(40).into_boxed_str());
         let names = ["swq.enqueue", "q\"b", "back\\slash", "\u{1}", "\u{1f}", "héllo→世界", "", long];
-        let registry = EventName::ALL;
         let pick = |rng: &mut SimRng| match rng.below(6) {
             0 => 0,
             1 => 999_999,
@@ -1113,25 +1513,10 @@ mod tests {
             _ => rng.next_u64() as u32,
         };
         let mut rng = SimRng::from_seed(0x5eed);
+        let none = TraceLog::from(Vec::new());
         for round in 0..64 {
-            let mut events = Vec::new();
-            // Every category and phase once per round, then random ones.
-            for i in 0..9 * 3 + rng.below(40) as usize {
-                let (cat, phase) = if i < 27 {
-                    (i as u8 / 3, i as u8 % 3)
-                } else {
-                    (rng.below(9) as u8, rng.below(3) as u8)
-                };
-                events.push(TraceEvent {
-                    at: Time::from_ps(pick(&mut rng)),
-                    cat: Category::from_u8(cat).expect("a category"),
-                    name: registry[rng.below(registry.len() as u64) as usize],
-                    phase: Phase::from_u8(phase).expect("a phase"),
-                    track: track(&mut rng),
-                    a0: pick(&mut rng),
-                    a1: pick(&mut rng),
-                });
-            }
+            let events = random_stream(&mut rng);
+            let log = TraceLog::from(events.clone());
             let flows: Vec<FlowArrow> = (0..rng.below(6))
                 .map(|_| FlowArrow {
                     id: pick(&mut rng),
@@ -1142,18 +1527,18 @@ mod tests {
                     to_track: track(&mut rng),
                 })
                 .collect();
-            let cases = [(&events[..], &flows[..]), (&[][..], &flows[..]), (&events[..], &[][..])];
-            for (evs, fls) in cases {
-                let ours = chrome_json_with_flows(evs, fls);
+            let cases = [(&log, &events[..], &flows[..]), (&none, &[][..], &flows[..]), (&log, &events[..], &[][..])];
+            for (log, evs, fls) in cases {
+                let ours = chrome_json_with_flows(log, fls);
                 assert_eq!(ours, reference::chrome_json_with_flows(evs, fls), "round {round}");
             }
         }
-        assert_eq!(chrome_json(&[]), reference::chrome_json_with_flows(&[], &[]));
+        assert_eq!(chrome_json(&none), reference::chrome_json_with_flows(&[], &[]));
     }
 
-    /// The capacity bound is exact for a line of each shape at its longest
-    /// values, with every registry event name, and for a flow name that
-    /// escapes to six bytes per byte.
+    /// The capacity bound, read from the log's tallies, is exact for a
+    /// line of each shape at its longest values, with every registry event
+    /// name, and for a flow name that escapes to six bytes per byte.
     #[test]
     fn chrome_len_bound_is_tight_at_extreme_values() {
         // The bound allows 64 bytes for the 44-byte document head and tail,
@@ -1163,15 +1548,18 @@ mod tests {
             for &name in EventName::ALL {
                 let e = TraceEvent {
                     at: Time::from_ps(u64::MAX),
-                    cat: Category::Device,
+                    cat: name.category(),
                     name,
                     phase,
                     track: u32::MAX,
                     a0: u64::MAX,
                     a1: u64::MAX,
                 };
-                let json = chrome_json(&[e, e]);
-                assert_eq!(chrome_len_bound(&[e, e], &[]) - json.len(), SLACK, "{phase:?} {name:?}");
+                let log = TraceLog::from(vec![e, e]);
+                let json = chrome_json(&log);
+                // The bound counts the longest category label, `device`.
+                let short_label = 2 * ("device".len() - name.category().label().len());
+                assert_eq!(chrome_len_bound(&log, &[]) - json.len(), SLACK + short_label, "{phase:?} {name:?}");
             }
         }
         let f = FlowArrow {
@@ -1182,8 +1570,8 @@ mod tests {
             to: Time::from_ps(u64::MAX),
             to_track: u32::MAX,
         };
-        let json = chrome_json_with_flows(&[], &[f, f]);
-        assert_eq!(chrome_len_bound(&[], &[f, f]) - json.len(), SLACK);
+        let json = chrome_json_with_flows(&TraceLog::from(Vec::new()), &[f, f]);
+        assert_eq!(chrome_len_bound(&TraceLog::from(Vec::new()), &[f, f]) - json.len(), SLACK);
     }
 
     /// `class` is wanted exactly by the enabled tracers built with it: not by
@@ -1242,7 +1630,7 @@ mod tests {
 
     #[test]
     fn flow_export_extends_chrome_json_without_perturbing_it() {
-        let evs = vec![ev(1, EventName::SwqEnqueue, 3)];
+        let evs = TraceLog::from(vec![ev(1, EventName::SwqEnqueue, 3)]);
         assert_eq!(chrome_json(&evs), chrome_json_with_flows(&evs, &[]));
         let flows = vec![FlowArrow {
             id: 7,
@@ -1257,7 +1645,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"f\",\"bp\":\"e\",\"id\":7,\"ts\":3.000000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Flows with no base events still form a valid array.
-        let lone = chrome_json_with_flows(&[], &flows);
+        let lone = chrome_json_with_flows(&TraceLog::from(Vec::new()), &flows);
         assert_eq!(lone.matches('{').count(), lone.matches('}').count());
         assert!(lone.contains("\"ph\":\"s\""));
     }

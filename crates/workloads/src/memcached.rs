@@ -12,6 +12,8 @@
 //! Every value's contents are a pure function of its key, so each retrieval
 //! is verified word-by-word against recomputation, and the build registers
 //! the value bodies as one generated dataset range instead of writing them.
+//! The bucket table is probed into a local array and registered as a
+//! second range that reads that array.
 
 use kus_core::prelude::*;
 use kus_load::KeyPopularity;
@@ -167,26 +169,29 @@ impl Workload for MemcachedWorkload {
         data.generate(values, value_lines * LINE_BYTES, move |i| {
             Self::value_word(Self::item_key(seed_hint, i / item_words), i % item_words)
         });
-        let store = data.store();
-        let mut s = store.borrow_mut();
+        // The bucket table is built in a local array, word `i` at
+        // `buckets_addr + 8 * i`, then registered as a read-only region:
+        // no lookup writes it, and probing a `Vec` costs no store access.
+        let line_words = LINE_BYTES / 8;
+        let mut table = vec![0u64; (bucket_count * line_words) as usize];
         for j in 0..cfg.n_items {
             let key = Self::item_key(seed_hint, j);
             let value_addr = values + j * cfg.value_lines * LINE_BYTES;
             // Insert: linear probing over bucket lines.
             let mut b = key % bucket_count;
             'insert: for _probe in 0..bucket_count {
-                let line = buckets.addr_of(b);
                 for slot in 0..SLOTS_PER_BUCKET {
-                    let tag_addr = line + slot * 16;
-                    if s.read_u64(tag_addr) == 0 {
-                        s.write_u64(tag_addr, key);
-                        s.write_u64(tag_addr + 8, value_addr.raw());
+                    let tag = (b * line_words + slot * 2) as usize;
+                    if table[tag] == 0 {
+                        table[tag] = key;
+                        table[tag + 1] = value_addr.raw();
                         break 'insert;
                     }
                 }
                 b = (b + 1) % bucket_count;
             }
         }
+        data.generate(buckets_addr, bucket_count * LINE_BYTES, move |i| table[i as usize]);
         self.layout = Some(KvLayout { buckets, bucket_count });
     }
 

@@ -174,10 +174,10 @@ fn disabled_causality_is_bitwise_inert_under_every_mechanism() {
             .events
             .iter()
             .filter(|e| !matches!(e.name, EventName::RpcHop | EventName::RpcTx))
-            .copied()
             .collect();
         assert_eq!(
-            stripped, pt.events,
+            stripped,
+            pt.events.iter().collect::<Vec<_>>(),
             "{mech}: causal events must be additive — never reordering or \
              perturbing the base stream"
         );

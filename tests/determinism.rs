@@ -364,9 +364,10 @@ fn distinct_seeds_distinct_blame_tables() {
 fn hash_recomputes_and_log_round_trips() {
     let r = run_trace_scenario("swq-optimized", 5).expect("known scenario");
     let t = r.trace.expect("traced");
-    assert_eq!(t.hash, hash_events(&t.events), "harvest hash != recomputation");
+    let events: Vec<_> = t.events.iter().collect();
+    assert_eq!(t.hash, hash_events(&events), "harvest hash != recomputation");
 
-    let encoded = kus_sim::trace::encode(&t.events);
+    let encoded = kus_sim::trace::encode(&events);
     let decoded = kus_sim::trace::decode(&encoded).expect("well-formed log");
     assert_eq!(decoded.len(), t.events.len());
     for (d, e) in decoded.iter().zip(&t.events) {
