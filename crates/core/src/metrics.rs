@@ -8,7 +8,7 @@
 
 use kus_mem::Backing;
 use kus_sim::stats::Percentiles;
-use kus_sim::{Clock, Span, TraceEvent, TraceLog};
+use kus_sim::{Clock, Span, TraceLog, Tracer};
 
 use crate::mechanism::Mechanism;
 
@@ -103,11 +103,10 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Builds the report from a finished run's event stream, which it
-    /// encodes into a [`TraceLog`] and hashes in the same pass, then
-    /// drops.
-    pub fn build(events: Vec<TraceEvent>) -> TraceReport {
-        let (events, hash) = TraceLog::hashed(&events);
+    /// Moves a finished run's log out of `tracer`, with the hash its
+    /// encoder computed as the events were emitted.
+    pub fn finish(tracer: &Tracer) -> TraceReport {
+        let (events, hash) = tracer.finish();
         let count = events.len() as u64;
         TraceReport { events, hash, count }
     }
@@ -253,7 +252,7 @@ impl RunReport {
 mod tests {
     use super::*;
     use kus_sim::trace::{Category, EventName, Phase};
-    use kus_sim::Time;
+    use kus_sim::{Sim, Time, TraceEvent};
 
     fn report(work: u64, elapsed_ns: u64) -> RunReport {
         RunReport {
@@ -329,7 +328,10 @@ mod tests {
             a1: 1,
         }];
         let h = kus_sim::trace::hash_events(&events);
-        let r = TraceReport::build(events);
+        let tracer = Tracer::new(Sim::new().now_handle(), &[]);
+        tracer.instant(EventName::LfbAlloc, 0, 1, 1);
+        let r = TraceReport::finish(&tracer);
         assert_eq!((r.hash, r.count), (h, 1));
+        assert!(r.events.iter().eq(events));
     }
 }

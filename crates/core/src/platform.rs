@@ -443,10 +443,12 @@ impl Platform {
         });
 
         let (trace, profile) = if tracer.is_on() {
-            // Move the buffer into the report: the stream is never copied.
-            let events = tracer.take_events();
+            // Move the log into the report: the stream was encoded as it
+            // was emitted.
+            let trace = TraceReport::finish(&tracer);
             // Profiled runs classify the measured window [t0, now] per
-            // hardware context (sum-to-wall is asserted inside build).
+            // hardware context (sum-to-wall is asserted inside build), over
+            // the decoded stream.
             let profile = tracer.wants(TraceClass::Profile).then(|| {
                 let ctx = kus_profile::ProfileContext {
                     cores: cfg.cores * cfg.smt,
@@ -460,9 +462,10 @@ impl Platform {
                     window_end: sim.now(),
                     sched_stall_handoffs: execs.iter().map(|e| e.stall_handoffs()).sum(),
                 };
+                let events: Vec<_> = trace.events.iter().collect();
                 kus_profile::ProfileReport::build(&events, ctx)
             });
-            (Some(TraceReport::build(events)), profile)
+            (Some(trace), profile)
         } else {
             (None, None)
         };

@@ -135,11 +135,26 @@ struct ReqChain {
 
 /// Every request's chain, with the segments and slack of all of them in
 /// two flat buffers.
-#[derive(Default)]
 struct Paths {
     chains: Vec<ReqChain>,
     segs: Vec<(Hop, u64)>,
     slack: Vec<(u32, u64)>,
+}
+
+impl Paths {
+    /// Empty buffers with room for the chains of the requests in `marked`
+    /// (as [`by_request`] orders them): a chain per id, a slack entry per
+    /// fan-out child, and a segment per stamp plus two per request, which
+    /// bounds what [`walk`] pushes.
+    fn for_stamps(marked: &[(u64, Stamp)]) -> Paths {
+        let ids = marked.chunk_by(|a, b| a.0 == b.0).count();
+        let children = marked.iter().filter(|(_, s)| s.mark == Mark::Child).count();
+        Paths {
+            chains: Vec::with_capacity(ids),
+            segs: Vec::with_capacity(marked.len() + 2 * ids),
+            slack: Vec::with_capacity(children),
+        }
+    }
 }
 
 /// The trace events one request's DAG is rebuilt from.
@@ -309,10 +324,14 @@ impl ReqEvents {
 }
 
 /// The stamps of the events whose mark `keep` selects, ordered by request
-/// id and, within one request, by stream position.
-fn by_request(events: &[TraceEvent], keep: impl Fn(Mark) -> bool) -> Vec<(u64, Stamp)> {
-    let mut marked: Vec<(u64, Stamp)> =
-        events.iter().filter_map(|ev| stamp(ev).filter(|(_, s)| keep(s.mark))).collect();
+/// id and, within one request, by stream position: in one buffer sized
+/// for every event of the stream.
+fn by_request(
+    events: impl ExactSizeIterator<Item = TraceEvent>,
+    keep: impl Fn(Mark) -> bool,
+) -> Vec<(u64, Stamp)> {
+    let mut marked = Vec::with_capacity(events.len());
+    marked.extend(events.filter_map(|ev| stamp(&ev).filter(|(_, s)| keep(s.mark))));
     sort_by_id(&mut marked);
     marked
 }
@@ -563,7 +582,7 @@ impl BlameReport {
     /// Rebuilds blame from a traced run's `load` events (its log's serving
     /// index); `None` when the run carried no trace or no requests.
     pub fn from_run(run: &RunReport) -> Option<BlameReport> {
-        BlameReport::from_events(run.trace.as_ref()?.events.load())
+        BlameReport::from_stream(run.trace.as_ref()?.events.load())
     }
 
     /// Rebuilds blame from raw trace events; `None` when no request ever
@@ -571,8 +590,15 @@ impl BlameReport {
     /// class the fan-out stage stays one opaque hop; with it, the join
     /// resolves to per-shard blame and slack.
     pub fn from_events(events: &[TraceEvent]) -> Option<BlameReport> {
-        let mut paths = Paths::default();
-        for req in by_request(events, |_| true).chunk_by(|a, b| a.0 == b.0) {
+        BlameReport::from_stream(events.iter().copied())
+    }
+
+    /// The one walk behind [`from_run`](Self::from_run) and
+    /// [`from_events`](Self::from_events).
+    fn from_stream(events: impl ExactSizeIterator<Item = TraceEvent>) -> Option<BlameReport> {
+        let marked = by_request(events, |_| true);
+        let mut paths = Paths::for_stamps(&marked);
+        for req in marked.chunk_by(|a, b| a.0 == b.0) {
             walk(&ReqEvents::gather(req), &mut paths);
         }
         if paths.chains.is_empty() {

@@ -63,12 +63,18 @@ impl NetReport {
     /// serving index); `None` when the run carried no trace or the NIC
     /// layer was disabled.
     pub fn from_run(run: &RunReport) -> Option<NetReport> {
-        NetReport::from_events(run.trace.as_ref()?.events.load())
+        NetReport::from_stream(run.trace.as_ref()?.events.load())
     }
 
     /// Rebuilds the report from raw trace events; `None` when no `net.*`
     /// events are present.
     pub fn from_events(events: &[TraceEvent]) -> Option<NetReport> {
+        NetReport::from_stream(events.iter().copied())
+    }
+
+    /// The one scan behind [`from_run`](Self::from_run) and
+    /// [`from_events`](Self::from_events).
+    fn from_stream(events: impl Iterator<Item = TraceEvent>) -> Option<NetReport> {
         let mut wire = HdrHistogram::new();
         let mut rx_wait = HdrHistogram::new();
         let mut nic = HdrHistogram::new();
@@ -83,7 +89,7 @@ impl NetReport {
         let mut queue_load: BTreeMap<u32, u64> = BTreeMap::new();
         let mut core_load: BTreeMap<u32, u64> = BTreeMap::new();
         let mut hop_hists: [HdrHistogram; HOP_NAMES.len()] = Default::default();
-        for ev in events.iter().filter(|e| e.cat == Category::Load) {
+        for ev in events.filter(|e| e.cat == Category::Load) {
             let hop = match ev.name {
                 EventName::NetArrival => {
                     arrivals.push((ev.a0, ev.a1));

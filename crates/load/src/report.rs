@@ -171,7 +171,7 @@ impl LoadReport {
     /// counters when present. Returns `None` when the run was untraced or
     /// its trace carries no serving events.
     pub fn from_run(run: &RunReport) -> Option<LoadReport> {
-        let mut report = Self::from_events(run.trace.as_ref()?.events.load())?;
+        let mut report = Self::from_stream(run.trace.as_ref()?.events.load())?;
         report.device = run.faults.map(|f| DeviceDistress {
             completion_overflows: f.completion_overflows,
             timeouts: f.timeouts,
@@ -186,6 +186,12 @@ impl LoadReport {
     /// Rebuilds the load analytics from a raw event stream (exposed for
     /// tests and external trace processing).
     pub fn from_events(events: &[TraceEvent]) -> Option<LoadReport> {
+        Self::from_stream(events.iter().copied())
+    }
+
+    /// The one scan behind [`from_run`](Self::from_run) and
+    /// [`from_events`](Self::from_events).
+    fn from_stream(events: impl Iterator<Item = TraceEvent>) -> Option<LoadReport> {
         // (id, arrival, dispatch/completion time) per event.
         let mut dispatches: Vec<(u64, (Time, Time))> = Vec::new();
         let mut completions: Vec<(u64, (Time, Time))> = Vec::new();
@@ -195,7 +201,7 @@ impl LoadReport {
         let (mut crashes, mut dispatcher_stalls) = (0u64, 0u64);
         // Freeze windows keyed by index: start/end marker times in ps.
         let mut windows: BTreeMap<u64, (Option<u64>, Option<u64>)> = BTreeMap::new();
-        for ev in events.iter().filter(|e| e.cat == Category::Load) {
+        for ev in events.filter(|e| e.cat == Category::Load) {
             let arrival = Time::from_ps(ev.a1);
             match ev.name {
                 EventName::LoadDispatch => dispatches.push((ev.a0, (arrival, ev.at))),

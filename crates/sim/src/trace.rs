@@ -2,8 +2,9 @@
 //!
 //! A [`Tracer`] is a cheap clonable handle that every instrumented component
 //! holds. Disabled (the default), it is a `None` and each emission costs one
-//! branch; enabled, each emission only appends the event to a shared
-//! in-memory buffer, which [`Tracer::take_events`] moves out at harvest.
+//! branch; enabled, each emission encodes the event into a shared
+//! [`TraceLog`] and folds it into the log's hash, and [`Tracer::finish`]
+//! moves the log and its hash out at harvest.
 //!
 //! The design invariants that make traces usable as regression oracles:
 //!
@@ -14,15 +15,15 @@
 //!   the [`Sim`](crate::Sim) kernel orders deterministically; the trace of a
 //!   `(seed, config)` pair is therefore byte-stable across runs and builds.
 //! - **Hashable**: [`hash_events`] folds every event's canonical binary
-//!   encoding into one FNV-1a-64, computed once at harvest, so "same
-//!   behaviour" can be asserted with a single integer while
-//!   [`encode`]/[`decode`] keep the full stream inspectable when a hash test
-//!   fails. One writer lays out those canonical bytes for both.
+//!   encoding into one FNV-1a-64, so "same behaviour" can be asserted with
+//!   a single integer while [`encode`]/[`decode`] keep the full stream
+//!   inspectable when a hash test fails. One writer lays out those
+//!   canonical bytes for both.
 //!
-//! At harvest the stream becomes a [`TraceLog`], whose records take about a
-//! quarter of the stream's size, which keeps its `load` events apart as the
-//! serving index, and which computes the same hash in the pass that
-//! encodes it.
+//! A trace is only ever held as a [`TraceLog`]: it takes about a quarter
+//! of a `Vec<TraceEvent>`'s size, its `load` events are a stream of their
+//! own, the serving index, and the encoder that builds it computes the
+//! [`hash_events`] value as it goes, one event at a time.
 //!
 //! Two exporters: [`chrome_json`] renders the Chrome `trace_event` format for
 //! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev), and [`encode`]
@@ -435,14 +436,14 @@ pub enum TraceClass {
 
 struct TracerInner {
     clock: Rc<Cell<Time>>,
-    events: RefCell<Vec<TraceEvent>>,
+    /// The log of the events emitted so far.
+    log: RefCell<LogWriter>,
     /// The enabled [`TraceClass`]es, one bit each.
     classes: u8,
 }
 
-
 /// Handle to the (possibly disabled) trace sink. Clone freely: all clones
-/// share one buffer. `Tracer::default()` is the disabled tracer.
+/// share one log. `Tracer::default()` is the disabled tracer.
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Rc<TracerInner>>,
@@ -452,7 +453,7 @@ impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.inner {
             None => write!(f, "Tracer(off)"),
-            Some(i) => write!(f, "Tracer(on, {} events)", i.events.borrow().len()),
+            Some(i) => write!(f, "Tracer(on, {} events)", i.log.borrow().log.len()),
         }
     }
 }
@@ -469,7 +470,7 @@ impl Tracer {
     /// stream plus `classes`.
     pub fn new(clock: Rc<Cell<Time>>, classes: &[TraceClass]) -> Tracer {
         let classes = classes.iter().fold(0, |mask, &c| mask | c as u8);
-        let inner = TracerInner { clock, events: RefCell::new(Vec::new()), classes };
+        let inner = TracerInner { clock, log: RefCell::new(LogWriter::new()), classes };
         Tracer { inner: Some(Rc::new(inner)) }
     }
 
@@ -489,7 +490,7 @@ impl Tracer {
     pub fn emit(&self, name: EventName, phase: Phase, track: u32, a0: u64, a1: u64) {
         let Some(inner) = &self.inner else { return };
         let at = inner.clock.get();
-        inner.events.borrow_mut().push(TraceEvent { at, cat: name.category(), name, phase, track, a0, a1 });
+        inner.log.borrow_mut().push(&TraceEvent { at, cat: name.category(), name, phase, track, a0, a1 });
     }
 
     /// Emits an [`Phase::Instant`] event.
@@ -508,7 +509,7 @@ impl Tracer {
         let Some(inner) = &self.inner else { return };
         let dur = (inner.clock.get() - start).as_ps();
         let e = TraceEvent { at: start, cat: name.category(), name, phase: Phase::Complete, track, a0, a1: dur };
-        inner.events.borrow_mut().push(e);
+        inner.log.borrow_mut().push(&e);
     }
 
     /// Emits a [`Phase::Complete`] span over an explicit `[start, end]`
@@ -520,14 +521,15 @@ impl Tracer {
         let Some(inner) = &self.inner else { return };
         let dur = if end > start { (end - start).as_ps() } else { 0 };
         let e = TraceEvent { at: start, cat: name.category(), name, phase: Phase::Complete, track, a0, a1: dur };
-        inner.events.borrow_mut().push(e);
+        inner.log.borrow_mut().push(&e);
     }
 
-    /// Moves the recorded events out, in emission order, leaving the buffer
-    /// empty (always empty for a disabled tracer). The harvest calls it
-    /// once, so the stream is never copied.
-    pub fn take_events(&self) -> Vec<TraceEvent> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| i.events.take())
+    /// Moves the log of the events recorded so far out, with their content
+    /// hash (the value of [`hash_events`]), and starts an empty one. A
+    /// disabled tracer returns the empty log. The harvest calls it once.
+    pub fn finish(&self) -> (TraceLog, u64) {
+        let writer = self.inner.as_ref().map_or_else(LogWriter::new, |i| i.log.replace(LogWriter::new()));
+        writer.finish()
     }
 }
 
@@ -610,18 +612,17 @@ fn fold_event(hash: u64, e: &TraceEvent, name: &NameFold) -> u64 {
 }
 
 /// Header byte of a record that stands for the next event of
-/// [`TraceLog::load`]; every other header is an [`EventName`]
-/// discriminant.
+/// [`TraceLog::load`]; every other header is `name × PHASES + phase`.
 const LOAD_RECORD: u8 = u8::MAX;
 
-/// Set in a record's phase byte when its event is on the previous
-/// record's track, which the record then leaves out.
-const SAME_TRACK: u8 = 0x80;
+/// Phases a header byte tells apart.
+const PHASES: u8 = 3;
 
-// A header tells a registry name from the load marker, and decoding
-// looks a name up in `EventName::ALL` by its discriminant.
+// Every name has a header in every phase below the load marker, which
+// leaves room for 85 names, and decoding looks a name up in
+// `EventName::ALL` by its discriminant.
 const _: () = {
-    assert!(EventName::ALL.len() < LOAD_RECORD as usize);
+    assert!(EventName::ALL.len() * PHASES as usize <= LOAD_RECORD as usize);
     let mut i = 0;
     while i < EventName::ALL.len() {
         assert!(EventName::ALL[i] as usize == i);
@@ -639,6 +640,48 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
+/// Reads the LEB128 value at `bytes[*pos..]` and moves `pos` past it.
+#[inline]
+fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0;
+    let mut shift = 0;
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        if b < 0x80 {
+            return v | u64::from(b) << shift;
+        }
+        v |= u64::from(b & 0x7f) << shift;
+        shift += 7;
+    }
+}
+
+/// Appends a record's `at` field, the 65-bit `zigzag << 1 | same`, as
+/// LEB128: the first byte holds the flag and the zigzag's low six bits,
+/// the rest is the LEB128 of the zigzag's upper 58.
+fn put_at(out: &mut Vec<u8>, zigzag: u64, same: bool) {
+    let first = (zigzag << 1 & 0x7f) as u8 | u8::from(same);
+    if zigzag < 0x40 {
+        out.push(first);
+    } else {
+        out.push(first | 0x80);
+        put_varint(out, zigzag >> 6);
+    }
+}
+
+/// Reads the `at` field at `bytes[*pos..]` into a `u128`, whole, and moves
+/// `pos` past it: the zigzag and the same-track flag.
+#[inline]
+fn read_at(bytes: &[u8], pos: &mut usize) -> (u64, bool) {
+    let first = bytes[*pos];
+    *pos += 1;
+    let mut field = u128::from(first & 0x7f);
+    if first >= 0x80 {
+        field |= u128::from(read_varint(bytes, pos)) << 7;
+    }
+    ((field >> 1) as u64, field & 1 != 0)
+}
+
 /// A wrapped signed delta as an unsigned one that is small whenever the
 /// delta's magnitude is: 0, -1, 1, -2… become 0, 1, 2, 3….
 fn zigzag(delta: u64) -> u64 {
@@ -650,88 +693,159 @@ fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
-/// A finished run's event stream, held compactly: its records take 3–8
-/// bytes per event on the shipped worlds, where a `Vec<TraceEvent>`
-/// takes 32.
+/// The previous record's time and track in one stream of a [`TraceLog`],
+/// which the next record's `at` field refers to.
+#[derive(Clone, Copy, Default)]
+struct Chain {
+    at: u64,
+    track: u32,
+}
+
+impl Chain {
+    /// Appends `e`'s record to `out` and moves the chain to `e`.
+    fn put(&mut self, out: &mut Vec<u8>, e: &TraceEvent) {
+        let same = e.track == self.track;
+        out.push(e.name as u8 * PHASES + e.phase as u8);
+        put_at(out, zigzag(e.at.as_ps().wrapping_sub(self.at)), same);
+        if !same {
+            put_varint(out, e.track.into());
+        }
+        put_varint(out, e.a0);
+        put_varint(out, e.a1);
+        self.step(e);
+    }
+
+    /// Decodes the record at `bytes[*pos..]`, moves `pos` past it and the
+    /// chain to its event.
+    #[inline]
+    fn get(&mut self, bytes: &[u8], pos: &mut usize) -> TraceEvent {
+        let head = bytes[*pos];
+        *pos += 1;
+        let name = EventName::ALL[usize::from(head / PHASES)];
+        let phase = Phase::from_u8(head % PHASES).expect("a header holds a phase");
+        let (delta, same) = read_at(bytes, pos);
+        let at = self.at.wrapping_add(unzigzag(delta));
+        let track = if same { self.track } else { read_varint(bytes, pos) as u32 };
+        let a0 = read_varint(bytes, pos);
+        let a1 = read_varint(bytes, pos);
+        let e = TraceEvent { at: Time::from_ps(at), cat: name.category(), name, phase, track, a0, a1 };
+        self.step(&e);
+        e
+    }
+
+    #[inline]
+    fn step(&mut self, e: &TraceEvent) {
+        (self.at, self.track) = (e.at.as_ps(), e.track);
+    }
+}
+
+/// A run's event stream, held compactly: 7–9 bytes an event on average on
+/// the shipped worlds, where a `Vec<TraceEvent>` takes 32.
 ///
 /// The log holds one record per event, in emission order:
 ///
-/// - a header byte, the event's [`EventName`] discriminant;
-/// - a byte holding the [`Phase`] and a bit set when the event is on the
-///   previous record's track;
-/// - `at` as a zigzag LEB128 delta from the previous record's (the
-///   stream is not time-ordered: a [`Phase::Complete`] span carries its
-///   start);
+/// - a header byte, `name × 3 + phase` by discriminant, so the registry
+///   holds at most 85 names and every name is encodable in every phase;
+/// - the `at` field, the LEB128 of `zigzag(Δat) << 1 | same`: the delta
+///   from the previous record's time (the stream is not time-ordered: a
+///   [`Phase::Complete`] span carries its start), and a low bit set when
+///   the event is on the previous record's track, which the record then
+///   leaves out. A 64-bit zigzag makes it a 65-bit value;
 /// - `track` as LEB128, only when it changed;
 /// - `a0` and `a1` as LEB128.
 ///
 /// No category is stored: every emitted event's is `name.category()`,
-/// which the encoder asserts. Each [`Category::Load`] event is instead
-/// kept whole in [`load`](TraceLog::load), the serving index the harvest
-/// reports read, and leaves a one-byte marker among the records.
-/// [`TraceLog::hashed`] computes the [`hash_events`] fingerprint in the
-/// pass that encodes.
+/// which [`TraceLog::hashed`] asserts. Each [`Category::Load`] event
+/// leaves the one-byte marker `0xff` among the records, whose chain it
+/// moves all the same, and is itself recorded in a second stream of the
+/// same layout with a chain of its own: the serving index the harvest
+/// reports decode through [`load`](TraceLog::load).
+///
+/// One encoder builds every log: a [`Tracer`] runs it as each event is
+/// emitted, [`TraceLog::hashed`] over a slice, and both compute the
+/// [`hash_events`] fingerprint as they encode.
 #[derive(Clone, PartialEq, Eq)]
 pub struct TraceLog {
     /// One record per event.
     records: Vec<u8>,
-    /// The [`Category::Load`] events, in emission order.
-    load: Vec<TraceEvent>,
+    /// One record per [`Category::Load`] event.
+    load: Vec<u8>,
+    /// Events in `load`.
+    load_events: usize,
     /// Per phase, by discriminant: events and the sum of their name
     /// lengths, all the Chrome export's size bound reads.
     phases: [(usize, usize); 3],
 }
 
+/// A [`TraceLog`] being built, one event at a time: the one encoder.
+struct LogWriter {
+    log: TraceLog,
+    /// FNV-1a over the canonical bytes of the events so far.
+    hash: u64,
+    folds: &'static [NameFold],
+    /// The chain of the records, which every event moves, and that of the
+    /// serving stream, which only `load` events move.
+    records: Chain,
+    load: Chain,
+}
+
+impl LogWriter {
+    fn new() -> LogWriter {
+        let log = TraceLog { records: Vec::new(), load: Vec::new(), load_events: 0, phases: [(0, 0); 3] };
+        LogWriter { log, hash: FNV_OFFSET, folds: name_folds(), records: Chain::default(), load: Chain::default() }
+    }
+
+    /// Encodes `e` and folds it into the hash.
+    fn push(&mut self, e: &TraceEvent) {
+        self.hash = fold_event(self.hash, e, &self.folds[e.name as usize]);
+        let log = &mut self.log;
+        let tally = &mut log.phases[e.phase as usize];
+        tally.0 += 1;
+        tally.1 += e.name.as_str().len();
+        if e.cat == Category::Load {
+            log.records.push(LOAD_RECORD);
+            self.records.step(e);
+            self.load.put(&mut log.load, e);
+            log.load_events += 1;
+        } else {
+            self.records.put(&mut log.records, e);
+        }
+    }
+
+    /// The log, its buffers trimmed to their length, and its hash.
+    fn finish(mut self) -> (TraceLog, u64) {
+        self.log.records.shrink_to_fit();
+        self.log.load.shrink_to_fit();
+        (self.log, self.hash)
+    }
+}
+
 impl TraceLog {
     /// Encodes `events` into a log and computes their content hash, the
-    /// value of [`hash_events`], in the same pass.
+    /// value of [`hash_events`], in the same pass: what a [`Tracer`] that
+    /// emitted them finishes with.
     ///
     /// # Panics
     ///
     /// Panics if an event's `cat` is not its `name.category()`.
     pub fn hashed(events: &[TraceEvent]) -> (TraceLog, u64) {
-        let folds = name_folds();
-        let mut records = Vec::with_capacity(events.len() * 8);
-        let mut load = Vec::new();
-        let mut phases = [(0, 0); 3];
-        let mut hash = FNV_OFFSET;
-        let (mut at, mut track) = (0, 0);
+        let mut w = LogWriter::new();
         for e in events {
             assert!(e.cat == e.name.category(), "{:?} recorded under {:?}", e.name, e.cat);
-            hash = fold_event(hash, e, &folds[e.name as usize]);
-            let tally = &mut phases[e.phase as usize];
-            tally.0 += 1;
-            tally.1 += e.name.as_str().len();
-            if e.cat == Category::Load {
-                records.push(LOAD_RECORD);
-                load.push(*e);
-            } else {
-                let same = e.track == track;
-                records.push(e.name as u8);
-                records.push(e.phase as u8 | if same { SAME_TRACK } else { 0 });
-                put_varint(&mut records, zigzag(e.at.as_ps().wrapping_sub(at)));
-                if !same {
-                    put_varint(&mut records, u64::from(e.track));
-                }
-                put_varint(&mut records, e.a0);
-                put_varint(&mut records, e.a1);
-            }
-            (at, track) = (e.at.as_ps(), e.track);
+            w.push(e);
         }
-        records.shrink_to_fit();
-        load.shrink_to_fit();
-        (TraceLog { records, load, phases }, hash)
+        w.finish()
     }
 
     /// The events, decoded in emission order.
     pub fn iter(&self) -> TraceLogIter<'_> {
-        TraceLogIter { records: &self.records, pos: 0, load: self.load.iter(), at: 0, track: 0, left: self.len() }
+        TraceLogIter { records: &self.records, pos: 0, chain: Chain::default(), load: self.load(), left: self.len() }
     }
 
-    /// The [`Category::Load`] events, in emission order: the serving index
-    /// the harvest reports read instead of the whole stream.
-    pub fn load(&self) -> &[TraceEvent] {
-        &self.load
+    /// The [`Category::Load`] events, decoded in emission order: the
+    /// serving index the harvest reports read instead of the whole stream.
+    pub fn load(&self) -> LoadIter<'_> {
+        LoadIter { bytes: &self.load, pos: 0, chain: Chain::default(), left: self.load_events }
     }
 
     /// Events held.
@@ -765,7 +879,8 @@ impl fmt::Debug for TraceLog {
         f.debug_struct("TraceLog")
             .field("events", &self.len())
             .field("record_bytes", &self.records.len())
-            .field("load_events", &self.load.len())
+            .field("load_events", &self.load_events)
+            .field("load_bytes", &self.load.len())
             .finish()
     }
 }
@@ -774,51 +889,27 @@ impl fmt::Debug for TraceLog {
 pub struct TraceLogIter<'a> {
     records: &'a [u8],
     pos: usize,
-    load: std::slice::Iter<'a, TraceEvent>,
-    /// The previous record's time and track, which the next record's
-    /// delta and same-track bit refer to.
-    at: u64,
-    track: u32,
+    chain: Chain,
+    /// The serving stream, which a load marker's event is read from.
+    load: LoadIter<'a>,
     /// Events not yet decoded.
     left: usize,
-}
-
-impl TraceLogIter<'_> {
-    fn varint(&mut self) -> u64 {
-        let mut v = 0;
-        let mut shift = 0;
-        loop {
-            let b = self.records[self.pos];
-            self.pos += 1;
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                return v;
-            }
-            shift += 7;
-        }
-    }
 }
 
 impl Iterator for TraceLogIter<'_> {
     type Item = TraceEvent;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceEvent> {
         let &head = self.records.get(self.pos)?;
         let e = if head == LOAD_RECORD {
             self.pos += 1;
-            *self.load.next().expect("a load marker has its event")
+            let e = self.load.next().expect("a load marker has its event");
+            self.chain.step(&e);
+            e
         } else {
-            let name = EventName::ALL[usize::from(head)];
-            let flags = self.records[self.pos + 1];
-            self.pos += 2;
-            let at = self.at.wrapping_add(unzigzag(self.varint()));
-            let track = if flags & SAME_TRACK != 0 { self.track } else { self.varint() as u32 };
-            let a0 = self.varint();
-            let a1 = self.varint();
-            let phase = Phase::from_u8(flags & !SAME_TRACK).expect("a record's phase byte holds a phase");
-            TraceEvent { at: Time::from_ps(at), cat: name.category(), name, phase, track, a0, a1 }
+            self.chain.get(self.records, &mut self.pos)
         };
-        (self.at, self.track) = (e.at.as_ps(), e.track);
         self.left -= 1;
         Some(e)
     }
@@ -829,6 +920,33 @@ impl Iterator for TraceLogIter<'_> {
 }
 
 impl ExactSizeIterator for TraceLogIter<'_> {}
+
+/// The [`Category::Load`] events of a [`TraceLog`], decoded in emission
+/// order from the serving stream.
+#[derive(Clone)]
+pub struct LoadIter<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    chain: Chain,
+    /// Events not yet decoded.
+    left: usize,
+}
+
+impl Iterator for LoadIter<'_> {
+    type Item = TraceEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceEvent> {
+        self.left = self.left.checked_sub(1)?;
+        Some(self.chain.get(self.bytes, &mut self.pos))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for LoadIter<'_> {}
 
 /// Magic header of the binary trace log (7 bytes magic + 1 byte version).
 pub const TRACE_MAGIC: &[u8; 8] = b"KUSTRC\x00\x01";
@@ -1143,7 +1261,10 @@ mod tests {
         let t = Tracer::off();
         t.instant(EventName::FiberSwitch, 0, 1, 2);
         assert!(!t.is_on());
-        assert!(t.take_events().is_empty());
+        let (log, hash) = t.finish();
+        assert!(log.is_empty());
+        assert_eq!(log.iter().count(), 0);
+        assert_eq!(hash, FNV_OFFSET);
         assert_eq!(hash_events(&[]), FNV_OFFSET);
     }
 
@@ -1154,7 +1275,7 @@ mod tests {
         let t2 = t.clone();
         sim.schedule_in(Span::from_ns(42), move |_| t2.instant(EventName::L1Evict, 3, 7, 9));
         sim.run();
-        let evs = t.take_events();
+        let evs: Vec<TraceEvent> = t.finish().0.iter().collect();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].at.as_ns(), 42);
         assert_eq!((evs[0].cat, evs[0].track, evs[0].a0, evs[0].a1), (Category::Mem, 3, 7, 9));
@@ -1173,10 +1294,14 @@ mod tests {
         let t = Tracer::new(sim.now_handle(), &[]);
         t.instant(a, 0, 1, 0);
         t.instant(b, 0, 2, 0);
-        let evs = t.take_events();
+        let (log, hash) = t.finish();
+        let evs: Vec<TraceEvent> = log.iter().collect();
         assert_eq!(evs.len(), 2);
         assert_eq!(hash_events(&evs), hash_events(&[ev(0, a, 1), ev(0, b, 2)]));
-        assert!(t.take_events().is_empty(), "taking the events moves them out");
+        assert_eq!(hash, hash_events(&evs), "the tracer hashes as it encodes");
+        let (rest, rest_hash) = t.finish();
+        assert!(rest.is_empty(), "finishing moves the log out");
+        assert_eq!(rest_hash, FNV_OFFSET);
     }
 
     #[test]
@@ -1382,12 +1507,13 @@ mod tests {
     }
 
     /// A seeded random stream: every registry name in every phase, then
-    /// random ones; spans that start before the previous record; track
-    /// switches and runs on one track; `at`, `track`, `a0` and `a1` at the
-    /// varint and zigzag edges (0, 127, 128, `u32::MAX`, `u64::MAX`) and
-    /// at random values.
+    /// random ones, half of them `load` names so that `load` events come in
+    /// runs; spans that start before the previous record; track switches
+    /// and runs on one track; `at`, `track`, `a0` and `a1` at the varint
+    /// and zigzag edges (0, 127, 128, `u32::MAX`, 2^62, 2^63, `u64::MAX`)
+    /// and at random values.
     fn random_stream(rng: &mut SimRng) -> Vec<TraceEvent> {
-        const EDGES: [u64; 7] = [0, 1, 127, 128, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        const EDGES: [u64; 9] = [0, 1, 127, 128, u32::MAX as u64, 1 << 62, 1 << 63, u64::MAX - 1, u64::MAX];
         fn value(rng: &mut SimRng) -> u64 {
             match rng.below(4) {
                 0 => EDGES[rng.below(EDGES.len() as u64) as usize],
@@ -1397,11 +1523,13 @@ mod tests {
             }
         }
         let names = EventName::ALL;
+        let load: Vec<EventName> = names.iter().copied().filter(|n| n.category() == Category::Load).collect();
         let mut events = Vec::new();
         let (mut at, mut track) = (0u64, 0u32);
         for i in 0..3 * names.len() + rng.below(60) as usize {
             let (name, phase) = match i.checked_sub(3 * names.len()) {
                 None => (names[i / 3], i as u8 % 3),
+                Some(_) if rng.below(2) == 0 => (load[rng.below(load.len() as u64) as usize], rng.below(3) as u8),
                 Some(_) => (names[rng.below(names.len() as u64) as usize], rng.below(3) as u8),
             };
             let phase = Phase::from_u8(phase).expect("a phase");
@@ -1419,31 +1547,101 @@ mod tests {
         events
     }
 
+    /// What a set of streams exercises of the layout: each header (name ×
+    /// phase), same-track on and off and a zigzag delta with its top bit
+    /// set on each chain (records, serving stream), and the longest run of
+    /// consecutive `load` events.
+    #[derive(Default)]
+    struct Coverage {
+        headers: std::collections::BTreeSet<(u8, u8)>,
+        /// Per chain: same track, another track, a 64-bit zigzag.
+        chains: [[bool; 3]; 2],
+        load_run: usize,
+    }
+
+    impl Coverage {
+        fn add(&mut self, stream: &[TraceEvent]) {
+            let mut prev = [(0u64, 0u32); 2];
+            let mut run = 0;
+            for e in stream {
+                self.headers.insert((e.name as u8, e.phase as u8));
+                let load = e.cat == Category::Load;
+                run = if load { run + 1 } else { 0 };
+                self.load_run = self.load_run.max(run);
+                for chain in if load { 0..2 } else { 0..1 } {
+                    let (at, track) = prev[chain];
+                    let seen = &mut self.chains[chain];
+                    seen[0] |= e.track == track;
+                    seen[1] |= e.track != track;
+                    seen[2] |= zigzag(e.at.as_ps().wrapping_sub(at)) >> 63 == 1;
+                    prev[chain] = (e.at.as_ps(), e.track);
+                }
+            }
+        }
+    }
+
+    /// Emits `stream` through a tracer whose clock is set to each event's
+    /// time: spans through `complete_since` and `complete_span` where
+    /// their end fits in a `u64`, everything else through `emit`.
+    fn emit_all(stream: &[TraceEvent]) -> Tracer {
+        let clock = Rc::new(Cell::new(Time::ZERO));
+        let t = Tracer::new(clock.clone(), &[]);
+        for (i, e) in stream.iter().enumerate() {
+            clock.set(e.at);
+            match e.at.as_ps().checked_add(e.a1) {
+                Some(end) if e.phase == Phase::Complete && i % 2 == 0 => {
+                    clock.set(Time::from_ps(end));
+                    t.complete_since(e.name, e.track, e.at, e.a0);
+                }
+                Some(end) if e.phase == Phase::Complete => {
+                    t.complete_span(e.name, e.track, e.at, Time::from_ps(end), e.a0)
+                }
+                _ => t.emit(e.name, e.phase, e.track, e.a0, e.a1),
+            }
+        }
+        t
+    }
+
     /// The log gives back the stream it encoded, its fused hash is the
-    /// reference hash, its serving index is the stream's `load` events and
-    /// its Chrome export is the reference exporter's, on seeded random
-    /// streams and the empty one.
+    /// reference hash, its serving stream decodes to the stream's `load`
+    /// events, its Chrome export is the reference exporter's, and a tracer
+    /// that emits the stream finishes with the same log and hash, on
+    /// seeded random streams and the empty one. The streams cover every
+    /// header, both track cases and 64-bit zigzag deltas on both chains,
+    /// and runs of `load` events.
     #[test]
     fn the_log_round_trips_hashes_and_indexes_every_stream() {
         let mut rng = SimRng::from_seed(0x106);
         let streams: Vec<Vec<TraceEvent>> =
             std::iter::once(Vec::new()).chain((0..64).map(|_| random_stream(&mut rng))).collect();
+        let mut coverage = Coverage::default();
         for (round, s) in streams.iter().enumerate() {
+            coverage.add(s);
             let (log, hash) = TraceLog::hashed(s);
             assert_eq!(log.len(), s.len(), "round {round}");
             assert_eq!(log.iter().len(), s.len(), "round {round}");
             assert!(log.iter().eq(s.iter().copied()), "round {round}: decode(encode(s)) != s");
             assert_eq!(hash, hash_events(s), "round {round}: fused hash");
             let load: Vec<TraceEvent> = s.iter().filter(|e| e.cat == Category::Load).copied().collect();
-            assert_eq!(log.load(), load, "round {round}: serving index");
+            let serving = log.load();
+            assert_eq!(serving.len(), load.len(), "round {round}: serving stream length");
+            assert!(serving.clone().eq(load.iter().copied()), "round {round}: serving stream");
+            assert_eq!(serving.skip(load.len() / 2).len(), load.len() - load.len() / 2, "round {round}");
             assert_eq!(
                 chrome_json_with_flows(&log, &[]),
                 reference::chrome_json_with_flows(s, &[]),
                 "round {round}: Chrome export"
             );
             assert!(log == TraceLog::from(s.clone()), "round {round}: encoding is a function of the stream");
+            let (emitted, emitted_hash) = emit_all(s).finish();
+            assert!(emitted == log, "round {round}: the tracer's log is the slice encoder's");
+            assert_eq!(emitted_hash, hash, "round {round}: the tracer's hash");
         }
+        assert_eq!(coverage.headers.len(), 3 * EventName::ALL.len(), "every name in every phase");
+        assert_eq!(coverage.chains, [[true; 3]; 2], "both track cases and 64-bit deltas on both chains");
+        assert!(coverage.load_run >= 3, "runs of load events");
         assert!(TraceLog::from(Vec::new()).is_empty());
+        assert_eq!(TraceLog::from(Vec::new()).load().len(), 0);
     }
 
     /// Every name block fold equals FNV-1a over the block, whatever the
@@ -1463,30 +1661,47 @@ mod tests {
         }
     }
 
-    /// The record layout, byte for byte: the name and phase bytes, the
-    /// same-track bit, a span starting before the previous record as a
-    /// one-byte zigzag delta, and a `load` event as its one-byte marker,
-    /// whose time and track the next record's delta and bit refer to.
+    /// The record layout, byte for byte, in both streams: the header byte
+    /// `name × 3 + phase`, the `at` field's same-track low bit, a span
+    /// starting before the previous record as a one-byte field, `load`
+    /// events as one-byte markers that move the records' chain, the serving
+    /// stream on a chain of its own, and a delta of 2^63 whose zigzag fills
+    /// all 64 bits as a 10-byte field.
     #[test]
     fn the_record_layout_is_pinned() {
         let span = TraceEvent { phase: Phase::Complete, track: 2, a1: 128, ..ev(0, EventName::DevResp, 1) };
+        let dispatch = TraceEvent { at: Time::from_ps(400), track: 2, ..ev(0, EventName::LoadDispatch, 9) };
         let stream = vec![
             TraceEvent { at: Time::from_ps(300), ..ev(0, EventName::SwqIssue, 5) },
             TraceEvent { at: Time::from_ps(299), ..span },
-            TraceEvent { at: Time::from_ps(400), track: 2, ..ev(0, EventName::LoadDispatch, 9) },
+            dispatch,
             TraceEvent { at: Time::from_ps(398), ..span },
+            TraceEvent { at: Time::from_ps(400 + (1 << 63)), name: EventName::LoadComplete, ..dispatch },
         ];
         let log = TraceLog::from(stream.clone());
-        let [issue, resp] = [EventName::SwqIssue as u8, EventName::DevResp as u8];
+        let head = |name: EventName, phase: Phase| name as u8 * 3 + phase as u8;
         #[rustfmt::skip]
         let records = [
-            issue, Phase::Instant as u8 | SAME_TRACK, 0xd8, 0x04, 5, 0,
-            resp, Phase::Complete as u8, 1, 2, 1, 0x80, 0x01,
+            // 300 ps on track 0: (600 << 1 | 1) = 0x4b1.
+            head(EventName::SwqIssue, Phase::Instant), 0xb1, 0x09, 5, 0,
+            // -1 ps, to track 2: (1 << 1 | 0).
+            head(EventName::DevResp, Phase::Complete), 2, 2, 1, 0x80, 0x01,
             LOAD_RECORD,
-            resp, Phase::Complete as u8 | SAME_TRACK, 3, 1, 0x80, 0x01,
+            // -2 ps from the load event's 400 ps, on its track 2.
+            head(EventName::DevResp, Phase::Complete), 7, 1, 0x80, 0x01,
+            LOAD_RECORD,
+        ];
+        #[rustfmt::skip]
+        let load = [
+            // 400 ps from the serving chain's 0, to track 2: (800 << 1 | 0).
+            head(EventName::LoadDispatch, Phase::Instant), 0xc0, 0x0c, 2, 9, 0,
+            // 2^63 ps on track 2: (u64::MAX << 1 | 1), 65 bits.
+            head(EventName::LoadComplete, Phase::Instant),
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03, 9, 0,
         ];
         assert_eq!(log.records, records);
-        assert_eq!(log.load(), &stream[2..3]);
+        assert_eq!(log.load, load);
+        assert!(log.load().eq([stream[2], stream[4]]));
         assert!(log.iter().eq(stream));
     }
 
@@ -1621,7 +1836,7 @@ mod tests {
         t.complete_span(EventName::RpcHop, 3, start, end, 42);
         // Inverted interval: zero-length span, never a panic or underflow.
         t.complete_span(EventName::RpcHop, 3, end, start, 43);
-        let evs = t.take_events();
+        let evs: Vec<TraceEvent> = t.finish().0.iter().collect();
         assert_eq!(evs.len(), 2);
         assert_eq!((evs[0].at, evs[0].a0, evs[0].a1), (start, 42, 3_500));
         assert_eq!((evs[0].phase, evs[0].cat), (Phase::Complete, Category::Load));
