@@ -105,7 +105,7 @@ pub struct TraceReport {
 impl TraceReport {
     /// Moves a finished run's log out of `tracer`, with the hash its
     /// encoder computed as the events were emitted.
-    pub fn finish(tracer: &Tracer) -> TraceReport {
+    pub(crate) fn finish(tracer: &Tracer) -> TraceReport {
         let (events, hash) = tracer.finish();
         let count = events.len() as u64;
         TraceReport { events, hash, count }

@@ -326,10 +326,7 @@ impl ReqEvents {
 /// The stamps of the events whose mark `keep` selects, ordered by request
 /// id and, within one request, by stream position: in one buffer sized
 /// for every event of the stream.
-fn by_request(
-    events: impl ExactSizeIterator<Item = TraceEvent>,
-    keep: impl Fn(Mark) -> bool,
-) -> Vec<(u64, Stamp)> {
+fn by_request(events: impl ExactSizeIterator<Item = TraceEvent>, keep: impl Fn(Mark) -> bool) -> Vec<(u64, Stamp)> {
     let mut marked = Vec::with_capacity(events.len());
     marked.extend(events.filter_map(|ev| stamp(&ev).filter(|(_, s)| keep(s.mark))));
     sort_by_id(&mut marked);

@@ -716,7 +716,9 @@ impl Chain {
     }
 
     /// Decodes the record at `bytes[*pos..]`, moves `pos` past it and the
-    /// chain to its event.
+    /// chain to its event. Inlined, with the iterators' `next`, into the
+    /// harvest crates' loops: with a call per event, decoding the whole
+    /// `fanout-long` log took 22 ms instead of 14 on a 2-vCPU host.
     #[inline]
     fn get(&mut self, bytes: &[u8], pos: &mut usize) -> TraceEvent {
         let head = bytes[*pos];
