@@ -18,6 +18,7 @@
 //! - software-queue operations charge their own explicit costs
 //!   ([`SwqCosts`]).
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::future::Future;
@@ -28,6 +29,7 @@ use std::rc::Rc;
 use kus_cpu::{Core, Op, OpId, OpKind};
 use kus_fiber::{yield_now, Fiber, FiberId, OneShot, PollOutcome, SchedPolicy, Watchdog, YieldFlag};
 use kus_mem::{Addr, ByteStore};
+use kus_sim::callback::{component, Callback};
 use kus_sim::event::EventFn;
 use kus_sim::stats::Counter;
 use kus_sim::trace::{EventName, TraceClass};
@@ -433,11 +435,13 @@ impl ExecInner {
             }
             x.step_pending = true;
         }
-        let this2 = this.clone();
-        sim.schedule_now(move |sim| {
-            this2.borrow_mut().step_pending = false;
-            ExecInner::step(&this2, sim);
-        });
+        sim.schedule_callback_at(sim.now(), Callback::new(ExecInner::kicked, this.clone(), 0));
+    }
+
+    fn kicked(sim: &mut Sim, this: Rc<dyn Any>, _: u64) {
+        let this = component::<RefCell<ExecInner>>(this);
+        this.borrow_mut().step_pending = false;
+        ExecInner::step(&this, sim);
     }
 
     fn step(this: &Rc<RefCell<ExecInner>>, sim: &mut Sim) {
@@ -453,10 +457,8 @@ impl ExecInner {
                     x.hook_armed = true;
                     let core = x.core.clone();
                     drop(x);
-                    let this2 = this.clone();
-                    Core::set_emit_hook(&core, sim, move |sim| {
-                        ExecInner::on_frontend_ready(&this2, sim);
-                    });
+                    let hook = Callback::new(ExecInner::frontend_ready, this.clone(), 0);
+                    Core::set_emit_hook(&core, sim, hook);
                 }
                 return;
             }
@@ -488,23 +490,27 @@ impl ExecInner {
             x.tracer.instant(EventName::FiberSwitch, x.track, next as u64, x.switches.get());
             x.switch_cost
         };
-        let this2 = this.clone();
         if cost.is_zero() {
             this.borrow_mut().switching = false;
             ExecInner::run_or_park(this, sim, next);
         } else {
-            let start = sim.now();
-            sim.schedule_in(cost, move |sim| {
-                {
-                    let mut x = this2.borrow_mut();
-                    x.switching = false;
-                    if x.tracer.wants(TraceClass::Profile) {
-                        x.tracer.complete_since(EventName::CpuCtx, x.track, start, next as u64);
-                    }
-                }
-                ExecInner::run_or_park(&this2, sim, next);
-            });
+            sim.schedule_callback_in(cost, Callback::new(ExecInner::switched, this.clone(), next as u64));
         }
+    }
+
+    /// The context switch to fiber `next` is over; it began `switch_cost`
+    /// ago.
+    fn switched(sim: &mut Sim, this: Rc<dyn Any>, next: u64) {
+        let this = component::<RefCell<ExecInner>>(this);
+        {
+            let mut x = this.borrow_mut();
+            x.switching = false;
+            if x.tracer.wants(TraceClass::Profile) {
+                let start = sim.now() - x.switch_cost;
+                x.tracer.complete_since(EventName::CpuCtx, x.track, start, next);
+            }
+        }
+        ExecInner::run_or_park(&this, sim, next as FiberId);
     }
 
     /// After a context switch lands on `next`: run it if it is ready, or
@@ -530,7 +536,8 @@ impl ExecInner {
         }
     }
 
-    fn on_frontend_ready(this: &Rc<RefCell<ExecInner>>, sim: &mut Sim) {
+    fn frontend_ready(sim: &mut Sim, this: Rc<dyn Any>, _: u64) {
+        let this = &component::<RefCell<ExecInner>>(this);
         let resume = {
             let mut x = this.borrow_mut();
             x.hook_armed = false;
@@ -1295,8 +1302,8 @@ mod tests {
     use std::cell::Cell;
 
     fn fixed_fill(latency: Span) -> kus_cpu::FillPath {
-        Rc::new(move |sim: &mut Sim, _c, _l, done: EventFn| {
-            sim.schedule_in(latency, done);
+        Rc::new(move |sim: &mut Sim, _c, _l, done: Callback| {
+            sim.schedule_callback_in(latency, done);
         })
     }
 

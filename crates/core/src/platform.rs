@@ -17,6 +17,7 @@
 //! measured run — deviations (reordering, spurious requests) are absorbed
 //! by the replay window exactly as on the real FPGA.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -29,8 +30,9 @@ use kus_mem::{Backing, LINE_BYTES};
 use kus_pcie::dma::DmaEngine;
 use kus_pcie::link::{LinkDir, PcieLink};
 use kus_pcie::tlp::Tlp;
+use kus_sim::callback::{component, Callback, Parked};
 use kus_sim::stats::{HdrHistogram, Percentiles};
-use kus_sim::{FaultInjector, Sim, SimRng, TraceClass, Tracer};
+use kus_sim::{FaultInjector, Sim, SimRng, Time, TraceClass, Tracer};
 use kus_swq::ring::QueuePair;
 
 use crate::config::{ConfigError, PlatformConfig};
@@ -50,6 +52,43 @@ enum Phase {
     Dram,
     DeviceRecord(Rc<RefCell<AccessTrace>>),
     DeviceReplay(Vec<kus_device::CoreTrace>),
+}
+
+/// Times every device fill from its issue to its data's arrival, for the
+/// run's fill-latency percentiles.
+#[derive(Default)]
+struct FillTimer {
+    latency: HdrHistogram,
+    /// The fills in flight: issue time and the core's continuation.
+    issued: Parked<(Time, Callback)>,
+}
+
+impl FillTimer {
+    /// Wraps `done`, a fill issued now, in a callback that records the
+    /// fill's latency before running it.
+    fn issue(this: &Rc<RefCell<FillTimer>>, now: Time, done: Callback) -> Callback {
+        let key = this.borrow_mut().issued.park((now, done));
+        Callback::new(FillTimer::arrived, this.clone(), key)
+    }
+
+    fn arrived(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let this = component::<RefCell<FillTimer>>(this);
+        let done = {
+            let mut t = this.borrow_mut();
+            let (issued_at, done) = t.issued.take(key);
+            t.latency.record(sim.now() - issued_at);
+            done
+        };
+        done.call(sim);
+    }
+}
+
+/// A doorbell write reached the device; the key says whether a fault lost
+/// it in transit.
+fn doorbell_landed(sim: &mut Sim, fetcher: Rc<dyn Any>, lost: u64) {
+    if lost == 0 {
+        RequestFetcher::on_doorbell(&component(fetcher), sim);
+    }
 }
 
 impl Platform {
@@ -164,7 +203,7 @@ impl Platform {
             .borrow_mut()
             .set_tracer(tracer.clone(), kus_profile::TRACK_DEVICE_CREDITS);
         let mut device_fill: Option<FillPath> = None;
-        let mut fill_latency: Option<Rc<RefCell<HdrHistogram>>> = None;
+        let mut fill_timer: Option<Rc<RefCell<FillTimer>>> = None;
         if !matches!(phase, Phase::Dram) {
             let l = PcieLink::new(cfg.link);
             if let Some(inj) = &injector {
@@ -205,21 +244,11 @@ impl Platform {
 
             if cfg.mechanism != Mechanism::SoftwareQueue {
                 let mmio = MmioDevice::new(dc.clone(), l.clone());
-                let hist = Rc::new(RefCell::new(HdrHistogram::new()));
-                fill_latency = Some(hist.clone());
+                let timer = Rc::new(RefCell::new(FillTimer::default()));
+                fill_timer = Some(timer.clone());
                 device_fill = Some(Rc::new(move |sim: &mut Sim, core, line, done| {
-                    let t_issue = sim.now();
-                    let hist = hist.clone();
-                    MmioDevice::read_line(
-                        &mmio,
-                        sim,
-                        core,
-                        line,
-                        Box::new(move |sim, _data| {
-                            hist.borrow_mut().record(sim.now() - t_issue);
-                            done(sim)
-                        }),
-                    );
+                    let timed = FillTimer::issue(&timer, sim.now(), done);
+                    MmioDevice::read_line(&mmio, sim, core, line, timed);
                 }));
             }
             link = Some(l);
@@ -276,12 +305,7 @@ impl Platform {
                 // already updated in program order.
                 let l = link.as_ref().expect("device run has a link").clone();
                 core.borrow_mut().set_store_path(Rc::new(move |sim: &mut Sim, _core, _line| {
-                    l.borrow_mut().send(
-                        sim,
-                        LinkDir::HostToDev,
-                        Tlp::mem_write(LINE_BYTES),
-                        Box::new(|_| {}),
-                    );
+                    l.borrow_mut().send(sim, LinkDir::HostToDev, Tlp::mem_write(LINE_BYTES), Callback::noop());
                 }));
             }
             core.borrow_mut().set_tracer(tracer.clone());
@@ -306,7 +330,7 @@ impl Platform {
                 let dma = DmaEngine::new(l.clone(), host_dram.clone());
                 let exec_hook = exec.swq_completion_hook();
                 let hook: kus_device::CompletionHook =
-                    Rc::new(move |sim: &mut Sim, cpl, _data| exec_hook(sim, cpl.tag));
+                    Rc::new(move |sim: &mut Sim, cpl, _line| exec_hook(sim, cpl.tag));
                 let fetcher = RequestFetcher::new(
                     c,
                     qp.clone(),
@@ -324,21 +348,12 @@ impl Platform {
                     let l = l.clone();
                     let inj = injector.clone();
                     Rc::new(move |sim: &mut Sim| {
-                        let f = fetcher.clone();
                         // A lost doorbell still crosses the wire (the TLP is
                         // sent and paid for) but the register write never
                         // takes effect at the device.
                         let lost = inj.as_ref().is_some_and(|i| i.borrow_mut().drop_doorbell());
-                        l.borrow_mut().send(
-                            sim,
-                            LinkDir::HostToDev,
-                            Tlp::mem_write(8),
-                            Box::new(move |sim| {
-                                if !lost {
-                                    RequestFetcher::on_doorbell(&f, sim);
-                                }
-                            }),
-                        );
+                        let landed = Callback::new(doorbell_landed, fetcher.clone(), lost as u64);
+                        l.borrow_mut().send(sim, LinkDir::HostToDev, Tlp::mem_write(8), landed);
                     })
                 };
                 exec.set_swq(SwqState::new(qp.clone(), cfg.swq, ring));
@@ -487,8 +502,8 @@ impl Platform {
             doorbells,
             lfb_max,
             device_path_max: device_credits.borrow().occupancy().max(),
-            fill_latency: fill_latency
-                .map(|h| Percentiles::from_histogram(&h.borrow()))
+            fill_latency: fill_timer
+                .map(|t| Percentiles::from_histogram(&t.borrow().latency))
                 .filter(|p| p.count > 0),
             device,
             link: link_report,

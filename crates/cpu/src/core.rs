@@ -18,7 +18,12 @@
 //! The core does not know what is on the other side of a miss: the platform
 //! injects a [`FillPath`] closure that carries a line fill to the device or
 //! DRAM model and calls back when data returns.
+//!
+//! The pipeline's own events (frontend pump, op completions, LFB and
+//! credit retries, fill arrivals) are [`Callback`]s on the core, keyed by
+//! op id or line index, so running an op allocates nothing.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -27,6 +32,7 @@ use kus_mem::cache::SetAssocCache;
 use kus_mem::lfb::LfbPool;
 use kus_mem::uncore::CreditQueue;
 use kus_mem::LineAddr;
+use kus_sim::callback::{component, Callback};
 use kus_sim::event::EventFn;
 use kus_sim::stats::Counter;
 use kus_sim::trace::{EventName, TraceClass};
@@ -36,7 +42,7 @@ use crate::ops::{Op, OpId, OpKind};
 
 /// Carries a line fill to the backing store; the callback fires when the
 /// line's data arrives at this core's cache boundary.
-pub type FillPath = Rc<dyn Fn(&mut Sim, usize, LineAddr, EventFn)>;
+pub type FillPath = Rc<dyn Fn(&mut Sim, usize, LineAddr, Callback)>;
 
 /// Carries a posted store towards the backing store (fire-and-forget).
 pub type StorePath = Rc<dyn Fn(&mut Sim, usize, LineAddr)>;
@@ -158,6 +164,9 @@ struct OpState {
     done: bool,
     counted: bool,
     profile: Option<EventName>,
+    /// When a memory op first found every LFB busy, until it gets one: the
+    /// profiler charges the whole wait to `stall_lfb_full`.
+    lfb_wait_since: Option<Time>,
 }
 
 /// One modelled core.
@@ -181,6 +190,8 @@ pub struct Core {
     rob_used: u32,
     /// Scratch for the dependents one completion makes ready.
     ready: Vec<OpId>,
+    /// Scratch for the ops one fill completes.
+    filled: Vec<OpId>,
     /// Frontend time to dispatch an op, indexed by its slots.
     dispatch_cost: Box<[Span]>,
     /// Execution time of a work chunk, indexed by its instruction count.
@@ -191,7 +202,7 @@ pub struct Core {
     /// stream, so concurrent fibers' `SoftWork`/`Mmio` ops may not overlap.
     soft_busy_until: Time,
     pump_scheduled: bool,
-    emit_hook: Option<EventFn>,
+    emit_hook: Option<Callback>,
     tracer: kus_sim::Tracer,
     /// Work-loop instructions retired.
     pub retired_work_insts: Counter,
@@ -270,6 +281,7 @@ impl Core {
             queued_slots: 0,
             rob_used: 0,
             ready: Vec::new(),
+            filled: Vec::new(),
             dispatch_cost: span_table(config.clock, config.dispatch_width as f64, config.rob_slots),
             work_span: span_table(config.clock, config.work_ipc, config.rob_slots),
             frontend_free: Time::ZERO,
@@ -385,11 +397,11 @@ impl Core {
     /// # Panics
     ///
     /// Panics if a hook is already armed (each core has one emitter).
-    pub fn set_emit_hook(this: &Rc<RefCell<Core>>, sim: &mut Sim, f: impl FnOnce(&mut Sim) + 'static) {
+    pub fn set_emit_hook(this: &Rc<RefCell<Core>>, sim: &mut Sim, f: Callback) {
         {
             let mut c = this.borrow_mut();
             assert!(c.emit_hook.is_none(), "emit hook already armed");
-            c.emit_hook = Some(Box::new(f));
+            c.emit_hook = Some(f);
         }
         Core::maybe_fire_hook(this, sim);
     }
@@ -404,7 +416,7 @@ impl Core {
             }
         };
         if let Some(h) = hook {
-            sim.schedule_boxed_at(sim.now(), h);
+            sim.schedule_callback_at(sim.now(), h);
         }
     }
 
@@ -452,6 +464,7 @@ impl Core {
                 done: false,
                 counted: false,
                 profile: op.profile,
+                lfb_wait_since: None,
             });
             c.queued_slots += slots;
             id
@@ -492,11 +505,8 @@ impl Core {
                 if c.frontend_free > now {
                     if !c.pump_scheduled {
                         c.pump_scheduled = true;
-                        let this2 = this.clone();
-                        sim.schedule_at(c.frontend_free, move |sim| {
-                            this2.borrow_mut().pump_scheduled = false;
-                            Core::pump(&this2, sim);
-                        });
+                        let pump = Callback::new(Core::frontend_freed, this.clone(), 0);
+                        sim.schedule_callback_at(c.frontend_free, pump);
                     }
                     break;
                 }
@@ -517,6 +527,12 @@ impl Core {
             }
         }
         Core::maybe_fire_hook(this, sim);
+    }
+
+    fn frontend_freed(sim: &mut Sim, this: Rc<dyn Any>, _: u64) {
+        let this = component::<RefCell<Core>>(this);
+        this.borrow_mut().pump_scheduled = false;
+        Core::pump(&this, sim);
     }
 
     fn begin_execute(this: &Rc<RefCell<Core>>, sim: &mut Sim, id: OpId) {
@@ -540,37 +556,17 @@ impl Core {
         match kind {
             OpKind::Work { insts } => {
                 let d = this.borrow().work_span[insts as usize];
-                let this2 = this.clone();
-                let start = sim.now();
-                sim.schedule_in(d, move |sim| {
-                    {
-                        let c = this2.borrow();
-                        if c.tracer.wants(TraceClass::Profile) {
-                            c.tracer.complete_since(EventName::CpuWork, c.id as u32, start, insts as u64);
-                        }
-                    }
-                    Core::complete_op(&this2, sim, id);
-                });
+                sim.schedule_callback_in(d, Callback::new(Core::work_done, this.clone(), id));
             }
             OpKind::SoftWork { span } | OpKind::Mmio { cost: span } => {
                 // Serialize on the core's software-execution resource.
-                let (done_at, start) = {
+                let done_at = {
                     let mut c = this.borrow_mut();
                     let start = sim.now().max(c.soft_busy_until);
                     c.soft_busy_until = start + span;
-                    (start + span, start)
+                    start + span
                 };
-                let this2 = this.clone();
-                sim.schedule_at(done_at, move |sim| {
-                    {
-                        let c = this2.borrow();
-                        if c.tracer.wants(TraceClass::Profile) {
-                            let name = c.op(id).profile.unwrap_or(EventName::CpuSoft);
-                            c.tracer.complete_since(name, c.id as u32, start, 0);
-                        }
-                    }
-                    Core::complete_op(&this2, sim, id);
-                });
+                sim.schedule_callback_at(done_at, Callback::new(Core::soft_done, this.clone(), id));
             }
             OpKind::Store { line } => {
                 // Posted: a cycle into the write buffer, then the downstream
@@ -584,27 +580,53 @@ impl Core {
                 if let Some(p) = store_path {
                     p(sim, core_id, line);
                 }
-                let this2 = this.clone();
-                sim.schedule_in(d, move |sim| Core::complete_op(&this2, sim, id));
+                sim.schedule_callback_in(d, Callback::new(Core::op_done, this.clone(), id));
             }
-            OpKind::Load { line } | OpKind::Prefetch { line } => {
-                Core::execute_mem(this, sim, id, line, matches!(kind, OpKind::Prefetch { .. }), None);
-            }
+            OpKind::Load { .. } | OpKind::Prefetch { .. } => Core::execute_mem(this, sim, id),
         }
     }
 
+    /// Work op `id` finished executing. Its busy span started
+    /// `work_span[insts]` ago, when it began.
+    fn work_done(sim: &mut Sim, this: Rc<dyn Any>, id: OpId) {
+        let this = component::<RefCell<Core>>(this);
+        {
+            let c = this.borrow();
+            if c.tracer.wants(TraceClass::Profile) {
+                let OpKind::Work { insts } = c.op(id).kind else { unreachable!("op {id} is work") };
+                let start = sim.now() - c.work_span[insts as usize];
+                c.tracer.complete_since(EventName::CpuWork, c.id as u32, start, insts as u64);
+            }
+        }
+        Core::complete_op(&this, sim, id);
+    }
+
+    /// Runtime-software or MMIO op `id` finished. It held the core's
+    /// software resource for its whole span, up to now.
+    fn soft_done(sim: &mut Sim, this: Rc<dyn Any>, id: OpId) {
+        let this = component::<RefCell<Core>>(this);
+        {
+            let c = this.borrow();
+            if c.tracer.wants(TraceClass::Profile) {
+                let st = c.op(id);
+                let (OpKind::SoftWork { span } | OpKind::Mmio { cost: span }) = st.kind else {
+                    unreachable!("op {id} is runtime software")
+                };
+                let name = st.profile.unwrap_or(EventName::CpuSoft);
+                c.tracer.complete_since(name, c.id as u32, sim.now() - span, 0);
+            }
+        }
+        Core::complete_op(&this, sim, id);
+    }
+
+    /// Op `id` completed, with nothing to account.
+    fn op_done(sim: &mut Sim, this: Rc<dyn Any>, id: OpId) {
+        Core::complete_op(&component::<RefCell<Core>>(this), sim, id);
+    }
+
     /// Memory-op execution; retryable (LFB back-pressure) without
-    /// recounting. `waited_since` carries the instant the op first found
-    /// every LFB busy, so the profiler can charge the whole wait to
-    /// `stall_lfb_full` once a slot frees up.
-    fn execute_mem(
-        this: &Rc<RefCell<Core>>,
-        sim: &mut Sim,
-        id: OpId,
-        line: LineAddr,
-        is_prefetch: bool,
-        waited_since: Option<Time>,
-    ) {
+    /// recounting.
+    fn execute_mem(this: &Rc<RefCell<Core>>, sim: &mut Sim, id: OpId) {
         enum Route {
             CompleteIn(kus_sim::Span),
             CompleteNow,
@@ -612,12 +634,17 @@ impl Core {
             NeedSlot,
             Fill { prefetch_completes: bool },
         }
-        let route = {
+        let (route, line) = {
             let mut c = this.borrow_mut();
             let now = sim.now();
+            let (line, is_prefetch) = match c.op(id).kind {
+                OpKind::Load { line } => (line, false),
+                OpKind::Prefetch { line } => (line, true),
+                kind => unreachable!("op {id} is not a memory op: {kind:?}"),
+            };
             let lfb = c.lfb.clone();
             let mut lfb = lfb.borrow_mut();
-            if is_prefetch {
+            let route = if is_prefetch {
                 if c.l1.probe(line) || lfb.is_pending(line) {
                     Route::CompleteNow // redundant prefetch: drops harmlessly
                 } else if lfb.try_allocate(now, line, None).is_ok() {
@@ -637,44 +664,49 @@ impl Core {
                 Route::Fill { prefetch_completes: false }
             } else {
                 Route::NeedSlot
-            }
-        };
-        if let Some(since) = waited_since {
-            if !matches!(route, Route::NeedSlot) {
-                let c = this.borrow();
+            };
+            drop(lfb);
+            let wait = &mut c.op_mut(id).lfb_wait_since;
+            let waited = match route {
+                Route::NeedSlot => {
+                    wait.get_or_insert(now);
+                    None
+                }
+                _ => wait.take(),
+            };
+            if let Some(since) = waited {
                 if c.tracer.wants(TraceClass::Profile) {
                     c.tracer.complete_since(EventName::CpuLfbWait, c.id as u32, since, line.index());
                 }
             }
-        }
+            (route, line)
+        };
         match route {
             Route::CompleteIn(d) => {
-                let this2 = this.clone();
-                sim.schedule_in(d, move |sim| Core::complete_op(&this2, sim, id));
+                sim.schedule_callback_in(d, Callback::new(Core::op_done, this.clone(), id));
             }
             Route::CompleteNow => {
-                let this2 = this.clone();
-                sim.schedule_now(move |sim| Core::complete_op(&this2, sim, id));
+                sim.schedule_callback_at(sim.now(), Callback::new(Core::op_done, this.clone(), id));
             }
             Route::Merged => {} // completion arrives with the pending fill
             Route::NeedSlot => {
-                let this2 = this.clone();
-                let since = waited_since.unwrap_or_else(|| sim.now());
                 let lfb = this.borrow().lfb.clone();
-                lfb.borrow_mut().wait_for_slot(move |sim| {
-                    Core::execute_mem(&this2, sim, id, line, is_prefetch, Some(since));
-                });
+                lfb.borrow_mut().wait_for_slot(Callback::new(Core::slot_freed, this.clone(), id));
             }
             Route::Fill { prefetch_completes } => {
                 if prefetch_completes {
                     // Non-binding prefetch: retires as soon as it is issued
                     // to the memory system.
-                    let this2 = this.clone();
-                    sim.schedule_now(move |sim| Core::complete_op(&this2, sim, id));
+                    sim.schedule_callback_at(sim.now(), Callback::new(Core::op_done, this.clone(), id));
                 }
                 Core::launch_fill(this, sim, line);
             }
         }
+    }
+
+    /// An LFB freed up while memory op `id` waited for one: retry it.
+    fn slot_freed(sim: &mut Sim, this: Rc<dyn Any>, id: OpId) {
+        Core::execute_mem(&component::<RefCell<Core>>(this), sim, id);
     }
 
     /// Acquires a shared chip-level credit (waiting if exhausted), then sends
@@ -683,38 +715,42 @@ impl Core {
         let credits = this.borrow().credits.clone();
         let acquired = credits.borrow_mut().try_acquire(sim.now());
         if !acquired {
-            let this2 = this.clone();
-            credits.borrow_mut().wait(move |sim| Core::launch_fill(&this2, sim, line));
+            credits.borrow_mut().wait(Callback::new(Core::credit_freed, this.clone(), line.index()));
             return;
         }
         let (fill, core_id) = {
             let c = this.borrow();
             (c.fill.clone(), c.id)
         };
-        let this2 = this.clone();
-        let credits2 = credits.clone();
-        fill(
-            sim,
-            core_id,
-            line,
-            Box::new(move |sim| {
-                credits2.borrow_mut().release(sim);
-                Core::fill_arrived(&this2, sim, line);
-            }),
-        );
+        fill(sim, core_id, line, Callback::new(Core::fill_done, this.clone(), line.index()));
     }
 
-    fn fill_arrived(this: &Rc<RefCell<Core>>, sim: &mut Sim, line: LineAddr) {
-        let tokens = {
+    /// A chip-level credit freed up while the fill of line `index` waited
+    /// for one: retry it.
+    fn credit_freed(sim: &mut Sim, this: Rc<dyn Any>, index: u64) {
+        Core::launch_fill(&component::<RefCell<Core>>(this), sim, LineAddr::from_index(index));
+    }
+
+    /// The fill of line `index` arrived: return its credit and complete
+    /// the ops waiting on it.
+    fn fill_done(sim: &mut Sim, this: Rc<dyn Any>, index: u64) {
+        let this = component::<RefCell<Core>>(this);
+        let credits = this.borrow().credits.clone();
+        credits.borrow_mut().release(sim);
+        let line = LineAddr::from_index(index);
+        let mut filled = {
             let mut c = this.borrow_mut();
+            let mut filled = std::mem::take(&mut c.filled);
             let lfb = c.lfb.clone();
-            let tokens = lfb.borrow_mut().complete(sim, line);
+            lfb.borrow_mut().complete(sim, line, &mut filled);
             c.l1.fill(line);
-            tokens
+            filled
         };
-        for t in tokens {
-            Core::complete_op(this, sim, t);
+        for &t in &filled {
+            Core::complete_op(&this, sim, t);
         }
+        filled.clear();
+        this.borrow_mut().filled = filled;
     }
 
     fn complete_op(this: &Rc<RefCell<Core>>, sim: &mut Sim, id: OpId) {
@@ -781,9 +817,9 @@ mod tests {
 
     /// A fill path with a fixed latency, counting launches.
     fn fixed_fill(latency: Span, launches: Rc<Cell<u64>>) -> FillPath {
-        Rc::new(move |sim: &mut Sim, _core, _line, done: EventFn| {
+        Rc::new(move |sim: &mut Sim, _core, _line, done: Callback| {
             launches.set(launches.get() + 1);
-            sim.schedule_in(latency, done);
+            sim.schedule_callback_in(latency, done);
         })
     }
 
@@ -1017,7 +1053,7 @@ mod tests {
         let mut r = rig();
         let fired = Rc::new(Cell::new(false));
         let f = fired.clone();
-        Core::set_emit_hook(&r.core, &mut r.sim, move |_| f.set(true));
+        Core::set_emit_hook(&r.core, &mut r.sim, Callback::boxed(move |_| f.set(true)));
         r.sim.run();
         assert!(fired.get(), "empty frontend asks for ops immediately");
     }
@@ -1035,7 +1071,7 @@ mod tests {
         Core::emit_work(&r.core, &mut r.sim, 200, &[ld]);
         let fired_at = Rc::new(Cell::new(u64::MAX));
         let f = fired_at.clone();
-        Core::set_emit_hook(&r.core, &mut r.sim, move |sim| f.set(sim.now().as_ns()));
+        Core::set_emit_hook(&r.core, &mut r.sim, Callback::boxed(move |sim| f.set(sim.now().as_ns())));
         r.sim.run();
         assert!(fired_at.get() >= 1000, "hook waited for the pipeline to drain: {}", fired_at.get());
     }

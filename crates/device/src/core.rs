@@ -8,14 +8,16 @@
 //! microsecond latency regardless of internal timing, unless the internals
 //! genuinely fall behind (counted as deadline misses).
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use kus_mem::station::{Station, StationConfig};
 use kus_mem::{ByteStore, LineAddr, LINE_BYTES};
+use kus_sim::callback::{component, Callback, Parked};
 use kus_sim::stats::Counter;
 use kus_sim::trace::EventName;
-use kus_sim::{splitmix64, FaultInjector, Sim, Span, Tracer};
+use kus_sim::{splitmix64, FaultInjector, Sim, Span, Time, Tracer};
 
 use crate::ondemand::OnDemandModule;
 use crate::replay::{MatchOutcome, ReplayConfig, ReplayModule};
@@ -25,9 +27,14 @@ use crate::trace::{AccessTrace, CoreTrace};
 /// One cache line of response data.
 pub type LineData = [u8; LINE_BYTES as usize];
 
-/// A response callback: fires when the device is ready to send, carrying the
-/// line contents.
-pub type RespondFn = Box<dyn FnOnce(&mut Sim, LineData)>;
+/// A request inside the datapath, from arrival to response release.
+struct Request {
+    core: usize,
+    line: LineAddr,
+    arrival: Time,
+    deadline: Time,
+    respond: Callback,
+}
 
 /// The shape of the device's hold-time jitter distribution.
 ///
@@ -121,6 +128,7 @@ pub struct DeviceCore {
     recorder: Option<Rc<RefCell<AccessTrace>>>,
     faults: Option<Rc<RefCell<FaultInjector>>>,
     tracer: Tracer,
+    requests: Parked<Request>,
     /// Responses released.
     pub responses: Counter,
     /// Requests matched by a replay module.
@@ -170,6 +178,7 @@ impl DeviceCore {
             recorder: None,
             faults: None,
             tracer: Tracer::off(),
+            requests: Parked::new(),
             responses: Counter::default(),
             replayed: Counter::default(),
             ondemand_served: Counter::default(),
@@ -282,16 +291,22 @@ impl DeviceCore {
         (r.matched.get(), r.out_of_order_matches.get(), r.aged_out.get(), r.misses.get())
     }
 
+    /// The line's contents in the on-board dataset copy: the data a
+    /// response to a request for `line` carries.
+    pub fn line_data(&self, line: LineAddr) -> LineData {
+        self.dataset.borrow().read_line(line.base())
+    }
+
     /// Serves one request from host core `core` for `line`, arriving now.
-    /// `respond` fires when the response should start its journey back,
-    /// carrying the line contents.
+    /// `respond` fires when the response should start its journey back;
+    /// [`line_data`](DeviceCore::line_data) reads what it carries.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn serve(this: &Rc<RefCell<DeviceCore>>, sim: &mut Sim, core: usize, line: LineAddr, respond: RespondFn) {
+    pub fn serve(this: &Rc<RefCell<DeviceCore>>, sim: &mut Sim, core: usize, line: LineAddr, respond: Callback) {
         let arrival = sim.now();
-        let (outcome, streamer, hold) = {
+        let (outcome, streamer, finish) = {
             let mut d = this.borrow_mut();
             assert!(core < d.replay.len(), "core {core} out of range");
             if let Some(rec) = &d.recorder {
@@ -314,32 +329,8 @@ impl DeviceCore {
                 line.index(),
                 matches!(outcome, MatchOutcome::Replayed { .. }) as u64,
             );
-            (outcome, d.streamers[core].clone(), hold)
-        };
-        let deadline = arrival + hold;
-        let this2 = this.clone();
-        let finish = move |sim: &mut Sim| {
-            let (data, tracer) = {
-                let mut d = this2.borrow_mut();
-                d.responses.incr();
-                if sim.now() > deadline {
-                    d.deadline_misses.incr();
-                    d.tracer.instant(
-                        EventName::DevDeadlineMiss,
-                        200 + core as u32,
-                        line.index(),
-                        (sim.now() - deadline).as_ps(),
-                    );
-                }
-                let dataset = d.dataset.clone();
-                let data = dataset.borrow().read_line(line.base());
-                (data, d.tracer.clone())
-            };
-            let release = deadline.max(sim.now());
-            sim.schedule_at(release, move |sim| {
-                tracer.complete_since(EventName::DevResp, 200 + core as u32, arrival, line.index());
-                respond(sim, data)
-            });
+            let key = d.requests.park(Request { core, line, arrival, deadline: arrival + hold, respond });
+            (outcome, d.streamers[core].clone(), Callback::new(DeviceCore::fetched, this.clone(), key))
         };
         match outcome {
             MatchOutcome::Replayed { index } => {
@@ -349,9 +340,46 @@ impl DeviceCore {
             MatchOutcome::OnDemand => {
                 let mut d = this.borrow_mut();
                 d.ondemand_served.incr();
-                d.ondemand.read(sim, Box::new(finish));
+                d.ondemand.read(sim, finish);
             }
         }
+    }
+
+    /// Request `key`'s data is on hand: count the response (and whether
+    /// the internals made it late), then hold it until its deadline.
+    fn fetched(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let this = component::<RefCell<DeviceCore>>(this);
+        let release = {
+            let mut d = this.borrow_mut();
+            d.responses.incr();
+            let (core, line, deadline) = {
+                let r = d.requests.get(key);
+                (r.core, r.line, r.deadline)
+            };
+            if sim.now() > deadline {
+                d.deadline_misses.incr();
+                d.tracer.instant(
+                    EventName::DevDeadlineMiss,
+                    200 + core as u32,
+                    line.index(),
+                    (sim.now() - deadline).as_ps(),
+                );
+            }
+            deadline.max(sim.now())
+        };
+        sim.schedule_callback_at(release, Callback::new(DeviceCore::release, this, key));
+    }
+
+    /// Request `key`'s response leaves the device.
+    fn release(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let this = component::<RefCell<DeviceCore>>(this);
+        let respond = {
+            let mut d = this.borrow_mut();
+            let r = d.requests.take(key);
+            d.tracer.complete_since(EventName::DevResp, 200 + r.core as u32, r.arrival, r.line.index());
+            r.respond
+        };
+        respond.call(sim);
     }
 
     /// The shared streaming channel (for occupancy statistics).
@@ -388,12 +416,14 @@ mod tests {
         let out = Rc::new(Cell::new((0u64, 0u64)));
         let o = out.clone();
         let t0 = sim.now();
+        let d = dev.clone();
         DeviceCore::serve(
             dev,
             sim,
             0,
             l(line),
-            Box::new(move |sim, data| {
+            Callback::boxed(move |sim| {
+                let data = d.borrow().line_data(l(line));
                 let v = u64::from_le_bytes(data[0..8].try_into().unwrap());
                 o.set(((sim.now() - t0).as_ns(), v));
             }),
@@ -450,7 +480,7 @@ mod tests {
         // Core 1's trace does not satisfy core 0's request.
         let done = Rc::new(Cell::new(false));
         let d2 = done.clone();
-        DeviceCore::serve(&dev, &mut sim, 0, l(2), Box::new(move |_, _| d2.set(true)));
+        DeviceCore::serve(&dev, &mut sim, 0, l(2), Callback::boxed(move |_| d2.set(true)));
         sim.run();
         assert!(done.get());
         assert_eq!(dev.borrow().ondemand_served.get(), 1, "line 2 is core 1's");

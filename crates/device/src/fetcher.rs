@@ -12,21 +12,25 @@
 //! load that, together with descriptor reads, wastes half the PCIe bandwidth
 //! at eight cores (Fig. 8).
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use kus_mem::LineAddr;
 use kus_pcie::dma::DmaEngine;
+use kus_sim::callback::{component, Callback, Parked};
 use kus_sim::stats::Counter;
 use kus_sim::trace::EventName;
 use kus_sim::{FaultInjector, Sim, Tracer};
 use kus_swq::descriptor::{Completion, Descriptor, COMPLETION_BYTES, DESCRIPTOR_BYTES};
 use kus_swq::ring::QueuePair;
 
-use crate::core::{DeviceCore, LineData};
+use crate::core::DeviceCore;
 
-/// Host-side hook invoked when a completion (and its data) has landed in
-/// host memory.
-pub type CompletionHook = Rc<dyn Fn(&mut Sim, Completion, LineData)>;
+/// Host-side hook invoked when a completion has landed in host memory,
+/// with the line whose data the response buffer now holds
+/// ([`DeviceCore::line_data`] reads it).
+pub type CompletionHook = Rc<dyn Fn(&mut Sim, Completion, LineAddr)>;
 
 /// Consecutive empty bursts before the fetcher parks — the paper's
 /// "pre-defined limit": the fetcher keeps polling the request queue through
@@ -55,6 +59,9 @@ pub struct RequestFetcher {
     consecutive_empty: usize,
     bursts_in_flight: usize,
     launcher_armed: bool,
+    /// The descriptors being served, each with the completion-entry
+    /// writes of it still in flight.
+    serving: Parked<(Descriptor, u32)>,
     faults: Option<Rc<RefCell<FaultInjector>>>,
     tracer: Tracer,
     /// Burst DMA reads performed.
@@ -95,6 +102,7 @@ impl RequestFetcher {
             consecutive_empty: 0,
             bursts_in_flight: 0,
             launcher_armed: false,
+            serving: Parked::new(),
             faults: None,
             tracer: Tracer::off(),
             burst_reads: Counter::default(),
@@ -159,11 +167,13 @@ impl RequestFetcher {
             f.launcher_armed = true;
         }
         RequestFetcher::launch_burst(this, sim);
-        let this2 = this.clone();
-        sim.schedule_in(BURST_INTERVAL, move |sim| {
-            this2.borrow_mut().launcher_armed = false;
-            RequestFetcher::fetch_round(&this2, sim);
-        });
+        sim.schedule_callback_in(BURST_INTERVAL, Callback::new(RequestFetcher::launcher_tick, this.clone(), 0));
+    }
+
+    fn launcher_tick(sim: &mut Sim, this: Rc<dyn Any>, _: u64) {
+        let this = component::<RefCell<RequestFetcher>>(this);
+        this.borrow_mut().launcher_armed = false;
+        RequestFetcher::fetch_round(&this, sim);
     }
 
     fn launch_burst(this: &Rc<RefCell<RequestFetcher>>, sim: &mut Sim) {
@@ -180,79 +190,76 @@ impl RequestFetcher {
             let b = f.qp.borrow().burst() as u64;
             DESCRIPTOR_BYTES * b
         };
-        let this2 = this.clone();
         // One burst read: `burst` descriptors * 16 B from host memory.
-        dma.borrow().read(
-            sim,
-            burst_bytes,
-            Box::new(move |sim| {
-                this2.borrow_mut().bursts_in_flight -= 1;
-                let burst = {
-                    let qp = this2.borrow().qp.clone();
-                    let mut qp = qp.borrow_mut();
-                    // Only the final empty burst of a parking sequence
-                    // re-arms the host's doorbell flag.
-                    if qp.pending_requests() == 0
-                        && this2.borrow().consecutive_empty + 1 < PARK_AFTER_EMPTY
-                    {
-                        Vec::new()
-                    } else {
-                        qp.fetch_burst()
-                    }
-                };
-                if burst.is_empty() {
-                    let mut f = this2.borrow_mut();
-                    f.consecutive_empty += 1;
-                    if f.consecutive_empty < PARK_AFTER_EMPTY {
-                        // Persistence limit not reached: keep polling.
-                        drop(f);
-                        RequestFetcher::fetch_round(&this2, sim);
-                        return;
-                    }
-                    if f.bursts_in_flight > 0 {
-                        // Parking initiated: no new launches (fetch_round
-                        // checks the limit); the last in-flight burst takes
-                        // the parking decision.
-                        return;
-                    }
-                    // Park: write the doorbell-request flag back to host
-                    // memory (8 B posted write); the QueuePair flag itself
-                    // was set synchronously by `fetch_burst`.
-                    f.running = false;
-                    f.consecutive_empty = 0;
-                    let rerun = std::mem::take(&mut f.doorbell_while_running);
-                    let dma = f.dma.clone();
-                    f.tracer.instant(EventName::FetchPark, f.track(), rerun as u64, 0);
-                    // Injected stall: the flag write is lost in transit, so
-                    // the host never learns it must ring — the queue is dead
-                    // until the watchdog forces doorbells back on.
-                    let stall = match &f.faults {
-                        Some(inj) => inj.borrow_mut().fetcher_stall(),
-                        None => false,
-                    };
-                    if stall {
-                        f.qp.borrow_mut().clear_doorbell_request();
-                    }
-                    drop(f);
-                    dma.borrow_mut().count_write();
-                    dma.borrow().write(sim, 8, Box::new(|_| {}));
-                    if rerun {
-                        RequestFetcher::on_doorbell(&this2, sim);
-                    }
-                    return;
-                }
-                this2.borrow_mut().consecutive_empty = 0;
-                for desc in burst {
-                    RequestFetcher::serve_one(&this2, sim, desc);
-                }
-                // At least one new descriptor: keep fetching.
-                RequestFetcher::fetch_round(&this2, sim);
-            }),
-        );
+        let landed = Callback::new(RequestFetcher::burst_landed, this.clone(), 0);
+        DmaEngine::read(&dma, sim, burst_bytes, landed);
+    }
+
+    fn burst_landed(sim: &mut Sim, this: Rc<dyn Any>, _: u64) {
+        let this = component::<RefCell<RequestFetcher>>(this);
+        this.borrow_mut().bursts_in_flight -= 1;
+        let burst = {
+            let qp = this.borrow().qp.clone();
+            let mut qp = qp.borrow_mut();
+            // Only the final empty burst of a parking sequence re-arms the
+            // host's doorbell flag.
+            if qp.pending_requests() == 0 && this.borrow().consecutive_empty + 1 < PARK_AFTER_EMPTY {
+                Vec::new()
+            } else {
+                qp.fetch_burst()
+            }
+        };
+        if burst.is_empty() {
+            let mut f = this.borrow_mut();
+            f.consecutive_empty += 1;
+            if f.consecutive_empty < PARK_AFTER_EMPTY {
+                // Persistence limit not reached: keep polling.
+                drop(f);
+                RequestFetcher::fetch_round(&this, sim);
+                return;
+            }
+            if f.bursts_in_flight > 0 {
+                // Parking initiated: no new launches (fetch_round checks the
+                // limit); the last in-flight burst takes the parking
+                // decision.
+                return;
+            }
+            // Park: write the doorbell-request flag back to host memory (8 B
+            // posted write); the QueuePair flag itself was set synchronously
+            // by `fetch_burst`.
+            f.running = false;
+            f.consecutive_empty = 0;
+            let rerun = std::mem::take(&mut f.doorbell_while_running);
+            let dma = f.dma.clone();
+            f.tracer.instant(EventName::FetchPark, f.track(), rerun as u64, 0);
+            // Injected stall: the flag write is lost in transit, so the host
+            // never learns it must ring — the queue is dead until the
+            // watchdog forces doorbells back on.
+            let stall = match &f.faults {
+                Some(inj) => inj.borrow_mut().fetcher_stall(),
+                None => false,
+            };
+            if stall {
+                f.qp.borrow_mut().clear_doorbell_request();
+            }
+            drop(f);
+            dma.borrow_mut().count_write();
+            DmaEngine::write(&dma, sim, 8, Callback::noop());
+            if rerun {
+                RequestFetcher::on_doorbell(&this, sim);
+            }
+            return;
+        }
+        this.borrow_mut().consecutive_empty = 0;
+        for desc in burst {
+            RequestFetcher::serve_one(&this, sim, desc);
+        }
+        // At least one new descriptor: keep fetching.
+        RequestFetcher::fetch_round(&this, sim);
     }
 
     fn serve_one(this: &Rc<RefCell<RequestFetcher>>, sim: &mut Sim, desc: Descriptor) {
-        let (device, dma, qp, hook, host_core, faults, tracer) = {
+        let (device, host_core, key) = {
             let mut f = this.borrow_mut();
             f.served.incr();
             f.tracer.instant(
@@ -261,72 +268,75 @@ impl RequestFetcher {
                 desc.tag,
                 f.qp.borrow().pending_requests() as u64,
             );
-            (
-                f.device.clone(),
-                f.dma.clone(),
-                f.qp.clone(),
-                f.on_completion.clone(),
-                f.host_core,
-                f.faults.clone(),
-                f.tracer.clone(),
-            )
+            (f.device.clone(), f.host_core, f.serving.park((desc, 0)))
         };
-        DeviceCore::serve(
-            &device,
-            sim,
-            host_core,
-            desc.read_addr.line(),
-            Box::new(move |sim, data| {
-                // Response data first, completion entry second; both posted
-                // writes on the same link direction, so order is preserved
-                // ("the device ensures that writes to the Completion Queue
-                // are performed after writes to the response address").
-                tracer.instant(EventName::SwqServe, host_core as u32, desc.tag, 0);
-                dma.borrow_mut().count_write();
-                dma.borrow().write(sim, kus_mem::LINE_BYTES, Box::new(|_| {}));
-                // Injected faults on the completion entry itself: a dropped
-                // write never reaches the ring (the host recovers it by
-                // timeout + retry); a duplicated one lands twice (the host's
-                // tag dedup absorbs the echo).
-                let (dropped, copies) = match &faults {
-                    Some(inj) => {
-                        let mut inj = inj.borrow_mut();
-                        if inj.drop_completion() {
-                            (true, 0)
-                        } else if inj.dup_completion() {
-                            (false, 2)
-                        } else {
-                            (false, 1)
-                        }
-                    }
-                    None => (false, 1),
-                };
-                if dropped {
-                    return;
+        let served = Callback::new(RequestFetcher::served, this.clone(), key);
+        DeviceCore::serve(&device, sim, host_core, desc.read_addr.line(), served);
+    }
+
+    /// The device released descriptor `key`'s response: write the data,
+    /// then the completion entry.
+    fn served(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let this = component::<RefCell<RequestFetcher>>(this);
+        let dma = {
+            let f = this.borrow();
+            // Response data first, completion entry second; both posted
+            // writes on the same link direction, so order is preserved ("the
+            // device ensures that writes to the Completion Queue are
+            // performed after writes to the response address").
+            f.tracer.instant(EventName::SwqServe, f.host_core as u32, f.serving.get(key).0.tag, 0);
+            f.dma.clone()
+        };
+        dma.borrow_mut().count_write();
+        DmaEngine::write(&dma, sim, kus_mem::LINE_BYTES, Callback::noop());
+        // Injected faults on the completion entry itself: a dropped write
+        // never reaches the ring (the host recovers it by timeout + retry);
+        // a duplicated one lands twice (the host's tag dedup absorbs the
+        // echo).
+        let copies = match &this.borrow().faults {
+            Some(inj) => {
+                let mut inj = inj.borrow_mut();
+                if inj.drop_completion() {
+                    0
+                } else if inj.dup_completion() {
+                    2
+                } else {
+                    1
                 }
-                for _ in 0..copies {
-                    let qp = qp.clone();
-                    let hook = hook.clone();
-                    let tracer = tracer.clone();
-                    dma.borrow_mut().count_write();
-                    dma.borrow().write(
-                        sim,
-                        COMPLETION_BYTES,
-                        Box::new(move |sim| {
-                            // A full completion ring loses the entry exactly
-                            // as real hardware would; the host's timeout path
-                            // recovers the request, so don't run the hook.
-                            if qp.borrow_mut().post_completion(Completion { tag: desc.tag }) {
-                                tracer.instant(EventName::SwqComplete, host_core as u32, desc.tag, 0);
-                                hook(sim, Completion { tag: desc.tag }, data);
-                            } else {
-                                tracer.instant(EventName::SwqCplOverflow, host_core as u32, desc.tag, 0);
-                            }
-                        }),
-                    );
-                }
-            }),
-        );
+            }
+            None => 1,
+        };
+        if copies == 0 {
+            this.borrow_mut().serving.take(key);
+            return;
+        }
+        this.borrow_mut().serving.get_mut(key).1 = copies;
+        for _ in 0..copies {
+            dma.borrow_mut().count_write();
+            let landed = Callback::new(RequestFetcher::completion_landed, this.clone(), key);
+            DmaEngine::write(&dma, sim, COMPLETION_BYTES, landed);
+        }
+    }
+
+    /// One completion-entry write of descriptor `key` reached host memory.
+    fn completion_landed(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let this = component::<RefCell<RequestFetcher>>(this);
+        let (desc, qp, hook, tracer, track) = {
+            let mut f = this.borrow_mut();
+            let entry = f.serving.get_mut(key);
+            entry.1 -= 1;
+            let desc = if entry.1 == 0 { f.serving.take(key).0 } else { entry.0 };
+            (desc, f.qp.clone(), f.on_completion.clone(), f.tracer.clone(), f.host_core as u32)
+        };
+        // A full completion ring loses the entry exactly as real hardware
+        // would; the host's timeout path recovers the request, so don't run
+        // the hook.
+        if qp.borrow_mut().post_completion(Completion { tag: desc.tag }) {
+            tracer.instant(EventName::SwqComplete, track, desc.tag, 0);
+            hook(sim, Completion { tag: desc.tag }, desc.read_addr.line());
+        } else {
+            tracer.instant(EventName::SwqCplOverflow, track, desc.tag, 0);
+        }
     }
 }
 
@@ -336,7 +346,7 @@ mod tests {
     use crate::core::DeviceConfig;
     use crate::trace::CoreTrace;
     use kus_mem::station::{Station, StationConfig};
-    use kus_mem::{Addr, ByteStore, LineAddr};
+    use kus_mem::{Addr, ByteStore};
     use kus_pcie::link::{LinkConfig, PcieLink};
     use kus_sim::Span;
 
@@ -367,8 +377,9 @@ mod tests {
         );
         let qp = Rc::new(RefCell::new(QueuePair::new(256)));
         let completions = Rc::new(RefCell::new(Vec::new()));
-        let c = completions.clone();
-        let hook: CompletionHook = Rc::new(move |sim: &mut Sim, cpl: Completion, data: LineData| {
+        let (c, d) = (completions.clone(), device.clone());
+        let hook: CompletionHook = Rc::new(move |sim: &mut Sim, cpl: Completion, line: LineAddr| {
+            let data = d.borrow().line_data(line);
             let v = u64::from_le_bytes(data[0..8].try_into().unwrap());
             c.borrow_mut().push((cpl.tag, v, sim.now().as_ns()));
         });

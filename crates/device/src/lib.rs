@@ -28,7 +28,7 @@ pub mod replay;
 pub mod streamer;
 pub mod trace;
 
-pub use crate::core::{DeviceConfig, DeviceCore, JitterModel, LineData, RespondFn};
+pub use crate::core::{DeviceConfig, DeviceCore, JitterModel, LineData};
 pub use fetcher::{CompletionHook, RequestFetcher};
 pub use mmio::MmioDevice;
 pub use replay::{MatchOutcome, ReplayConfig, ReplayModule};

@@ -7,22 +7,27 @@
 //! carries such a request across the link, through the device datapath, and
 //! back.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use kus_mem::{LineAddr, LINE_BYTES};
 use kus_pcie::link::{LinkDir, PcieLink};
 use kus_pcie::tlp::Tlp;
+use kus_sim::callback::{component, Callback, Parked};
 use kus_sim::stats::Counter;
 use kus_sim::Sim;
 
-use crate::core::{DeviceCore, RespondFn};
+use crate::core::DeviceCore;
 
 /// The device behind its memory-mapped (BAR) interface.
 #[derive(Debug)]
 pub struct MmioDevice {
     core: Rc<RefCell<DeviceCore>>,
     link: Rc<RefCell<PcieLink>>,
+    /// The reads in flight: the requesting host core, the line, and the
+    /// continuation to run when the data is back.
+    inflight: Parked<(usize, LineAddr, Callback)>,
     /// Line reads served.
     pub reads: Counter,
 }
@@ -30,7 +35,7 @@ pub struct MmioDevice {
 impl MmioDevice {
     /// Exposes `core` over `link`, wrapped for shared use.
     pub fn new(core: Rc<RefCell<DeviceCore>>, link: Rc<RefCell<PcieLink>>) -> Rc<RefCell<MmioDevice>> {
-        Rc::new(RefCell::new(MmioDevice { core, link, reads: Counter::default() }))
+        Rc::new(RefCell::new(MmioDevice { core, link, inflight: Parked::new(), reads: Counter::default() }))
     }
 
     /// The device datapath (for statistics).
@@ -40,41 +45,43 @@ impl MmioDevice {
 
     /// Performs one cache-line read on behalf of host core `host_core`:
     /// MRd TLP down, datapath service + hold, CplD back up. `on_data` fires
-    /// when the completion reaches the host's root complex.
+    /// when the completion reaches the host's root complex; the line's
+    /// contents are [`DeviceCore::line_data`].
     pub fn read_line(
         this: &Rc<RefCell<MmioDevice>>,
         sim: &mut Sim,
         host_core: usize,
         line: LineAddr,
-        on_data: RespondFn,
+        on_data: Callback,
     ) {
-        this.borrow_mut().reads.incr();
-        let (link, core) = {
-            let d = this.borrow();
-            (d.link.clone(), d.core.clone())
+        let (link, key) = {
+            let mut d = this.borrow_mut();
+            d.reads.incr();
+            (d.link.clone(), d.inflight.park((host_core, line, on_data)))
         };
-        let link2 = link.clone();
-        link.borrow_mut().send(
-            sim,
-            LinkDir::HostToDev,
-            Tlp::mem_read(),
-            Box::new(move |sim| {
-                DeviceCore::serve(
-                    &core,
-                    sim,
-                    host_core,
-                    line,
-                    Box::new(move |sim, data| {
-                        link2.borrow_mut().send(
-                            sim,
-                            LinkDir::DevToHost,
-                            Tlp::completion(LINE_BYTES),
-                            Box::new(move |sim| on_data(sim, data)),
-                        );
-                    }),
-                );
-            }),
-        );
+        let arrived = Callback::new(MmioDevice::request_arrived, this.clone(), key);
+        link.borrow_mut().send(sim, LinkDir::HostToDev, Tlp::mem_read(), arrived);
+    }
+
+    /// Read `key`'s request reached the device: serve it.
+    fn request_arrived(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let this = component::<RefCell<MmioDevice>>(this);
+        let (core, host_core, line) = {
+            let d = this.borrow();
+            let &(host_core, line, _) = d.inflight.get(key);
+            (d.core.clone(), host_core, line)
+        };
+        DeviceCore::serve(&core, sim, host_core, line, Callback::new(MmioDevice::respond, this, key));
+    }
+
+    /// Read `key`'s response leaves the device: the completion goes up.
+    fn respond(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let this = component::<RefCell<MmioDevice>>(this);
+        let (link, (_, _, on_data)) = {
+            let mut d = this.borrow_mut();
+            (d.link.clone(), d.inflight.take(key))
+        };
+        link.borrow_mut().send(sim, LinkDir::DevToHost, Tlp::completion(LINE_BYTES), on_data);
     }
 }
 
@@ -112,20 +119,25 @@ mod tests {
         (sim, dev, link)
     }
 
+    /// The first word of `line` as the device's responses carry it.
+    fn word(dev: &Rc<RefCell<MmioDevice>>, line: LineAddr) -> u64 {
+        let data = dev.borrow().device_core().borrow().line_data(line);
+        u64::from_le_bytes(data[0..8].try_into().unwrap())
+    }
+
     #[test]
     fn host_observed_latency_matches_configuration() {
         let (mut sim, dev, _) = setup(1000);
         let done = Rc::new(Cell::new((0u64, 0u64)));
         let d = done.clone();
         let t0 = sim.now();
+        let dev2 = dev.clone();
         MmioDevice::read_line(
             &dev,
             &mut sim,
             0,
             l(0),
-            Box::new(move |sim, data| {
-                d.set(((sim.now() - t0).as_ns(), u64::from_le_bytes(data[0..8].try_into().unwrap())));
-            }),
+            Callback::boxed(move |sim| d.set(((sim.now() - t0).as_ns(), word(&dev2, l(0))))),
         );
         sim.run();
         let (elapsed, value) = done.get();
@@ -138,20 +150,19 @@ mod tests {
         let (mut sim, dev, _) = setup(1000);
         let values = Rc::new(RefCell::new(Vec::new()));
         for i in 0..10u64 {
-            let v = values.clone();
+            let (v, dev2) = (values.clone(), dev.clone());
             MmioDevice::read_line(
                 &dev,
                 &mut sim,
                 0,
                 l(i),
-                Box::new(move |_, data| {
-                    v.borrow_mut().push(u64::from_le_bytes(data[0..8].try_into().unwrap()));
-                }),
+                Callback::boxed(move |_| v.borrow_mut().push(word(&dev2, l(i)))),
             );
         }
         sim.run();
         assert_eq!(*values.borrow(), (0..10).collect::<Vec<u64>>());
         assert_eq!(dev.borrow().reads.get(), 10);
+        assert!(dev.borrow().inflight.is_empty(), "every read's state is freed");
         assert_eq!(dev.borrow().device_core().borrow().deadline_misses.get(), 0);
     }
 
@@ -163,7 +174,7 @@ mod tests {
         let count = Rc::new(Cell::new(0u32));
         for i in 0..10u64 {
             let c = count.clone();
-            MmioDevice::read_line(&dev, &mut sim, 0, l(i), Box::new(move |_, _| c.set(c.get() + 1)));
+            MmioDevice::read_line(&dev, &mut sim, 0, l(i), Callback::boxed(move |_| c.set(c.get() + 1)));
         }
         sim.run();
         assert_eq!(count.get(), 10);

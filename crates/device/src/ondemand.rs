@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use kus_mem::station::{Station, StationConfig};
-use kus_sim::event::EventFn;
+use kus_sim::callback::Callback;
 use kus_sim::stats::Counter;
 use kus_sim::Sim;
 
@@ -33,7 +33,7 @@ impl OnDemandModule {
 
     /// Reads one line's worth of data; `on_done` fires when the DRAM access
     /// completes.
-    pub fn read(&mut self, sim: &mut Sim, on_done: EventFn) {
+    pub fn read(&mut self, sim: &mut Sim, on_done: Callback) {
         self.served.incr();
         Station::submit(&self.channel, sim, on_done);
     }
@@ -55,7 +55,7 @@ mod tests {
         let mut m = OnDemandModule::new(StationConfig::onboard_ddr3());
         let at = Rc::new(Cell::new(0u64));
         let a = at.clone();
-        m.read(&mut sim, Box::new(move |sim| a.set(sim.now().as_ns())));
+        m.read(&mut sim, Callback::boxed(move |sim| a.set(sim.now().as_ns())));
         sim.run();
         assert_eq!(at.get(), 160); // 10 ns service + 150 ns latency
         assert_eq!(m.served.get(), 1);

@@ -8,11 +8,12 @@
 //! on-board DRAM [`Station`], and a `when_available` rendezvous that delays a
 //! response if (and only if) streaming ever falls behind.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use kus_mem::station::Station;
-use kus_sim::event::EventFn;
+use kus_sim::callback::{component, Callback};
 use kus_sim::stats::Counter;
 use kus_sim::Sim;
 
@@ -42,7 +43,7 @@ pub struct ReplayStreamer {
     /// Entries `[0, consumed)` have been matched and freed from the buffer.
     consumed: usize,
     burst_in_flight: bool,
-    waiters: Vec<(usize, EventFn)>,
+    waiters: Vec<(usize, Callback)>,
     /// Burst reads issued to on-board DRAM.
     pub bursts: Counter,
     /// Rendezvous that had to wait for streaming (deadline pressure).
@@ -108,44 +109,36 @@ impl ReplayStreamer {
             let burst_entries = s.config.burst.min(s.trace_len - s.streamed);
             (s.dram.clone(), burst_entries)
         };
-        let this2 = this.clone();
         // A burst is `burst_entries` back-to-back line reads: the station's
         // serializer charges full bandwidth for each line, while the access
         // latency overlaps across the burst (bulk sequential DRAM reads).
         // The whole burst becomes visible when its last line completes.
-        let mut remaining = burst_entries;
-        let on_last: EventFn = Box::new(move |sim| {
-            let ready: Vec<EventFn> = {
-                let mut s = this2.borrow_mut();
-                s.burst_in_flight = false;
-                s.streamed += burst_entries;
-                let streamed = s.streamed;
-                let mut ready = Vec::new();
-                let mut i = 0;
-                while i < s.waiters.len() {
-                    if s.waiters[i].0 < streamed {
-                        ready.push(s.waiters.swap_remove(i).1);
-                    } else {
-                        i += 1;
-                    }
-                }
-                ready
-            };
-            for f in ready {
-                sim.schedule_boxed_at(sim.now(), f);
-            }
-            ReplayStreamer::pump(&this2, sim);
-        });
-        let mut on_done = Some(on_last);
-        while remaining > 0 {
-            remaining -= 1;
-            let cb: EventFn = if remaining == 0 {
-                on_done.take().expect("last callback used once")
-            } else {
-                Box::new(|_| {})
-            };
-            Station::submit(&dram, sim, cb);
+        for _ in 1..burst_entries {
+            Station::submit(&dram, sim, Callback::noop());
         }
+        let on_last = Callback::new(ReplayStreamer::burst_landed, this.clone(), burst_entries as u64);
+        Station::submit(&dram, sim, on_last);
+    }
+
+    /// The last line of a burst of `burst_entries` arrived: the entries
+    /// become visible, and the waiters they satisfy run.
+    fn burst_landed(sim: &mut Sim, this: Rc<dyn Any>, burst_entries: u64) {
+        let this = component::<RefCell<ReplayStreamer>>(this);
+        {
+            let mut s = this.borrow_mut();
+            s.burst_in_flight = false;
+            s.streamed += burst_entries as usize;
+            let streamed = s.streamed;
+            let mut i = 0;
+            while i < s.waiters.len() {
+                if s.waiters[i].0 < streamed {
+                    sim.schedule_callback_at(sim.now(), s.waiters.swap_remove(i).1);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        ReplayStreamer::pump(&this, sim);
     }
 
     /// Runs `f` once trace entry `index` has been streamed, and marks it
@@ -154,13 +147,7 @@ impl ReplayStreamer {
     /// # Panics
     ///
     /// Panics if `index` is outside the trace.
-    pub fn when_available(
-        this: &Rc<RefCell<ReplayStreamer>>,
-        sim: &mut Sim,
-        index: usize,
-        f: impl FnOnce(&mut Sim) + 'static,
-    ) {
-        let f: EventFn = Box::new(f);
+    pub fn when_available(this: &Rc<RefCell<ReplayStreamer>>, sim: &mut Sim, index: usize, f: Callback) {
         let ready = {
             let mut s = this.borrow_mut();
             assert!(index < s.trace_len, "trace index {index} out of range");
@@ -174,7 +161,7 @@ impl ReplayStreamer {
             }
         };
         if let Some(f) = ready {
-            sim.schedule_boxed_at(sim.now(), f);
+            sim.schedule_callback_at(sim.now(), f);
         }
         // Consumption may have opened buffer space; keep the pump primed.
         ReplayStreamer::pump(this, sim);
@@ -219,7 +206,7 @@ mod tests {
         let at = Rc::new(Cell::new(u64::MAX));
         let a = at.clone();
         let before = sim.now();
-        ReplayStreamer::when_available(&s, &mut sim, 5, move |sim| a.set(sim.now().as_ns()));
+        ReplayStreamer::when_available(&s, &mut sim, 5, Callback::boxed(move |sim| a.set(sim.now().as_ns())));
         sim.run();
         assert_eq!(at.get(), before.as_ns(), "no extra delay for streamed entries");
         assert_eq!(s.borrow().stalls.get(), 0);
@@ -231,7 +218,7 @@ mod tests {
         assert_eq!(s.borrow().streamed(), 32);
         // Consume the first 500 entries; the streamer catches up.
         for i in 0..500 {
-            ReplayStreamer::when_available(&s, &mut sim, i, |_| {});
+            ReplayStreamer::when_available(&s, &mut sim, i, Callback::noop());
             sim.run();
         }
         assert!(s.borrow().streamed() >= 500);
@@ -242,7 +229,7 @@ mod tests {
         let (mut sim, s) = streamer(1000, StreamerConfig { burst: 16, buffer: 32 });
         let fired = Rc::new(Cell::new(false));
         let f = fired.clone();
-        ReplayStreamer::when_available(&s, &mut sim, 700, move |_| f.set(true));
+        ReplayStreamer::when_available(&s, &mut sim, 700, Callback::boxed(move |_| f.set(true)));
         sim.run();
         assert!(fired.get());
         assert_eq!(s.borrow().stalls.get(), 1);

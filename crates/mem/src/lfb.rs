@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use kus_sim::event::EventFn;
+use kus_sim::callback::Callback;
 use kus_sim::stats::{Counter, Gauge};
 use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{Sim, Time, Tracer};
@@ -34,12 +34,6 @@ impl std::fmt::Display for LfbFull {
 
 impl std::error::Error for LfbFull {}
 
-#[derive(Debug)]
-struct Entry {
-    line: LineAddr,
-    tokens: Vec<WaiterToken>,
-}
-
 /// A fixed pool of line fill buffers with MSHR merge semantics.
 ///
 /// # Examples
@@ -54,15 +48,19 @@ struct Entry {
 /// let line = LineAddr::from_index(9);
 /// lfb.try_allocate(sim.now(), line, None)?;
 /// assert!(lfb.merge(line, 77)); // a later load piggybacks
-/// let tokens = lfb.complete(&mut sim, line);
+/// let mut tokens = Vec::new();
+/// lfb.complete(&mut sim, line, &mut tokens);
 /// assert_eq!(tokens, vec![77]);
 /// assert_eq!(lfb.in_use(), 0);
 /// # Ok::<(), kus_mem::lfb::LfbFull>(())
 /// ```
 pub struct LfbPool {
     capacity: usize,
-    entries: Vec<Entry>,
-    slot_waiters: VecDeque<EventFn>,
+    /// The lines with a pending fill, one buffer each.
+    entries: Vec<LineAddr>,
+    /// Every pending line's waiter tokens, in attach order.
+    tokens: Vec<(LineAddr, WaiterToken)>,
+    slot_waiters: VecDeque<Callback>,
     occupancy: Gauge,
     tracer: Tracer,
     track: u32,
@@ -99,6 +97,7 @@ impl LfbPool {
         LfbPool {
             capacity,
             entries: Vec::with_capacity(capacity),
+            tokens: Vec::new(),
             slot_waiters: VecDeque::new(),
             occupancy: Gauge::new(),
             tracer: Tracer::off(),
@@ -121,7 +120,7 @@ impl LfbPool {
 
     /// Whether `line` has a pending fill.
     pub fn is_pending(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|e| e.line == line)
+        self.entries.contains(&line)
     }
 
     /// Time-weighted occupancy gauge (max/average).
@@ -159,7 +158,8 @@ impl LfbPool {
             self.tracer.instant(EventName::LfbFull, self.track, line.index(), self.capacity as u64);
             return Err(LfbFull);
         }
-        self.entries.push(Entry { line, tokens: token.into_iter().collect() });
+        self.entries.push(line);
+        self.tokens.extend(token.map(|t| (line, t)));
         self.allocations.incr();
         self.occupancy.set(now, self.entries.len() as u64);
         self.tracer.instant(EventName::LfbAlloc, self.track, line.index(), self.entries.len() as u64);
@@ -169,8 +169,8 @@ impl LfbPool {
     /// Attaches `token` to the pending entry for `line`, if one exists.
     /// Returns whether a merge happened.
     pub fn merge(&mut self, line: LineAddr, token: WaiterToken) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
-            e.tokens.push(token);
+        if self.entries.contains(&line) {
+            self.tokens.push((line, token));
             self.merges.incr();
             self.tracer.instant(EventName::LfbMerge, self.track, line.index(), self.entries.len() as u64);
             true
@@ -180,7 +180,8 @@ impl LfbPool {
     }
 
     /// Completes the fill for `line`: frees the buffer, wakes **all** slot
-    /// waiters, and returns the attached waiter tokens in attach order.
+    /// waiters, and appends the attached waiter tokens to `tokens` in
+    /// attach order.
     ///
     /// All waiters are woken (in FIFO order) rather than one per freed slot:
     /// a woken waiter may no longer need a buffer at all (its line arrived
@@ -191,19 +192,24 @@ impl LfbPool {
     /// # Panics
     ///
     /// Panics if `line` is not pending.
-    pub fn complete(&mut self, sim: &mut Sim, line: LineAddr) -> Vec<WaiterToken> {
+    pub fn complete(&mut self, sim: &mut Sim, line: LineAddr, tokens: &mut Vec<WaiterToken>) {
         let idx = self
             .entries
             .iter()
-            .position(|e| e.line == line)
+            .position(|&e| e == line)
             .unwrap_or_else(|| panic!("completing non-pending line {line}"));
-        let entry = self.entries.swap_remove(idx);
+        self.entries.swap_remove(idx);
+        self.tokens.retain(|&(l, t)| {
+            if l == line {
+                tokens.push(t);
+            }
+            l != line
+        });
         self.occupancy.set(sim.now(), self.entries.len() as u64);
         self.tracer.instant(EventName::LfbFill, self.track, line.index(), self.entries.len() as u64);
         for w in self.slot_waiters.drain(..) {
-            sim.schedule_boxed_at(sim.now(), w);
+            sim.schedule_callback_at(sim.now(), w);
         }
-        entry.tokens
     }
 
     /// Registers a callback to run (once) after the next buffer frees.
@@ -211,8 +217,8 @@ impl LfbPool {
     /// The callback should retry its allocation; the freed slot is *not*
     /// reserved, so the retry may fail again under same-instant contention,
     /// in which case the caller simply re-registers.
-    pub fn wait_for_slot(&mut self, f: impl FnOnce(&mut Sim) + 'static) {
-        self.slot_waiters.push_back(Box::new(f));
+    pub fn wait_for_slot(&mut self, f: Callback) {
+        self.slot_waiters.push_back(f);
         if self.tracer.wants(TraceClass::Profile) {
             self.tracer.instant(EventName::LfbWait, self.track, 0, self.slot_waiters.len() as u64);
         }
@@ -244,7 +250,7 @@ mod tests {
         assert_eq!(lfb.try_allocate(sim.now(), line(99), None), Err(LfbFull));
         assert_eq!(lfb.in_use(), 3);
         assert_eq!(lfb.full_rejections.get(), 1);
-        let _ = lfb.complete(&mut sim, line(1));
+        lfb.complete(&mut sim, line(1), &mut Vec::new());
         assert!(lfb.try_allocate(sim.now(), line(99), None).is_ok());
     }
 
@@ -256,7 +262,9 @@ mod tests {
         assert!(lfb.merge(line(5), 2));
         assert!(lfb.merge(line(5), 3));
         assert!(!lfb.merge(line(6), 9));
-        assert_eq!(lfb.complete(&mut sim, line(5)), vec![1, 2, 3]);
+        let mut tokens = vec![0];
+        lfb.complete(&mut sim, line(5), &mut tokens);
+        assert_eq!(tokens, vec![0, 1, 2, 3]);
         assert_eq!(lfb.merges.get(), 2);
     }
 
@@ -268,10 +276,10 @@ mod tests {
 
         let woke = Rc::new(Cell::new(false));
         let w = woke.clone();
-        lfb.borrow_mut().wait_for_slot(move |_| w.set(true));
+        lfb.borrow_mut().wait_for_slot(Callback::boxed(move |_| w.set(true)));
         assert_eq!(lfb.borrow().waiting(), 1);
 
-        lfb.borrow_mut().complete(&mut sim, line(1));
+        lfb.borrow_mut().complete(&mut sim, line(1), &mut Vec::new());
         sim.run();
         assert!(woke.get());
         assert_eq!(lfb.borrow().waiting(), 0);
@@ -290,7 +298,7 @@ mod tests {
     fn completing_unknown_line_panics() {
         let mut sim = Sim::new();
         let mut lfb = LfbPool::new(1);
-        let _ = lfb.complete(&mut sim, line(1));
+        lfb.complete(&mut sim, line(1), &mut Vec::new());
     }
 
     #[test]
@@ -301,7 +309,7 @@ mod tests {
             lfb.try_allocate(sim.now(), line(i), None).unwrap();
         }
         for i in 0..4 {
-            lfb.complete(&mut sim, line(i));
+            lfb.complete(&mut sim, line(i), &mut Vec::new());
         }
         assert_eq!(lfb.occupancy().max(), 4);
         assert_eq!(lfb.in_use(), 0);

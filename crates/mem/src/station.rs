@@ -7,11 +7,12 @@
 //! shared serializer for `service` time (head-of-line bandwidth), and
 //! (3) completes `latency` after its serialization slot begins.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use kus_sim::event::EventFn;
+use kus_sim::callback::{component, Callback};
 use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{Sim, Span, Time, Tracer};
 
@@ -56,6 +57,7 @@ impl StationConfig {
 ///
 /// ```
 /// use kus_mem::station::{Station, StationConfig};
+/// use kus_sim::callback::Callback;
 /// use kus_sim::{Sim, Span};
 /// use std::{cell::Cell, rc::Rc};
 ///
@@ -63,7 +65,7 @@ impl StationConfig {
 /// let dram = Station::new("dram", StationConfig::host_dram());
 /// let done = Rc::new(Cell::new(false));
 /// let d = done.clone();
-/// Station::submit(&dram, &mut sim, Box::new(move |_| d.set(true)));
+/// Station::submit(&dram, &mut sim, Callback::boxed(move |_| d.set(true)));
 /// sim.run();
 /// assert!(done.get());
 /// assert!(sim.now().as_ns() >= 100);
@@ -72,8 +74,12 @@ pub struct Station {
     name: &'static str,
     config: StationConfig,
     busy_until: Time,
-    in_service: usize,
-    waiting: VecDeque<EventFn>,
+    /// The requests in service, in start order, each with its completion
+    /// time and continuation. Every request completes `service + latency`
+    /// after a start no earlier than the previous one, so completions
+    /// leave from the front.
+    serving: VecDeque<(Time, Callback)>,
+    waiting: VecDeque<Callback>,
     tracer: Tracer,
     track: u32,
 }
@@ -82,7 +88,7 @@ impl std::fmt::Debug for Station {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Station")
             .field("name", &self.name)
-            .field("in_service", &self.in_service)
+            .field("in_service", &self.serving.len())
             .field("queued", &self.waiting.len())
             .finish()
     }
@@ -100,7 +106,7 @@ impl Station {
             name,
             config,
             busy_until: Time::ZERO,
-            in_service: 0,
+            serving: VecDeque::new(),
             waiting: VecDeque::new(),
             tracer: Tracer::off(),
             track: 0,
@@ -109,7 +115,7 @@ impl Station {
 
     /// Requests currently in service.
     pub fn in_service(&self) -> usize {
-        self.in_service
+        self.serving.len()
     }
 
     /// Requests waiting for a service slot.
@@ -126,11 +132,12 @@ impl Station {
         self.track = track;
     }
 
-    /// Submits a request; `on_done` fires at completion time.
-    pub fn submit(this: &Rc<RefCell<Station>>, sim: &mut Sim, on_done: EventFn) {
+    /// Submits a request; `on_done` runs at completion time, inside the
+    /// station's completion event.
+    pub fn submit(this: &Rc<RefCell<Station>>, sim: &mut Sim, on_done: Callback) {
         {
             let mut s = this.borrow_mut();
-            if s.in_service == s.config.concurrency {
+            if s.serving.len() == s.config.concurrency {
                 s.waiting.push_back(on_done);
                 return;
             }
@@ -138,29 +145,35 @@ impl Station {
         Station::start(this, sim, on_done);
     }
 
-    fn start(this: &Rc<RefCell<Station>>, sim: &mut Sim, on_done: EventFn) {
+    fn start(this: &Rc<RefCell<Station>>, sim: &mut Sim, on_done: Callback) {
         let done_at = {
             let mut s = this.borrow_mut();
-            s.in_service += 1;
-            if s.tracer.wants(TraceClass::Profile) {
-                s.tracer.counter(EventName::StationOcc, s.track, s.in_service as u64);
-            }
             let start_at = sim.now().max(s.busy_until);
             s.busy_until = start_at + s.config.service;
-            start_at + s.config.service + s.config.latency
-        };
-        let this2 = this.clone();
-        sim.schedule_at(done_at, move |sim| {
-            let next = {
-                let mut s = this2.borrow_mut();
-                s.in_service -= 1;
-                s.waiting.pop_front()
-            };
-            if let Some(next) = next {
-                Station::start(&this2, sim, next);
+            let done_at = start_at + s.config.service + s.config.latency;
+            s.serving.push_back((done_at, on_done));
+            if s.tracer.wants(TraceClass::Profile) {
+                s.tracer.counter(EventName::StationOcc, s.track, s.serving.len() as u64);
             }
-            on_done(sim);
-        });
+            done_at
+        };
+        sim.schedule_callback_at(done_at, Callback::new(Station::finish, this.clone(), 0));
+    }
+
+    /// The completion event of the oldest request in service: starts the
+    /// next waiting one, then runs the finished one's continuation.
+    fn finish(sim: &mut Sim, this: Rc<dyn Any>, _: u64) {
+        let this = component::<RefCell<Station>>(this);
+        let (on_done, next) = {
+            let mut s = this.borrow_mut();
+            let (done_at, on_done) = s.serving.pop_front().expect("a request in service");
+            debug_assert_eq!(done_at, sim.now(), "{}: completions left out of start order", s.name);
+            (on_done, s.waiting.pop_front())
+        };
+        if let Some(next) = next {
+            Station::start(&this, sim, next);
+        }
+        on_done.call(sim);
     }
 }
 
@@ -182,7 +195,7 @@ mod tests {
         let times = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..n {
             let t = times.clone();
-            Station::submit(station, &mut sim, Box::new(move |sim| t.borrow_mut().push(sim.now().as_ns())));
+            Station::submit(station, &mut sim, Callback::boxed(move |sim| t.borrow_mut().push(sim.now().as_ns())));
         }
         sim.run();
         let times = times.borrow().clone();
@@ -237,14 +250,14 @@ mod tests {
         let s = Station::new("t", cfg(1, 10, 0));
         let done = Rc::new(Cell::new(0u64));
         let d = done.clone();
-        Station::submit(&s, &mut sim, Box::new(move |sim| d.set(sim.now().as_ns())));
+        Station::submit(&s, &mut sim, Callback::boxed(move |sim| d.set(sim.now().as_ns())));
         sim.run();
         assert_eq!(done.get(), 10);
         // Advance idle time, then submit again: serializer should not carry over.
         let d2 = done.clone();
         sim.schedule_in(Span::from_ns(90), |_| {});
         sim.run();
-        Station::submit(&s, &mut sim, Box::new(move |sim| d2.set(sim.now().as_ns())));
+        Station::submit(&s, &mut sim, Callback::boxed(move |sim| d2.set(sim.now().as_ns())));
         sim.run();
         assert_eq!(done.get(), 110);
     }

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use kus_sim::event::EventFn;
+use kus_sim::callback::Callback;
 use kus_sim::stats::{Counter, Gauge};
 use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{Sim, Time, Tracer};
@@ -34,7 +34,7 @@ pub struct CreditQueue {
     name: &'static str,
     capacity: usize,
     in_use: usize,
-    waiters: VecDeque<EventFn>,
+    waiters: VecDeque<Callback>,
     occupancy: Gauge,
     tracer: Tracer,
     track: u32,
@@ -144,14 +144,14 @@ impl CreditQueue {
         self.in_use -= 1;
         self.occupancy.set(sim.now(), self.in_use as u64);
         if let Some(w) = self.waiters.pop_front() {
-            sim.schedule_boxed_at(sim.now(), w);
+            sim.schedule_callback_at(sim.now(), w);
         }
     }
 
     /// Registers a callback to run (once) after the next credit frees. The
     /// callback should retry acquisition and re-register on failure.
-    pub fn wait(&mut self, f: impl FnOnce(&mut Sim) + 'static) {
-        self.waiters.push_back(Box::new(f));
+    pub fn wait(&mut self, f: Callback) {
+        self.waiters.push_back(f);
     }
 
     /// Number of registered waiters.
@@ -187,7 +187,7 @@ mod tests {
         let order = Rc::new(std::cell::RefCell::new(Vec::new()));
         for i in 0..3 {
             let o = order.clone();
-            q.borrow_mut().wait(move |_| o.borrow_mut().push(i));
+            q.borrow_mut().wait(Callback::boxed(move |_| o.borrow_mut().push(i)));
         }
         assert_eq!(q.borrow().waiting(), 3);
 
@@ -232,10 +232,10 @@ mod tests {
         {
             let q2 = q.clone();
             let got = got.clone();
-            q.borrow_mut().wait(move |sim| {
+            q.borrow_mut().wait(Callback::boxed(move |sim| {
                 assert!(q2.borrow_mut().try_acquire(sim.now()));
                 got.set(true);
-            });
+            }));
         }
         q.borrow_mut().release(&mut sim);
         sim.run();

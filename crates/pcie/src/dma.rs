@@ -7,11 +7,12 @@
 //! the per-access transaction count the paper blames for wasting half the
 //! PCIe bandwidth.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use kus_mem::station::Station;
-use kus_sim::event::EventFn;
+use kus_sim::callback::{component, Callback, Parked};
 use kus_sim::stats::Counter;
 use kus_sim::Sim;
 
@@ -26,7 +27,7 @@ use crate::tlp::Tlp;
 /// use kus_pcie::dma::DmaEngine;
 /// use kus_pcie::link::{LinkConfig, PcieLink};
 /// use kus_mem::station::{Station, StationConfig};
-/// use kus_sim::Sim;
+/// use kus_sim::{Callback, Sim};
 /// use std::{cell::Cell, rc::Rc};
 ///
 /// let mut sim = Sim::new();
@@ -35,7 +36,7 @@ use crate::tlp::Tlp;
 /// let dma = DmaEngine::new(link, dram);
 /// let done = Rc::new(Cell::new(false));
 /// let d = done.clone();
-/// dma.borrow().read(&mut sim, 128, Box::new(move |_| d.set(true)));
+/// DmaEngine::read(&dma, &mut sim, 128, Callback::boxed(move |_| d.set(true)));
 /// sim.run();
 /// assert!(done.get());
 /// ```
@@ -43,6 +44,9 @@ use crate::tlp::Tlp;
 pub struct DmaEngine {
     link: Rc<RefCell<PcieLink>>,
     host_dram: Rc<RefCell<Station>>,
+    /// The transfers in flight: a read's size and continuation, or a
+    /// write's continuation.
+    inflight: Parked<(u64, Callback)>,
     /// DMA reads issued.
     pub reads: Counter,
     /// DMA writes issued.
@@ -56,6 +60,7 @@ impl DmaEngine {
         Rc::new(RefCell::new(DmaEngine {
             link,
             host_dram,
+            inflight: Parked::new(),
             reads: Counter::default(),
             writes: Counter::default(),
         }))
@@ -64,46 +69,60 @@ impl DmaEngine {
     /// DMA-reads `bytes` from host memory: read request up, host DRAM access,
     /// completion-with-data back down. `on_data` fires when the data reaches
     /// the device.
-    pub fn read(&self, sim: &mut Sim, bytes: u64, on_data: EventFn) {
-        let link = self.link.clone();
-        let dram = self.host_dram.clone();
-        let link2 = link.clone();
-        link.borrow_mut().send(
-            sim,
-            LinkDir::DevToHost,
-            Tlp::mem_read(),
-            Box::new(move |sim| {
-                // Request arrived at the root complex: read host DRAM, then
-                // return a completion with the data.
-                Station::submit(
-                    &dram,
-                    sim,
-                    Box::new(move |sim| {
-                        link2
-                            .borrow_mut()
-                            .send(sim, LinkDir::HostToDev, Tlp::completion(bytes), on_data);
-                    }),
-                );
-            }),
-        );
+    pub fn read(this: &Rc<RefCell<DmaEngine>>, sim: &mut Sim, bytes: u64, on_data: Callback) {
+        DmaEngine::send_up(this, sim, Tlp::mem_read(), (bytes, on_data), DmaEngine::read_arrived);
     }
 
     /// DMA-writes `bytes` to host memory (posted). `on_delivered` fires when
     /// the write reaches the root complex; host DRAM write occupancy is
     /// charged but not waited on (posted-write semantics).
-    pub fn write(&self, sim: &mut Sim, bytes: u64, on_delivered: EventFn) {
-        let dram = self.host_dram.clone();
-        self.link.borrow_mut().send(
-            sim,
-            LinkDir::DevToHost,
-            Tlp::mem_write(bytes),
-            Box::new(move |sim| {
-                // Occupy the DRAM channel for the write, but complete the
-                // posted write immediately on arrival.
-                Station::submit(&dram, sim, Box::new(|_| {}));
-                on_delivered(sim);
-            }),
-        );
+    pub fn write(this: &Rc<RefCell<DmaEngine>>, sim: &mut Sim, bytes: u64, on_delivered: Callback) {
+        DmaEngine::send_up(this, sim, Tlp::mem_write(bytes), (0, on_delivered), DmaEngine::write_arrived);
+    }
+
+    /// Sends `tlp` towards the host with `transfer` parked until
+    /// `arrived` runs at the root complex.
+    fn send_up(
+        this: &Rc<RefCell<DmaEngine>>,
+        sim: &mut Sim,
+        tlp: Tlp,
+        transfer: (u64, Callback),
+        arrived: kus_sim::callback::Handler,
+    ) {
+        let (link, key) = {
+            let mut d = this.borrow_mut();
+            (d.link.clone(), d.inflight.park(transfer))
+        };
+        link.borrow_mut().send(sim, LinkDir::DevToHost, tlp, Callback::new(arrived, this.clone(), key));
+    }
+
+    /// A read request arrived at the root complex: read host DRAM, then
+    /// return a completion with the data.
+    fn read_arrived(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let dma = component::<RefCell<DmaEngine>>(this);
+        let dram = dma.borrow().host_dram.clone();
+        Station::submit(&dram, sim, Callback::new(DmaEngine::read_served, dma, key));
+    }
+
+    fn read_served(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let dma = component::<RefCell<DmaEngine>>(this);
+        let (link, (bytes, on_data)) = {
+            let mut d = dma.borrow_mut();
+            (d.link.clone(), d.inflight.take(key))
+        };
+        link.borrow_mut().send(sim, LinkDir::HostToDev, Tlp::completion(bytes), on_data);
+    }
+
+    /// A posted write arrived: occupy the DRAM channel for it, but complete
+    /// it at once.
+    fn write_arrived(sim: &mut Sim, this: Rc<dyn Any>, key: u64) {
+        let dma = component::<RefCell<DmaEngine>>(this);
+        let (dram, (_, on_delivered)) = {
+            let mut d = dma.borrow_mut();
+            (d.host_dram.clone(), d.inflight.take(key))
+        };
+        Station::submit(&dram, sim, Callback::noop());
+        on_delivered.call(sim);
     }
 
     /// Record a DMA read in the engine's counters (callers that want
@@ -138,7 +157,7 @@ mod tests {
         let (mut sim, link, dma) = setup();
         let at = Rc::new(Cell::new(0u64));
         let a = at.clone();
-        dma.borrow().read(&mut sim, 64, Box::new(move |sim| a.set(sim.now().as_ns())));
+        DmaEngine::read(&dma, &mut sim, 64, Callback::boxed(move |sim| a.set(sim.now().as_ns())));
         sim.run();
         // Lower bound: unloaded RTT + DRAM latency.
         let min = link.borrow().unloaded_read_rtt(64).as_ns() + 100;
@@ -151,7 +170,7 @@ mod tests {
         let (mut sim, _link, dma) = setup();
         let at = Rc::new(Cell::new(0u64));
         let a = at.clone();
-        dma.borrow().write(&mut sim, 64, Box::new(move |sim| a.set(sim.now().as_ns())));
+        DmaEngine::write(&dma, &mut sim, 64, Callback::boxed(move |sim| a.set(sim.now().as_ns())));
         sim.run_until({
             let at = at.clone();
             move || at.get() != 0
@@ -164,11 +183,11 @@ mod tests {
     fn reads_share_upstream_bandwidth_with_writes() {
         let (mut sim, link, dma) = setup();
         for _ in 0..10 {
-            dma.borrow().write(&mut sim, 64, Box::new(|_| {}));
+            DmaEngine::write(&dma, &mut sim, 64, Callback::noop());
         }
         let done = Rc::new(Cell::new(0u64));
         let d = done.clone();
-        dma.borrow().read(&mut sim, 64, Box::new(move |sim| d.set(sim.now().as_ns())));
+        DmaEngine::read(&dma, &mut sim, 64, Callback::boxed(move |sim| d.set(sim.now().as_ns())));
         sim.run();
         // The read request queued behind 10 writes (10 * 22ns of serialization).
         let stats = link.borrow().stats(LinkDir::DevToHost);

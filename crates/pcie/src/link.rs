@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use kus_sim::event::EventFn;
+use kus_sim::callback::Callback;
 use kus_sim::stats::Counter;
 use kus_sim::trace::{EventName, TraceClass};
 use kus_sim::{FaultInjector, Sim, Span, Time, Tracer};
@@ -102,7 +102,7 @@ pub enum LinkDir {
 /// ```
 /// use kus_pcie::link::{LinkConfig, LinkDir, PcieLink};
 /// use kus_pcie::tlp::Tlp;
-/// use kus_sim::Sim;
+/// use kus_sim::{Callback, Sim};
 /// use std::{cell::Cell, rc::Rc};
 ///
 /// let mut sim = Sim::new();
@@ -110,7 +110,7 @@ pub enum LinkDir {
 /// let arrived = Rc::new(Cell::new(0u64));
 /// let a = arrived.clone();
 /// link.borrow_mut().send(&mut sim, LinkDir::HostToDev, Tlp::mem_read(),
-///     Box::new(move |sim| a.set(sim.now().as_ns())));
+///     Callback::boxed(move |sim| a.set(sim.now().as_ns())));
 /// sim.run();
 /// assert_eq!(arrived.get(), 381); // 24 B * 0.25 ns + 375 ns propagation
 /// ```
@@ -154,7 +154,7 @@ impl PcieLink {
     }
 
     /// Sends `tlp` in direction `dir`; `on_arrive` fires at the far end.
-    pub fn send(&mut self, sim: &mut Sim, dir: LinkDir, tlp: Tlp, on_arrive: EventFn) {
+    pub fn send(&mut self, sim: &mut Sim, dir: LinkDir, tlp: Tlp, on_arrive: Callback) {
         let replays = match &self.faults {
             Some(f) if f.borrow_mut().tlp_replay() => 1,
             _ => 0,
@@ -179,7 +179,7 @@ impl PcieLink {
             }
         }
         let at = self.dir(dir).send(sim.now(), tlp, replays);
-        sim.schedule_boxed_at(at, on_arrive);
+        sim.schedule_callback_at(at, on_arrive);
     }
 
     /// Per-direction accounting.
@@ -223,7 +223,7 @@ mod tests {
     ) -> Rc<Cell<u64>> {
         let t = Rc::new(Cell::new(u64::MAX));
         let t2 = t.clone();
-        link.borrow_mut().send(sim, dir, tlp, Box::new(move |sim| t2.set(sim.now().as_ns())));
+        link.borrow_mut().send(sim, dir, tlp, Callback::boxed(move |sim| t2.set(sim.now().as_ns())));
         t
     }
 

@@ -11,9 +11,10 @@
 //! - a **slab event allocator** (`slab`): events live in
 //!   freelist-recycled fixed-size slots threaded intrusively through the
 //!   wheel's buckets, so scheduling allocates nothing beyond the payload
-//!   (and nothing at all for the [`schedule_fn_at`](Sim::schedule_fn_at)
-//!   fixed variants — the boxed-closure [`schedule_at`](Sim::schedule_at)
-//!   remains the general escape hatch);
+//!   (and nothing at all for a [`Callback`] or the
+//!   [`schedule_fn_at`](Sim::schedule_fn_at) fixed variant — the
+//!   boxed-closure [`schedule_at`](Sim::schedule_at) remains the general
+//!   escape hatch);
 //! - **batched dispatch**: the wheel surrenders a whole tick (~1 ns of
 //!   deadlines) at once as a `(time, seq)`-sorted *ready run*; the driver
 //!   drains the run without re-touching the scheduler per event, advancing
@@ -30,6 +31,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::callback::Callback;
 use crate::slab::{EventSlab, Payload, Ready};
 use crate::time::{Span, Time};
 use crate::wheel::{Wheel, GRAIN_BITS};
@@ -130,6 +132,7 @@ impl Sim {
     }
 
     /// The current virtual time.
+    #[inline]
     pub fn now(&self) -> Time {
         self.now
     }
@@ -173,6 +176,7 @@ impl Sim {
         self.budget = n;
     }
 
+    #[inline]
     fn push(&mut self, at: Time, payload: Payload) {
         assert!(at >= self.now, "cannot schedule into the past: {at} < {}", self.now);
         let seq = self.seq;
@@ -225,6 +229,24 @@ impl Sim {
     /// Panics if `at` is in the past.
     pub fn schedule_boxed_at(&mut self, at: Time, f: EventFn) {
         self.push(at, Payload::Boxed(f));
+    }
+
+    /// Schedules `cb` to run at absolute time `at`: the allocation-free
+    /// form of [`schedule_at`](Sim::schedule_at) for a [`Callback`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    #[inline]
+    pub fn schedule_callback_at(&mut self, at: Time, cb: Callback) {
+        self.push(at, Payload::Callback(cb));
+    }
+
+    /// [`schedule_callback_at`](Sim::schedule_callback_at) relative to the
+    /// current time.
+    #[inline]
+    pub fn schedule_callback_in(&mut self, delay: Span, cb: Callback) {
+        self.schedule_callback_at(self.now + delay, cb);
     }
 
     /// Schedules `f` to run `delay` after the current time.
@@ -281,6 +303,7 @@ impl Sim {
             self.clock.set(at);
         }
         match self.slab.take(ev.id) {
+            Payload::Callback(cb) => cb.call(self),
             Payload::Boxed(f) => f(self),
             Payload::FnArg(f, arg) => f(self, arg),
         }
@@ -288,12 +311,18 @@ impl Sim {
     }
 
     /// Runs events until the queue drains, the horizon is reached, or the
-    /// event budget is exhausted.
+    /// event budget is exhausted. A run whose last event is also the
+    /// budget's last has drained: the outcome says why events are left, so
+    /// it is [`RunOutcome::Drained`] whenever none are.
     pub fn run(&mut self) -> RunOutcome {
         let mut remaining = self.budget;
         loop {
             if remaining == 0 {
-                return RunOutcome::BudgetExhausted;
+                return if self.pending() == 0 {
+                    RunOutcome::Drained
+                } else {
+                    RunOutcome::BudgetExhausted
+                };
             }
             if !self.step() {
                 return if self.pending() == 0 {
@@ -370,6 +399,8 @@ impl Cancel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callback::component;
+    use std::any::Any;
     use std::cell::RefCell;
 
     fn record(log: &Rc<RefCell<Vec<u32>>>, v: u32) -> impl FnOnce(&mut Sim) {
@@ -466,6 +497,26 @@ mod tests {
         assert_eq!(sim.executed(), 100);
     }
 
+    /// A run whose last event is also the budget's last has drained.
+    #[test]
+    fn budget_spent_on_the_last_event_drains() {
+        let mut sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for v in 0..3 {
+            sim.schedule_in(Span::from_ns(1), record(&log, v));
+        }
+        sim.set_event_budget(3);
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!((sim.executed(), sim.pending()), (3, 0));
+        // One event short of the queue, the budget still stops the run.
+        sim.schedule_in(Span::from_ns(1), record(&log, 3));
+        sim.schedule_in(Span::from_ns(2), record(&log, 4));
+        sim.set_event_budget(1);
+        assert_eq!(sim.run(), RunOutcome::BudgetExhausted);
+        assert_eq!(sim.pending(), 1);
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+    }
+
     #[test]
     fn run_until_predicate() {
         let mut sim = Sim::new();
@@ -488,6 +539,11 @@ mod tests {
         assert!(c.is_cancelled());
     }
 
+    /// Appends `arg` to the `Vec` a callback acts on.
+    fn push_arg(_: &mut Sim, this: Rc<dyn Any>, arg: u64) {
+        component::<RefCell<Vec<u32>>>(this).borrow_mut().push(arg as u32);
+    }
+
     #[test]
     fn fn_events_interleave_with_closures_in_seq_order() {
         fn bump(sim: &mut Sim, arg: u64) {
@@ -499,37 +555,78 @@ mod tests {
         }
         LOG.with(|l| l.borrow_mut().clear());
         let mut sim = Sim::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::<u32>::new()));
         sim.schedule_fn_in(Span::from_ns(5), bump, 1);
         sim.schedule_in(Span::from_ns(5), {
             let log = log.clone();
             move |_| log.borrow_mut().push(2)
         });
-        sim.schedule_fn_in(Span::from_ns(5), bump, 3);
+        sim.schedule_callback_in(Span::from_ns(5), Callback::new(push_arg, log.clone(), 3));
+        sim.schedule_fn_in(Span::from_ns(5), bump, 4);
+        sim.schedule_callback_in(Span::from_ns(5), Callback::new(push_arg, log.clone(), 5));
+        sim.schedule_in(Span::from_ns(5), {
+            let log = log.clone();
+            move |_| log.borrow_mut().push(6)
+        });
         sim.run();
-        // Closure fired second; fn events first and third.
-        assert_eq!(*log.borrow(), vec![2]);
-        LOG.with(|l| assert_eq!(*l.borrow(), vec![1, 3]));
+        // All three payload kinds share one instant and fire in the order
+        // they were scheduled.
+        assert_eq!(*log.borrow(), vec![2, 3, 5, 6]);
+        LOG.with(|l| assert_eq!(*l.borrow(), vec![1, 4]));
+        assert_eq!(Rc::strong_count(&log), 1, "fired events dropped their handles");
     }
 
     /// An already-boxed callback takes its `(time, seq)` slot exactly as
-    /// the same closure passed to `schedule_at` would.
+    /// the same closure passed to `schedule_at` would, beside callbacks and
+    /// `fn` events at the same instant.
     #[test]
     fn boxed_events_keep_their_seq_order() {
+        fn push_seven(sim: &mut Sim, arg: u64) {
+            assert_eq!(arg, 7);
+            let _ = sim;
+            SEVEN.with(|n| n.set(n.get() + 1));
+        }
+        thread_local! {
+            static SEVEN: Cell<u32> = const { Cell::new(0) };
+        }
         let mut sim = Sim::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::<u32>::new()));
         let push = |v: u32| -> EventFn {
             let log = log.clone();
             Box::new(move |_| log.borrow_mut().push(v))
         };
         let at = Time::ZERO + Span::from_ns(5);
         sim.schedule_boxed_at(at, push(1));
-        sim.schedule_at(at, push(2));
-        sim.schedule_boxed_at(at, push(3));
+        sim.schedule_callback_at(at, Callback::new(push_arg, log.clone(), 2));
+        sim.schedule_fn_at(at, push_seven, 7);
+        sim.schedule_at(at, push(3));
+        sim.schedule_callback_at(at, Callback::boxed(push(4)));
+        sim.schedule_callback_at(at, Callback::noop());
+        sim.schedule_boxed_at(at, push(5));
         sim.schedule_boxed_at(Time::ZERO + Span::from_ns(2), push(0));
         sim.run();
-        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(SEVEN.with(Cell::get), 1);
+        assert_eq!(sim.executed(), 8, "a no-op callback is still an event");
         assert_eq!(sim.now(), at);
+    }
+
+    /// A callback run inside an event fires there and then, and a handler
+    /// paired with the wrong component type names it.
+    #[test]
+    fn callbacks_call_inline_and_check_their_component() {
+        let mut sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::<u32>::new()));
+        Callback::new(push_arg, log.clone(), 9).call(&mut sim);
+        Callback::noop().call(&mut sim);
+        assert_eq!(*log.borrow(), vec![9]);
+        assert_eq!(sim.executed(), 0);
+        let wrong = std::panic::catch_unwind(|| {
+            Callback::new(push_arg, Rc::new(0u8), 1).call(&mut Sim::new());
+        });
+        let msg = wrong.expect_err("a u8 is not a log");
+        let msg = msg.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("RefCell<alloc::vec::Vec<u32>>"), "{msg}");
     }
 
     // ------------------------------------------------------------------
@@ -737,7 +834,7 @@ mod tests {
             if cancelled {
                 c.cancel();
             }
-            sim.schedule_at(at, move |sim| {
+            let fire = move |sim: &mut Sim| {
                 if c.is_cancelled() {
                     return;
                 }
@@ -748,7 +845,22 @@ mod tests {
                     let at = sim.now() + Span::from_ps(delta);
                     spawn_wheel(sim, at, tag, cancelled, &w2, &log2, depth + 1);
                 }
-            });
+            };
+            // Every third event runs its closure through a callback, and
+            // live leaves are handler callbacks, so both payload kinds
+            // interleave with the closures at shared instants.
+            match tag % 3 {
+                0 => sim.schedule_callback_at(at, Callback::boxed(fire)),
+                _ if depth >= 6 && !cancelled => {
+                    // A leaf schedules nothing: only its log entry matters.
+                    fn leaf(sim: &mut Sim, this: Rc<dyn Any>, tag: u64) {
+                        let log = component::<RefCell<Vec<(u64, u64)>>>(this);
+                        log.borrow_mut().push((sim.now().as_ps(), tag));
+                    }
+                    sim.schedule_callback_at(at, Callback::new(leaf, log.clone(), tag));
+                }
+                _ => sim.schedule_at(at, fire),
+            }
         }
 
         fn spawn_heap(

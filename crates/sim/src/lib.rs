@@ -9,6 +9,9 @@
 //! - [`event`]: the [`Sim`] driver — a hierarchical timing-wheel scheduler
 //!   (`wheel`) over slab-allocated events (`slab`) with batched
 //!   same-instant dispatch and deterministic `(time, seq)` ordering.
+//! - [`callback`]: the allocation-free [`Callback`] the model's hot events
+//!   and continuations are made of, and the [`Parked`](callback::Parked)
+//!   table for state an operation carries across its events.
 //! - [`heap_ref`]: the pre-wheel `BinaryHeap` core, retained as the
 //!   reference model for differential tests and benchmark baselines.
 //! - [`rng`]: seeded, label-splittable random streams.
@@ -38,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod callback;
 pub mod event;
 pub mod fault;
 pub mod heap_ref;
@@ -48,6 +52,7 @@ pub mod time;
 pub mod trace;
 mod wheel;
 
+pub use callback::Callback;
 pub use event::{RunOutcome, Sim};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use rng::SimRng;

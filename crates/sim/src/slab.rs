@@ -16,6 +16,7 @@
 //! additionally drive random schedule/fire/recycle interleavings against
 //! these invariants.
 
+use crate::callback::Callback;
 use crate::event::{EventFn, Sim};
 
 /// Index of an event slot inside an [`EventSlab`]. `u32` keeps wheel
@@ -26,11 +27,13 @@ pub(crate) type EventId = u32;
 
 /// What runs when an event fires.
 ///
-/// The `fn`-pointer variant is the "fixed" fast path: scheduling it
+/// A [`Callback`] or a bare `fn` pointer is the fast path: scheduling one
 /// allocates nothing. [`Payload::Boxed`] is the escape hatch for arbitrary
 /// capturing closures (note that boxing a zero-capture closure also does not
 /// allocate — `Box` of a zero-sized value is free).
 pub(crate) enum Payload {
+    /// A `fn` handler with its component and one word.
+    Callback(Callback),
     /// General boxed closure.
     Boxed(EventFn),
     /// Function pointer plus one word of threaded state.
@@ -67,6 +70,7 @@ impl EventSlab {
     }
 
     /// Number of live (scheduled or staged-for-dispatch) events.
+    #[inline]
     pub(crate) fn live(&self) -> usize {
         self.live
     }

@@ -27,16 +27,19 @@ pub struct Counter(u64);
 
 impl Counter {
     /// Increments by one.
+    #[inline]
     pub fn incr(&mut self) {
         self.0 += 1;
     }
 
     /// Increments by `n`.
+    #[inline]
     pub fn add(&mut self, n: u64) {
         self.0 += n;
     }
 
     /// Current count.
+    #[inline]
     pub fn get(self) -> u64 {
         self.0
     }
@@ -85,6 +88,7 @@ impl Gauge {
     /// # Panics
     ///
     /// Panics if `now` precedes the previous update.
+    #[inline]
     pub fn set(&mut self, now: Time, level: u64) {
         assert!(now >= self.last_change, "gauge updated out of order");
         let dt = (now - self.last_change).as_ps();
@@ -109,11 +113,13 @@ impl Gauge {
     }
 
     /// Current level.
+    #[inline]
     pub fn level(&self) -> u64 {
         self.level
     }
 
     /// Maximum level ever observed.
+    #[inline]
     pub fn max(&self) -> u64 {
         self.max
     }

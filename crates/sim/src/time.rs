@@ -51,16 +51,19 @@ impl Time {
     pub const MAX: Time = Time(u64::MAX);
 
     /// Creates an instant from raw picoseconds since time zero.
+    #[inline]
     pub const fn from_ps(ps: u64) -> Time {
         Time(ps)
     }
 
     /// Raw picoseconds since time zero.
+    #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
     }
 
     /// This instant expressed in (truncated) nanoseconds.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0 / PS_PER_NS
     }
@@ -72,16 +75,19 @@ impl Time {
 
     /// The span from `earlier` to `self`, saturating to zero if `earlier`
     /// is actually later.
+    #[inline]
     pub fn saturating_since(self, earlier: Time) -> Span {
         Span(self.0.saturating_sub(earlier.0))
     }
 
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
+    #[inline]
     pub fn min(self, other: Time) -> Time {
         Time(self.0.min(other.0))
     }
@@ -92,16 +98,19 @@ impl Span {
     pub const ZERO: Span = Span(0);
 
     /// Creates a span from raw picoseconds.
+    #[inline]
     pub const fn from_ps(ps: u64) -> Span {
         Span(ps)
     }
 
     /// Creates a span from nanoseconds.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Span {
         Span(ns * PS_PER_NS)
     }
 
     /// Creates a span from microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Span {
         Span(us * PS_PER_US)
     }
@@ -118,11 +127,13 @@ impl Span {
     }
 
     /// Raw picoseconds.
+    #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
     }
 
     /// This span in (truncated) nanoseconds.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0 / PS_PER_NS
     }
@@ -138,21 +149,25 @@ impl Span {
     }
 
     /// True if this is the empty span.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// The larger of two spans.
+    #[inline]
     pub fn max(self, other: Span) -> Span {
         Span(self.0.max(other.0))
     }
 
     /// The smaller of two spans.
+    #[inline]
     pub fn min(self, other: Span) -> Span {
         Span(self.0.min(other.0))
     }
 
     /// Subtraction that stops at zero instead of underflowing.
+    #[inline]
     pub fn saturating_sub(self, other: Span) -> Span {
         Span(self.0.saturating_sub(other.0))
     }
@@ -160,12 +175,14 @@ impl Span {
 
 impl Add<Span> for Time {
     type Output = Time;
+    #[inline]
     fn add(self, rhs: Span) -> Time {
         Time(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<Span> for Time {
+    #[inline]
     fn add_assign(&mut self, rhs: Span) {
         self.0 += rhs.0;
     }
@@ -173,6 +190,7 @@ impl AddAssign<Span> for Time {
 
 impl Sub<Span> for Time {
     type Output = Time;
+    #[inline]
     fn sub(self, rhs: Span) -> Time {
         Time(self.0 - rhs.0)
     }
@@ -180,6 +198,7 @@ impl Sub<Span> for Time {
 
 impl Sub<Time> for Time {
     type Output = Span;
+    #[inline]
     fn sub(self, rhs: Time) -> Span {
         Span(self.0 - rhs.0)
     }
@@ -187,12 +206,14 @@ impl Sub<Time> for Time {
 
 impl Add for Span {
     type Output = Span;
+    #[inline]
     fn add(self, rhs: Span) -> Span {
         Span(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Span {
+    #[inline]
     fn add_assign(&mut self, rhs: Span) {
         self.0 += rhs.0;
     }
@@ -200,12 +221,14 @@ impl AddAssign for Span {
 
 impl Sub for Span {
     type Output = Span;
+    #[inline]
     fn sub(self, rhs: Span) -> Span {
         Span(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for Span {
+    #[inline]
     fn sub_assign(&mut self, rhs: Span) {
         self.0 -= rhs.0;
     }
@@ -213,6 +236,7 @@ impl SubAssign for Span {
 
 impl Mul<u64> for Span {
     type Output = Span;
+    #[inline]
     fn mul(self, rhs: u64) -> Span {
         Span(self.0 * rhs)
     }
@@ -220,6 +244,7 @@ impl Mul<u64> for Span {
 
 impl Div<u64> for Span {
     type Output = Span;
+    #[inline]
     fn div(self, rhs: u64) -> Span {
         Span(self.0 / rhs)
     }
@@ -228,6 +253,7 @@ impl Div<u64> for Span {
 impl Div<Span> for Span {
     /// How many times `rhs` fits in `self` (truncated).
     type Output = u64;
+    #[inline]
     fn div(self, rhs: Span) -> u64 {
         self.0 / rhs.0
     }

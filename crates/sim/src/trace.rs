@@ -442,6 +442,22 @@ struct TracerInner {
     classes: u8,
 }
 
+impl TracerInner {
+    /// Records one event at the current simulated time.
+    fn record(&self, name: EventName, phase: Phase, track: u32, a0: u64, a1: u64) {
+        let at = self.clock.get();
+        self.log.borrow_mut().push(&TraceEvent { at, cat: name.category(), name, phase, track, a0, a1 });
+    }
+
+    /// Records a [`Phase::Complete`] span over `[start, end]`, `end` not
+    /// before `start`; the duration lands in `a1`.
+    fn span(&self, name: EventName, track: u32, start: Time, end: Time, a0: u64) {
+        let dur = (end - start).as_ps();
+        let e = TraceEvent { at: start, cat: name.category(), name, phase: Phase::Complete, track, a0, a1: dur };
+        self.log.borrow_mut().push(&e);
+    }
+}
+
 /// Handle to the (possibly disabled) trace sink. Clone freely: all clones
 /// share one log. `Tracer::default()` is the disabled tracer.
 #[derive(Clone, Default)]
@@ -475,41 +491,48 @@ impl Tracer {
     }
 
     /// Whether events are being recorded.
+    #[inline]
     pub fn is_on(&self) -> bool {
         self.inner.is_some()
     }
 
     /// Whether `class` is recorded: the one question every gated emit site
     /// asks. Always false for a disabled tracer.
+    #[inline]
     pub fn wants(&self, class: TraceClass) -> bool {
         self.inner.as_ref().is_some_and(|i| i.classes & class as u8 != 0)
     }
 
     /// Records one event at the current simulated time, under
-    /// `name.category()`. No-op when disabled.
+    /// `name.category()`. No-op when disabled. The emitters inline to the
+    /// one branch on a disabled tracer; the recording itself stays out of
+    /// line.
+    #[inline]
     pub fn emit(&self, name: EventName, phase: Phase, track: u32, a0: u64, a1: u64) {
-        let Some(inner) = &self.inner else { return };
-        let at = inner.clock.get();
-        inner.log.borrow_mut().push(&TraceEvent { at, cat: name.category(), name, phase, track, a0, a1 });
+        if let Some(inner) = &self.inner {
+            inner.record(name, phase, track, a0, a1);
+        }
     }
 
     /// Emits an [`Phase::Instant`] event.
+    #[inline]
     pub fn instant(&self, name: EventName, track: u32, a0: u64, a1: u64) {
         self.emit(name, Phase::Instant, track, a0, a1);
     }
 
     /// Emits a [`Phase::Counter`] sample of `value`.
+    #[inline]
     pub fn counter(&self, name: EventName, track: u32, value: u64) {
         self.emit(name, Phase::Counter, track, value, 0);
     }
 
     /// Emits a [`Phase::Complete`] span that started at `start` and ends now.
     /// The duration lands in `a1` (picoseconds).
+    #[inline]
     pub fn complete_since(&self, name: EventName, track: u32, start: Time, a0: u64) {
-        let Some(inner) = &self.inner else { return };
-        let dur = (inner.clock.get() - start).as_ps();
-        let e = TraceEvent { at: start, cat: name.category(), name, phase: Phase::Complete, track, a0, a1: dur };
-        inner.log.borrow_mut().push(&e);
+        if let Some(inner) = &self.inner {
+            inner.span(name, track, start, inner.clock.get(), a0);
+        }
     }
 
     /// Emits a [`Phase::Complete`] span over an explicit `[start, end]`
@@ -517,11 +540,11 @@ impl Tracer {
     /// is not "now" at emission time: a child completion recorded from a
     /// device callback, or an egress span that extends past the emitting
     /// instant. `end` earlier than `start` records a zero-length span.
+    #[inline]
     pub fn complete_span(&self, name: EventName, track: u32, start: Time, end: Time, a0: u64) {
-        let Some(inner) = &self.inner else { return };
-        let dur = if end > start { (end - start).as_ps() } else { 0 };
-        let e = TraceEvent { at: start, cat: name.category(), name, phase: Phase::Complete, track, a0, a1: dur };
-        inner.log.borrow_mut().push(&e);
+        if let Some(inner) = &self.inner {
+            inner.span(name, track, start, end.max(start), a0);
+        }
     }
 
     /// Moves the log of the events recorded so far out, with their content

@@ -182,7 +182,7 @@ fn lfb_conserves_tokens() {
                 assert!(lfb.in_use() <= 10, "case {case}");
             }
             for line in lines {
-                returned.extend(lfb.complete(&mut sim, line));
+                lfb.complete(&mut sim, line, &mut returned);
             }
         }
         assert_eq!(lfb.in_use(), 0, "case {case}");
