@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use kus_mem::station::Station;
-use kus_sim::callback::{component, Callback, Parked};
+use kus_sim::callback::{component, Callback, Handler, Parked};
 use kus_sim::stats::Counter;
 use kus_sim::Sim;
 
@@ -87,7 +87,7 @@ impl DmaEngine {
         sim: &mut Sim,
         tlp: Tlp,
         transfer: (u64, Callback),
-        arrived: kus_sim::callback::Handler,
+        arrived: Handler,
     ) {
         let (link, key) = {
             let mut d = this.borrow_mut();
